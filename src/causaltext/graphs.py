@@ -536,10 +536,6 @@ class MecIndex:
         bits = int(self._vst[self._starts[g]])
         return frozenset(self._triples[i] for i in _bits(bits))
 
-    def mec(self, g: int) -> Mec:
-        members = tuple(Dag.from_mask(self.n, int(m)) for m in self.member_masks(g))
-        return Mec(self.n, self.skeleton_set(g), self.vstruct_set(g), members)
-
 
 @lru_cache(maxsize=None)
 def mec_index(n: int) -> MecIndex:
@@ -555,26 +551,47 @@ def dag_extensions(matrix: AdjMatrix) -> list[Dag]:
 
     An extension keeps the matrix skeleton, respects every directed entry,
     is acyclic, and introduces no v-structure beyond the matrix's oriented
-    colliders. Returns an empty list when no consistent orientation exists.
+    colliders. Returns an empty list when no consistent orientation exists;
+    otherwise the extensions in edge-bitmask order.
+
+    The undirected pairs are oriented depth first, in sorted order, and a
+    branch is cut as soon as an orientation ``a -> b`` closes a directed
+    cycle or gives ``b`` a parent not adjacent to ``a``. Every collider the
+    matrix declares is made of directed entries, so no branch loses one. The
+    cost therefore grows with the partial orientations that survive pruning,
+    not with the ``2**k`` orientations of ``k`` undirected pairs.
     """
     matrix.validate_pdag()
     n = matrix.n
-    directed = sorted(matrix.directed_edges())
+    if not 1 <= n <= MAX_NODES:
+        raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
+    adj = [0] * n
+    pa = [0] * n
+    directed = 0
+    for i, j in matrix.skeleton_pairs():
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    for i, j in matrix.directed_edges():
+        pa[j] |= 1 << i
+        directed |= 1 << (i * n + j)
     undirected = sorted(matrix.undirected_pairs())
-    colliders = matrix.oriented_colliders()
-    out = []
-    for choice in range(1 << len(undirected)):
-        edges = list(directed)
-        for k, (i, j) in enumerate(undirected):
-            edges.append((i, j) if (choice >> k) & 1 == 0 else (j, i))
-        try:
-            cand = Dag(n, edges)
-        except CycleError:
-            continue
-        if v_structures(cand) == colliders:
-            out.append(cand)
-    out.sort(key=lambda d: d.mask)
-    return out
+    masks: list[int] = []
+
+    def orient(k: int, mask: int) -> None:
+        if k == len(undirected):
+            masks.append(mask)
+            return
+        i, j = undirected[k]
+        for a, b in ((i, j), (j, i)):
+            if pa[b] & ~adj[a] or (_ancestor_mask(pa, 1 << a) >> b) & 1:
+                continue
+            pa[b] |= 1 << a
+            orient(k + 1, mask | 1 << (a * n + b))
+            pa[b] ^= 1 << a
+
+    orient(0, directed)
+    masks.sort()
+    return [Dag.from_mask(n, m) for m in masks]
 
 
 def mec_of_dag(dag: Dag) -> Mec:

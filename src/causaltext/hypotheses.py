@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, ConsistencyError
-from .graphs import Dag, Mec, dag_extensions
+from .graphs import Dag, Mec, _bits, dag_extensions
 from .matrix import AdjMatrix
 from .variables import VariableTable
 
@@ -141,24 +141,17 @@ def _common_witness(h: Hypothesis, extensions: list[Dag], table: VariableTable) 
     if kind is HypothesisKind.COMMON_EFFECT:
         shared = set(range(len(table)))
         for d in extensions:
-            shared &= {z for z in _bits_of(d.child_mask(s) & d.child_mask(o))}
+            shared &= set(_bits(d.child_mask(s) & d.child_mask(o)))
         return {"colliders": [table.label(z) for z in sorted(shared)]}
     if kind is HypothesisKind.COMMON_CAUSE:
         shared = set(range(len(table)))
         for d in extensions:
-            shared &= {z for z in _bits_of(d.parent_mask(s) & d.parent_mask(o))}
+            shared &= set(_bits(d.parent_mask(s) & d.parent_mask(o)))
         return {"confounders": [table.label(z) for z in sorted(shared)]}
     # cause / indirect cause: exhibit one directed path from the first extension
     path = _directed_path(extensions[0], s, o,
                           min_len=2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
     return {"path": [table.label(v) for v in path] if path else None}
-
-
-def _bits_of(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
 
 
 def _directed_path(dag: Dag, s: int, o: int, min_len: int = 1) -> list[int] | None:

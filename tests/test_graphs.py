@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,48 @@ def dsep_path_oracle(dag, x, y, cond):
             if nb not in path:
                 stack.append(path + [nb])
     return True
+
+
+def brute_force_extensions(matrix):
+    """Extensions by trying all 2^k orientations of the k undirected pairs."""
+    matrix.validate_pdag()
+    n = matrix.n
+    directed = sorted(matrix.directed_edges())
+    undirected = sorted(matrix.undirected_pairs())
+    colliders = matrix.oriented_colliders()
+    out = []
+    for choice in range(1 << len(undirected)):
+        edges = list(directed)
+        for k, (i, j) in enumerate(undirected):
+            edges.append((i, j) if (choice >> k) & 1 == 0 else (j, i))
+        try:
+            cand = Dag(n, edges)
+        except CycleError:
+            continue
+        if v_structures(cand) == colliders:
+            out.append(cand)
+    out.sort(key=lambda d: d.mask)
+    return out
+
+
+def pdag_encoding(n, states):
+    """Matrix whose pair ``(i, j)``, i < j, takes one of four states:
+    0 none, 1 i -> j, 2 j -> i, 3 undirected."""
+    cells = [[0] * n for _ in range(n)]
+    for (i, j), state in zip(combinations(range(n), 2), states):
+        cells[i][j] = state & 1
+        cells[j][i] = state >> 1
+    return AdjMatrix(VariableTable.letters(n), cells)
+
+
+def assert_extensions_match_reference(matrix):
+    try:
+        expected = brute_force_extensions(matrix)
+    except PdagError:
+        with pytest.raises(PdagError):
+            dag_extensions(matrix)
+        return
+    assert dag_extensions(matrix) == expected
 
 
 class TestEnumeration:
@@ -228,10 +271,34 @@ class TestEquivalence:
 
 
 class TestExtensions:
-    def test_two_node_undirected(self):
-        m = AdjMatrix(VariableTable.letters(2), [[0, 1], [1, 0]])
-        exts = dag_extensions(m)
-        assert sorted(tuple(sorted(d.edges)) for d in exts) == [((0, 1),), ((1, 0),)]
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_fully_undirected(self, n):
+        # every topological order of the complete graph is one extension
+        cells = [[int(i != j) for j in range(n)] for i in range(n)]
+        exts = dag_extensions(AdjMatrix(VariableTable.letters(n), cells))
+        assert len(exts) == factorial(n)
+        assert len({d.mask for d in exts}) == len(exts)
+        for d in exts:
+            assert len(d.edges) == n * (n - 1) // 2
+            assert all(i not in d.descendants(i) for i in range(n))
+            assert v_structures(d) == frozenset()
+
+    def test_too_many_nodes_rejected_before_enumeration(self):
+        # K7 has 7! extensions; the node cap must reject it without building them
+        cells = [[int(i != j) for j in range(7)] for i in range(7)]
+        with pytest.raises(BoundsError):
+            dag_extensions(AdjMatrix(VariableTable("ABCDEFG"), cells))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_reference_on_every_encoding(self, n):
+        for states in product(range(4), repeat=n * (n - 1) // 2):
+            assert_extensions_match_reference(pdag_encoding(n, states))
+
+    def test_matches_reference_sampled_n5(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            states = [rng.randrange(4) for _ in range(10)]
+            assert_extensions_match_reference(pdag_encoding(5, states))
 
     def test_five_var_final_matrix(self):
         matrix = AdjMatrix.from_mapping(FIVE_VAR_STEP_8)
