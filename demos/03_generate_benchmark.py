@@ -7,8 +7,8 @@ import collections
 import tempfile
 from pathlib import Path
 
-from causaltext import (balanced_generate, balanced_sample, generate,
-                        read_samples, storyify, write_samples)
+from causaltext import (balanced_generate, generate, read_samples, storyify,
+                        write_samples)
 
 # The full three-variable universe: 11 equivalence classes crossed with
 # every claim template gives 264 labeled rows. The labels skew heavily
@@ -23,12 +23,13 @@ print(" ", yes.premise)
 print("  hypothesis:", yes.hypothesis_text, "->", yes.label)
 
 # A balanced draw for evaluation: equal labels, reproducible under a seed.
-balanced = balanced_sample(samples, per_cell=10, seed=42)
+# The generator walks a seeded shuffle of the classes and stops once both
+# label quotas are full, so it never labels the whole universe.
+balanced = balanced_generate([3], per_cell=10, seed=42)
 print(f"\nbalanced draw: {len(balanced)} rows,",
       collections.Counter(s.label for s in balanced))
 
-# For the larger universes a reservoir pass over every row would be wasteful;
-# the balanced generator walks a seeded shuffle of the classes instead.
+# The same call draws across several variable counts at once.
 wide = balanced_generate([3, 4, 5], per_cell=5, seed=7)
 print("across variable counts:",
       collections.Counter((s.n_vars, s.label) for s in wide))

@@ -9,12 +9,12 @@ Run with:  python demos/04_mock_evaluation.py
 
 import json
 
-from causaltext import (BackendConfig, balanced_sample, generate, run_batch,
+from causaltext import (BackendConfig, balanced_generate, run_batch,
                         run_pipeline, score)
 from causaltext.harness import MODE_BASELINE_COT, MODE_FEW_SHOT, MODE_STEP_BY_STEP
 from causaltext.prompts import PromptContext, render_prompt
 
-samples = balanced_sample(list(generate(3)), per_cell=6, seed=8)
+samples = balanced_generate([3], per_cell=6, seed=8)
 config = BackendConfig()  # endpoint defaults to the in-process oracle
 
 # What the first prompt of a chain looks like.

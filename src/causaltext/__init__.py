@@ -7,8 +7,8 @@ datasets from the enumerated graph universe, and evaluates chat backends
 against those datasets with exact per-step grading.
 """
 
-from .dataset import (Sample, balanced_generate, balanced_sample, generate,
-                      read_samples, storyify, write_samples)
+from .dataset import (Sample, balanced_generate, generate, read_samples,
+                      storyify, write_samples)
 from .engine import (ColliderCandidates, EngineOptions, EngineTrace,
                      apply_conditional, apply_unconditional, candidate_pairs,
                      filter_collider_pairs, initial_matrix, orient_colliders,
@@ -19,17 +19,17 @@ from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
                      TransportError, UnknownVariableError, UsageError)
 from .graphs import (Dag, Mec, SepStatement, all_dsep_statements, d_separated,
                      dag_count, dag_extensions, enumerate_dags, group_mecs,
-                     markov_equivalent, mec_of_dag, skeleton, v_structures)
+                     mec_of_dag, skeleton, v_structures)
 from .harness import (BackendConfig, EvalRecord, Metrics, MockBackend,
                       ScoreReport, metrics_from_records, parse_step_output,
-                      run_batch, run_pipeline, score, send)
+                      run_batch, run_pipeline, score)
 from .hypotheses import (Hypothesis, HypothesisKind, Verdict, binary_answer,
                          evaluate_on_pdag, holds_in_dag, label_against_mec)
 from .matrix import AdjMatrix
 from .parsing import (PremiseDoc, parse_hypothesis, parse_premise,
                       render_hypothesis, render_premise, THEMES)
 from .pipeline import SolveResult, solve_doc, solve_text
-from .prompts import PromptContext, PromptTemplate, TEMPLATES, render_prompt
+from .prompts import PromptContext, render_prompt
 from .relations import RelationSet, relations_from_dag
 from .variables import VariableTable
 
@@ -41,19 +41,18 @@ __all__ = [
     "ConsistencyError", "CycleError", "Dag", "EngineOptions", "EngineTrace",
     "EvalRecord", "Hypothesis", "HypothesisKind", "Mec", "Metrics",
     "MockBackend", "PdagError", "PremiseDoc", "PremiseParseError",
-    "PromptContext", "PromptTemplate", "RelationSet", "ResourceError",
-    "Sample", "ScoreReport", "SepStatement", "SolveResult", "TEMPLATES",
-    "TemplateError", "THEMES", "TransportError",
-    "UnknownVariableError", "UsageError", "VariableTable", "Verdict",
-    "all_dsep_statements", "apply_conditional", "apply_unconditional",
-    "balanced_generate", "balanced_sample", "binary_answer", "candidate_pairs",
-    "d_separated", "dag_count", "dag_extensions", "enumerate_dags",
-    "evaluate_on_pdag", "filter_collider_pairs", "generate", "group_mecs",
-    "holds_in_dag", "initial_matrix", "label_against_mec", "markov_equivalent",
+    "PromptContext", "RelationSet", "ResourceError", "Sample", "ScoreReport",
+    "SepStatement", "SolveResult", "TemplateError", "THEMES",
+    "TransportError", "UnknownVariableError", "UsageError", "VariableTable",
+    "Verdict", "all_dsep_statements", "apply_conditional",
+    "apply_unconditional", "balanced_generate", "binary_answer",
+    "candidate_pairs", "d_separated", "dag_count", "dag_extensions",
+    "enumerate_dags", "evaluate_on_pdag", "filter_collider_pairs", "generate",
+    "group_mecs", "holds_in_dag", "initial_matrix", "label_against_mec",
     "mec_of_dag", "metrics_from_records", "orient_colliders",
     "parse_hypothesis", "parse_premise", "parse_step_output",
     "propagate_orientations", "read_samples", "relations_from_dag",
     "render_hypothesis", "render_premise", "render_prompt", "run_batch",
-    "run_c2p", "run_pipeline", "score", "send", "skeleton", "solve_doc",
-    "solve_text", "storyify", "v_structures", "write_samples",
+    "run_c2p", "run_pipeline", "score", "skeleton", "solve_doc", "solve_text",
+    "storyify", "v_structures", "write_samples",
 ]

@@ -18,7 +18,7 @@ from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
                      UnknownVariableError, UsageError)
 from .fixtures import FIXTURES
 from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
-                      RecordingBackend, ScoreReport, StepResult, make_backend,
+                      RecordingBackend, ScoreReport, make_backend,
                       run_pipeline, score, validate_config)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                          HypothesisKind)
@@ -306,19 +306,11 @@ def _read_records(records_dir: str) -> list[EvalRecord]:
     names = sorted(f for f in os.listdir(records_dir) if f.endswith(".json"))
     records = []
     for name in names:
-        with open(os.path.join(records_dir, name), encoding="utf-8") as fh:
-            data = json.load(fh)
-        steps = {k: StepResult(v.get("raw"), v.get("parsed"), v.get("match", False),
-                               v.get("error"))
-                 for k, v in data.get("steps", {}).items()}
-        records.append(EvalRecord(
-            sample_id=data["sample_id"], n_vars=data["n_vars"],
-            label=data["label"], kind=data.get("kind", ""),
-            mode=data.get("mode", ""), steps=steps,
-            verdict=data.get("verdict"), correct=data.get("correct", False),
-            elapsed_ms=data.get("elapsed_ms", 0.0),
-            parse_failures=data.get("parse_failures", 0),
-            error=data.get("error")))
+        try:
+            with open(os.path.join(records_dir, name), encoding="utf-8") as fh:
+                records.append(EvalRecord.from_dict(json.load(fh)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(f"malformed record {name}: {exc}") from None
     if not records:
         raise UsageError(f"no records in {records_dir}")
     return records

@@ -147,45 +147,6 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
             yield Sample(sid, n, premise, rels, h, text, label, kind.value, digest, tag)
 
 
-def balanced_sample(samples: Iterable[Sample], per_cell: int,
-                    seed: int | None = None) -> list[Sample]:
-    """Uniform seeded draw of ``per_cell`` samples per (n_vars, label) cell.
-
-    Runs one reservoir pass over the whole stream, so it is only appropriate
-    when the stream is enumerable; use :func:`balanced_generate` to draw from
-    the full six-node universe.
-    """
-    if per_cell < 1:
-        raise BoundsError("per_cell must be positive")
-    rng = random.Random(seed)
-    reservoirs: dict[tuple[int, str], list[Sample]] = {}
-    seen: dict[tuple[int, str], int] = {}
-    n_values: set[int] = set()
-    for s in samples:
-        n_values.add(s.n_vars)
-        cell = (s.n_vars, s.label)
-        seen[cell] = seen.get(cell, 0) + 1
-        bucket = reservoirs.setdefault(cell, [])
-        if len(bucket) < per_cell:
-            bucket.append(s)
-        else:
-            k = rng.randrange(seen[cell])
-            if k < per_cell:
-                bucket[k] = s
-    for n in sorted(n_values):
-        for label in (YES, NO):
-            got = len(reservoirs.get((n, label), ()))
-            if got < per_cell:
-                raise CapacityError(
-                    f"cell (n_vars={n}, label={label}) holds {got} samples,"
-                    f" need {per_cell}")
-    out: list[Sample] = []
-    for n in sorted(n_values):
-        for label in (YES, NO):
-            out.extend(sorted(reservoirs[(n, label)], key=lambda s: s.id))
-    return out
-
-
 def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
                       kinds: Sequence[HypothesisKind] | None = None,
                       style: str = "symbolic", theme: str | None = None,
@@ -193,8 +154,8 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
     """Balanced draw without enumerating the whole sample universe.
 
     Walks each variable count's shuffled stream until both label quotas are
-    filled. The draw is reproducible for a fixed seed but, unlike
-    :func:`balanced_sample`, it is not a uniform draw over the population.
+    filled. The draw is reproducible for a fixed seed, but it is not a
+    uniform draw over the population.
     """
     if seed is None:
         raise ConfigError("a seed is required for balanced generation")

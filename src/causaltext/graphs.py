@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BoundsError, CycleError
-from .matrix import AdjMatrix
+from .matrix import AdjMatrix, is_acyclic
 from .variables import VariableTable
 
 MAX_NODES = 6
@@ -53,30 +53,13 @@ class Dag:
             pa[c] |= 1 << p
             ch[p] |= 1 << c
             mask |= 1 << (p * n + c)
+        if not is_acyclic(pa):
+            raise CycleError("edge set contains a directed cycle")
         self._n = n
         self._edges = edge_set
         self._pa = tuple(pa)
         self._ch = tuple(ch)
         self._mask = mask
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        indeg = [bin(m).count("1") for m in self._pa]
-        queue = [i for i in range(self._n) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            m = self._ch[u]
-            while m:
-                lsb = m & -m
-                v = lsb.bit_length() - 1
-                m ^= lsb
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if seen != self._n:
-            raise CycleError("edge set contains a directed cycle")
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Dag":
@@ -310,13 +293,6 @@ def v_structures(dag: Dag) -> frozenset[tuple[int, int, int]]:
                 if not dag.adjacent(x, y):
                     out.add((x, c, y))
     return frozenset(out)
-
-
-def markov_equivalent(d1: Dag, d2: Dag) -> bool:
-    """Same skeleton and same v-structures."""
-    if d1.n != d2.n:
-        raise BoundsError(f"node counts differ: {d1.n} vs {d2.n}")
-    return skeleton(d1) == skeleton(d2) and v_structures(d1) == v_structures(d2)
 
 
 @dataclass(frozen=True)
@@ -566,14 +542,14 @@ def dag_extensions(matrix: AdjMatrix) -> list[Dag]:
     if not 1 <= n <= MAX_NODES:
         raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
     adj = [0] * n
-    pa = [0] * n
-    directed = 0
     for i, j in matrix.skeleton_pairs():
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    for i, j in matrix.directed_edges():
-        pa[j] |= 1 << i
-        directed |= 1 << (i * n + j)
+    pa = matrix.parent_masks()
+    directed = 0
+    for j in range(n):
+        for i in _bits(pa[j]):
+            directed |= 1 << (i * n + j)
     undirected = sorted(matrix.undirected_pairs())
     masks: list[int] = []
 

@@ -67,7 +67,6 @@ class BackendConfig:
     attempts: int = 3
     backoff: float = 0.25
     timeout: float = 60.0
-    requests_per_second: float | None = None
 
     def scheme(self) -> str:
         return urlparse(self.endpoint).scheme
@@ -82,7 +81,6 @@ class BackendConfig:
             "attempts": self.attempts,
             "backoff": self.backoff,
             "timeout": self.timeout,
-            "requests_per_second": self.requests_per_second,
         }
 
     def digest(self) -> str:
@@ -109,21 +107,6 @@ def validate_config(config: BackendConfig) -> None:
         raise ConfigError("attempts must be at least 1")
 
 
-class _RateLimiter:
-    def __init__(self, per_second: float):
-        self._interval = 1.0 / per_second
-        self._lock = threading.Lock()
-        self._next = 0.0
-
-    def wait(self):
-        with self._lock:
-            now = time.monotonic()
-            if now < self._next:
-                time.sleep(self._next - now)
-                now = time.monotonic()
-            self._next = now + self._interval
-
-
 class HttpBackend:
     """Generic chat endpoint: ordered role/content messages in, text out."""
 
@@ -131,8 +114,6 @@ class HttpBackend:
         validate_config(config)
         self.config = config
         self._token = os.environ[config.auth_env] if config.auth_env else None
-        self._limiter = (_RateLimiter(config.requests_per_second)
-                         if config.requests_per_second else None)
         self._local = threading.local()
 
     def pop_usage(self) -> dict | None:
@@ -156,8 +137,6 @@ class HttpBackend:
                   hashlib.sha256(body.encode()).hexdigest()[:12])
         last_exc: Exception | None = None
         for attempt in range(self.config.attempts):
-            if self._limiter:
-                self._limiter.wait()
             try:
                 resp = requests.post(self.config.endpoint, data=body,
                                      headers=headers, timeout=self.config.timeout)
@@ -171,7 +150,10 @@ class HttpBackend:
                 continue
             if resp.status_code != 200:
                 raise BackendError(resp.status_code, resp.text[:200])
-            data = resp.json()
+            try:
+                data = resp.json()
+            except requests.JSONDecodeError:
+                raise BackendError(200, f"body is not JSON: {resp.text[:120]}") from None
             log.debug("response digest=%s",
                       hashlib.sha256(resp.content).hexdigest()[:12])
             if isinstance(data, dict) and isinstance(data.get("usage"), dict):
@@ -412,11 +394,6 @@ def make_backend(config: BackendConfig, options: EngineOptions | None = None,
         parsed = urlparse(config.endpoint)
         return ReplayBackend((parsed.netloc or "") + parsed.path)
     return HttpBackend(config)
-
-
-def send(config: BackendConfig, messages: Sequence[dict]) -> str:
-    """One-shot completion against whatever backend the config selects."""
-    return make_backend(config).complete(messages)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +699,12 @@ class EvalRecord:
             "error": self.error,
             "token_counts": self.token_counts,
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EvalRecord":
+        """Inverse of :meth:`as_dict`."""
+        steps = {k: StepResult(**v) for k, v in data["steps"].items()}
+        return cls(**{**data, "steps": steps})
 
 
 def _reference_steps(sample, options: EngineOptions, eval_mode: str):

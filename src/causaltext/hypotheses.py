@@ -149,25 +149,10 @@ def _common_witness(h: Hypothesis, extensions: list[Dag], table: VariableTable) 
             shared &= set(_bits(d.parent_mask(s) & d.parent_mask(o)))
         return {"confounders": [table.label(z) for z in sorted(shared)]}
     # cause / indirect cause: exhibit one directed path from the first extension
-    path = _directed_path(extensions[0], s, o,
-                          min_len=2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
+    first = extensions[0]
+    path = _reach(len(table), lambda a, b: (first.child_mask(a) >> b) & 1, s, o,
+                  2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
     return {"path": [table.label(v) for v in path] if path else None}
-
-
-def _directed_path(dag: Dag, s: int, o: int, min_len: int = 1) -> list[int] | None:
-    stack = [(s, [s])]
-    while stack:
-        node, path = stack.pop()
-        for ch in sorted(dag.children(node)):
-            if ch in path:
-                continue
-            nxt = path + [ch]
-            if ch == o:
-                if len(nxt) - 1 >= min_len:
-                    return nxt
-                continue
-            stack.append((ch, nxt))
-    return None
 
 
 def _rule_based(h: Hypothesis, matrix: AdjMatrix) -> Verdict:

@@ -12,10 +12,29 @@ graph (PDAG) when its directed edges contain no cycle.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PdagError
 from .variables import VariableTable
+
+
+def is_acyclic(pa: Sequence[int]) -> bool:
+    """True iff the graph whose node ``i`` has parent bitmask ``pa[i]`` has no
+    directed cycle.
+
+    Each sweep places every node whose parents are all placed; a sweep that
+    places nothing new leaves only nodes on or below a cycle.
+    """
+    placed = 0
+    full = (1 << len(pa)) - 1
+    while placed != full:
+        before = placed
+        for i, p in enumerate(pa):
+            if not p & ~placed:
+                placed |= 1 << i
+        if placed == before:
+            return False
+    return True
 
 
 class AdjMatrix:
@@ -115,23 +134,16 @@ class AdjMatrix:
                         out.add((x, c, y))
         return frozenset(out)
 
+    def parent_masks(self) -> list[int]:
+        """One bitmask per node of its parents along the directed edges."""
+        pa = [0] * self.n
+        for r, c in self.directed_edges():
+            pa[c] |= 1 << r
+        return pa
+
     def validate_pdag(self) -> None:
         """Raise :class:`PdagError` if the directed edges contain a cycle."""
-        directed = self.directed_edges()
-        indeg = {i: 0 for i in range(self.n)}
-        for _, c in directed:
-            indeg[c] += 1
-        queue = [i for i, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            for a, b in directed:
-                if a == u:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        queue.append(b)
-        if seen != self.n:
+        if not is_acyclic(self.parent_masks()):
             raise PdagError("directed edges of the matrix contain a cycle")
 
     def __eq__(self, other) -> bool:

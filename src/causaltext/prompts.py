@@ -102,28 +102,6 @@ COT_INSTRUCTION = (
     'Final Answer: "Yes" or Final Answer: "No".')
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """One prompt asset: its step id, fixed text, and expected output shape."""
-
-    step: int | str
-    text: str
-    output_schema: str
-
-
-STEP_OUTPUT_SCHEMAS = {1: "variables", 2: "relations", 3: "matrix",
-                       4: "matrix", 5: "matrix", 6: "candidates",
-                       7: "candidates", 8: "matrix", 9: "answer"}
-
-TEMPLATES: dict[int | str, PromptTemplate] = {
-    step: PromptTemplate(step, text, STEP_OUTPUT_SCHEMAS[step])
-    for step, text in STEP_INSTRUCTIONS.items()
-}
-TEMPLATES["few-shot-bundle"] = PromptTemplate("few-shot-bundle",
-                                              FEW_SHOT_HEADER, "trace")
-TEMPLATES["baseline-cot"] = PromptTemplate("baseline-cot", COT_INSTRUCTION,
-                                           "answer")
-
 _SECTION_ORDER = (
     "Premise", "Random variables", "Cause-and-effect relations",
     "Adjacency matrix", "Unconditional independencies",
@@ -180,7 +158,7 @@ def render_prompt(step: int, ctx: PromptContext, prior: dict[int, object]) -> st
     """Deterministic prompt text for one step, slots filled from prior outputs."""
     if step not in STEP_INSTRUCTIONS:
         raise TemplateError(f"unknown step {step}")
-    parts = [TEMPLATES[step].text]
+    parts = [STEP_INSTRUCTIONS[step]]
     for section, prior_step, extractor in _STEP_SLOTS[step]:
         prior_value = prior.get(prior_step) if prior_step is not None else None
         if prior_step is not None and prior_value is None:

@@ -7,6 +7,7 @@ from typing import Iterable
 
 from .errors import BoundsError, ConsistencyError
 from .graphs import Dag, SepStatement, all_dsep_statements
+from .matrix import is_acyclic
 from .variables import VariableTable
 
 Pair = tuple[int, int]
@@ -79,31 +80,13 @@ class RelationSet:
             for v in cond:
                 if not 0 <= v < n:
                     raise BoundsError(f"conditioning index {v} out of range")
+        pa = [0] * n
         for a, b in self.declared_causes:
             if a == b:
                 raise ConsistencyError("a variable cannot cause itself")
-        self._check_declared_acyclic()
-
-    def _check_declared_acyclic(self):
-        adj: dict[int, list[int]] = {}
-        for a, b in self.declared_causes:
-            adj.setdefault(a, []).append(b)
-        visiting: set[int] = set()
-        done: set[int] = set()
-
-        def visit(u: int):
-            visiting.add(u)
-            for v in adj.get(u, ()):
-                if v in visiting:
-                    raise ConsistencyError("declared cause-effect relation is cyclic")
-                if v not in done:
-                    visit(v)
-            visiting.discard(u)
-            done.add(u)
-
-        for start in list(adj):
-            if start not in done:
-                visit(start)
+            pa[b] |= 1 << a
+        if not is_acyclic(pa):
+            raise ConsistencyError("declared cause-effect relation is cyclic")
 
     # -- queries -----------------------------------------------------------
 

@@ -146,6 +146,14 @@ class TestEvalAndScore:
         code, _, _ = run_cli(capsys, "score", "--records", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("body", ['{"sample_id": "x"}', "not json",
+                                      '{"steps": []}'])
+    def test_score_malformed_record_exits_2(self, tmp_path, capsys, body):
+        (tmp_path / "x.json").write_text(body)
+        code, _, err = run_cli(capsys, "score", "--records", str(tmp_path))
+        assert code == 2
+        assert "malformed record x.json" in err
+
     def test_missing_auth_env_fails_before_request(self, tmp_path, dataset,
                                                    capsys, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN", raising=False)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from causaltext.dataset import (balanced_generate, balanced_sample, generate,
-                                read_samples, storyify, write_samples)
+from causaltext.dataset import (balanced_generate, generate, read_samples,
+                                storyify, write_samples)
 from causaltext.errors import (BoundsError, CapacityError, ConfigError,
                                ResourceError)
 from causaltext.fixtures import THREE_VAR_PREMISE
@@ -109,31 +109,6 @@ class TestLabelSoundness:
             assert doc.relations == sample.relations
             assert parse_hypothesis(sample.hypothesis_text, doc.variables) \
                 == sample.hypothesis
-
-
-class TestBalancedSample:
-    def test_counts_and_determinism(self, n3_samples):
-        a = balanced_sample(n3_samples, 5, seed=42)
-        b = balanced_sample(n3_samples, 5, seed=42)
-        assert [s.id for s in a] == [s.id for s in b]
-        assert len(a) == 10
-        assert sum(1 for s in a if s.label == YES) == 5
-
-    def test_different_seeds_differ(self, n3_samples):
-        a = balanced_sample(n3_samples, 5, seed=1)
-        b = balanced_sample(n3_samples, 5, seed=2)
-        assert [s.id for s in a] != [s.id for s in b]
-
-    def test_minimal_cell(self, n3_samples):
-        out = balanced_sample(n3_samples, 1, seed=3)
-        assert len(out) == 2
-        assert {s.label for s in out} == {YES, NO}
-
-    def test_capacity_error_names_cell(self, n3_samples):
-        # only 15 Yes rows exist at three variables
-        with pytest.raises(CapacityError) as err:
-            balanced_sample(n3_samples, 16, seed=4)
-        assert "n_vars=3" in str(err.value) and "Yes" in str(err.value)
 
 
 class TestBalancedGenerate:

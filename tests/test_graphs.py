@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltext.errors import BoundsError, CycleError, PdagError
+from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
+                               PdagError)
 from causaltext.graphs import (Dag, all_dsep_statements, d_separated,
                                dag_count, dag_extensions, enumerate_dags,
-                               group_mecs, markov_equivalent, mec_index,
-                               mec_of_dag, skeleton, v_structures)
-from causaltext.matrix import AdjMatrix
+                               group_mecs, mec_index, mec_of_dag, skeleton,
+                               v_structures)
+from causaltext.matrix import AdjMatrix, is_acyclic
+from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
 
 from conftest import FIVE_VAR_STEP_8
+
+
+THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
 
 
 def brute_force_dags(n):
@@ -124,6 +129,41 @@ class TestEnumeration:
         with pytest.raises(BoundsError):
             list(enumerate_dags(n))
 
+    def test_is_acyclic_matches_enumeration(self):
+        # all 4,096 loopless directed graphs on 4 nodes: exactly the 543 DAGs
+        # pass
+        n = 4
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        dag_masks = {d.mask for d in enumerate_dags(n)}
+        acyclic = set()
+        for choice in range(1 << len(cells)):
+            pa = [0] * n
+            mask = 0
+            for k, (i, j) in enumerate(cells):
+                if (choice >> k) & 1:
+                    pa[j] |= 1 << i
+                    mask |= 1 << (i * n + j)
+            if is_acyclic(pa):
+                acyclic.add(mask)
+        assert len(acyclic) == 543
+        assert acyclic == dag_masks
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: Dag(3, THREE_CYCLE), CycleError,
+         "edge set contains a directed cycle"),
+        (lambda: AdjMatrix(VariableTable.letters(3),
+                           [[0, 1, 0], [0, 0, 1], [1, 0, 0]]).validate_pdag(),
+         PdagError, "directed edges of the matrix contain a cycle"),
+        (lambda: RelationSet(VariableTable.letters(3),
+                             declared_causes=THREE_CYCLE),
+         ConsistencyError, "declared cause-effect relation is cyclic"),
+    ], ids=["dag", "pdag", "relations"])
+    def test_three_cycle_rejected(self, build, error, message):
+        # one acyclicity check behind three error types, each message kept
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
     def test_dag_rejects_cycles_and_self_loops(self):
         with pytest.raises(CycleError):
             Dag(3, [(0, 1), (1, 2), (2, 0)])
@@ -224,28 +264,6 @@ class TestEquivalence:
         assert v_structures(Dag(3, [(0, 2), (1, 2), (0, 1)])) == frozenset()
         assert v_structures(Dag(3, [(0, 1), (1, 2)])) == frozenset()
 
-    def test_markov_equivalent(self):
-        chain = Dag(3, [(0, 1), (1, 2)])
-        rev = Dag(3, [(2, 1), (1, 0)])
-        coll = Dag(3, [(0, 2), (1, 2)])
-        assert markov_equivalent(chain, rev)
-        assert not markov_equivalent(chain, coll)
-        assert markov_equivalent(chain, chain)
-        with pytest.raises(BoundsError):
-            markov_equivalent(chain, Dag(2))
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_equivalence_relation(self, data):
-        dags = list(enumerate_dags(3))
-        a = data.draw(st.sampled_from(dags))
-        b = data.draw(st.sampled_from(dags))
-        c = data.draw(st.sampled_from(dags))
-        assert markov_equivalent(a, a)
-        assert markov_equivalent(a, b) == markov_equivalent(b, a)
-        if markov_equivalent(a, b) and markov_equivalent(b, c):
-            assert markov_equivalent(a, c)
-
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 11), (4, 185)])
     def test_mec_counts(self, n, count):
         assert len(group_mecs(list(enumerate_dags(n)))) == count
@@ -336,7 +354,8 @@ class TestExtensions:
         mec = mec_of_dag(dag)
         assert dag in mec.members
         for member in mec.members:
-            assert markov_equivalent(member, dag)
+            assert skeleton(member) == skeleton(dag)
+            assert v_structures(member) == v_structures(dag)
         # the class regenerated from its own key equals the grouped class
         grouped = [m for m in group_mecs(dags)
                    if m.skeleton == mec.skeleton and m.vstructs == mec.vstructs]

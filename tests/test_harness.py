@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltext.dataset import balanced_sample, generate
+from causaltext.dataset import balanced_generate, generate
 from causaltext.errors import (BackendError, ConfigError, TemplateError,
                                TransportError, UsageError)
-from causaltext.harness import (BackendConfig, Metrics, MockBackend,
-                                MODE_BASELINE_COT, MODE_FEW_SHOT,
+from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
+                                MockBackend, MODE_BASELINE_COT, MODE_FEW_SHOT,
                                 MODE_STEP_BY_STEP, RecordingBackend,
-                                ReplayBackend, parse_step_output, run_batch,
-                                run_pipeline, score, send, validate_config)
+                                ReplayBackend, StepResult, make_backend,
+                                parse_step_output, run_batch, run_pipeline,
+                                score, validate_config)
 from causaltext.prompts import PromptContext, few_shot_bundle, render_prompt
 
 from conftest import FIVE_VAR_STEP_7
@@ -21,7 +22,7 @@ from conftest import FIVE_VAR_STEP_7
 
 @pytest.fixture(scope="module")
 def balanced_n3():
-    return balanced_sample(list(generate(3)), 6, seed=8)
+    return balanced_generate([3], 6, seed=8)
 
 
 class TestPromptRendering:
@@ -48,16 +49,6 @@ class TestPromptRendering:
         assert few_shot_bundle() == first
         assert first.count("Premise:") == 10
         assert 'Final Answer: "Yes"' in first and 'Final Answer: "No"' in first
-
-    def test_template_registry_mirrors_assets(self):
-        from causaltext.prompts import (COT_INSTRUCTION, FEW_SHOT_HEADER,
-                                        STEP_INSTRUCTIONS, TEMPLATES)
-        for step, text in STEP_INSTRUCTIONS.items():
-            assert TEMPLATES[step].text == text
-        assert TEMPLATES["few-shot-bundle"].text == FEW_SHOT_HEADER
-        assert TEMPLATES["baseline-cot"].text == COT_INSTRUCTION
-        assert TEMPLATES[3].output_schema == "matrix"
-        assert TEMPLATES[9].output_schema == "answer"
 
 
 class TestParseStepOutput:
@@ -134,8 +125,7 @@ class TestMockClosure:
             assert all(v == 1.0 for v in report.subtask_accuracy.values())
 
     def test_story_samples_pass_through(self):
-        samples = balanced_sample(list(generate(3, style="story", theme="social")),
-                                  3, seed=2)
+        samples = balanced_generate([3], 3, seed=2, style="story", theme="social")
         records = run_batch(samples, BackendConfig(), MODE_STEP_BY_STEP)
         assert all(r.correct for r in records)
         assert all(v.match for r in records for v in r.steps.values())
@@ -252,13 +242,14 @@ class TestTranscripts:
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     status = 200
     payload = {"choices": [{"message": {"content": 'Final Answer: "Yes"'}}]}
+    body = None  # raw bytes served instead of the JSON payload when set
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
-        self.wfile.write(json.dumps(self.payload).encode())
+        self.wfile.write(self.body or json.dumps(self.payload).encode())
 
     def log_message(self, *args):
         pass
@@ -277,29 +268,40 @@ class TestTransport:
     def test_send_happy_path(self, http_stub):
         _StubHandler.status = 200
         config = BackendConfig(endpoint=http_stub, attempts=1)
-        out = send(config, [{"role": "user", "content": "hello"}])
+        out = make_backend(config).complete([{"role": "user", "content": "hello"}])
         assert out == 'Final Answer: "Yes"'
 
     def test_server_error_becomes_backend_error(self, http_stub):
         _StubHandler.status = 503
         config = BackendConfig(endpoint=http_stub, attempts=2, backoff=0.0)
         with pytest.raises(BackendError):
-            send(config, [{"role": "user", "content": "hello"}])
+            make_backend(config).complete([{"role": "user", "content": "hello"}])
         _StubHandler.status = 200
 
     def test_client_error_no_retry(self, http_stub):
         _StubHandler.status = 404
         config = BackendConfig(endpoint=http_stub, attempts=3, backoff=0.0)
         with pytest.raises(BackendError) as err:
-            send(config, [{"role": "user", "content": "hello"}])
+            make_backend(config).complete([{"role": "user", "content": "hello"}])
         assert err.value.status == 404
         _StubHandler.status = 200
+
+    def test_non_json_body_fails_the_sample_not_the_batch(self, http_stub,
+                                                          balanced_n3,
+                                                          monkeypatch):
+        monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
+        config = BackendConfig(endpoint=http_stub, attempts=1)
+        records = run_batch(balanced_n3[:2], config, MODE_STEP_BY_STEP)
+        assert len(records) == 2
+        for r in records:
+            assert r.error and "status 200" in r.error and "not JSON" in r.error
+            assert not r.correct
 
     def test_unreachable_endpoint(self):
         config = BackendConfig(endpoint="http://127.0.0.1:9", attempts=2,
                                backoff=0.0, timeout=0.5)
         with pytest.raises(TransportError):
-            send(config, [{"role": "user", "content": "hello"}])
+            make_backend(config).complete([{"role": "user", "content": "hello"}])
 
     def test_malformed_endpoint_rejected_upfront(self):
         with pytest.raises(ConfigError):
@@ -345,3 +347,16 @@ class TestMetrics:
         records = run_batch(balanced_n3[:2], BackendConfig(), MODE_BASELINE_COT)
         with pytest.raises(UsageError):
             score(records, group_by=("colour",))
+
+
+class TestRecordSerialization:
+    def test_from_dict_inverts_as_dict(self):
+        record = EvalRecord(
+            "3v-x-cause-AB-symbolic", 3, "Yes", "cause", MODE_STEP_BY_STEP,
+            {"step_1": StepResult("raw text", {"count": 3, "names": ["A", "B", "C"]},
+                                  True),
+             "step_2": StepResult("junk", None, False, "no relation lists found")},
+            None, False, 12.5, 1, "step 2: unparseable output ends the chain",
+            {"prompt_tokens": 120, "completion_tokens": 30})
+        assert EvalRecord.from_dict(record.as_dict()) == record
+        assert EvalRecord.from_dict(json.loads(json.dumps(record.as_dict()))) == record

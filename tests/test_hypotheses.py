@@ -146,6 +146,33 @@ class TestEvaluateOnPdag:
                     verdict = evaluate_on_pdag(h, matrix)
                     assert binary_answer(verdict) == label_against_mec(h, mec, table)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_path_witness_lies_in_first_extension(self, n):
+        # every Yes cause / indirect-cause verdict exhibits a simple directed
+        # path from s to o, long enough for the claim, along edges of the
+        # first extension of the final matrix
+        table = VariableTable.letters(n)
+        checked = {HypothesisKind.CAUSE: 0, HypothesisKind.INDIRECT_CAUSE: 0}
+        for mec in group_mecs(list(enumerate_dags(n))):
+            matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
+            first = dag_extensions(matrix)[0]
+            for kind, min_len in ((HypothesisKind.CAUSE, 1),
+                                  (HypothesisKind.INDIRECT_CAUSE, 2)):
+                for s, o in permutations(range(n), 2):
+                    verdict = evaluate_on_pdag(H(kind, table.label(s), table.label(o)),
+                                               matrix)
+                    if verdict.answer != YES:
+                        continue
+                    path = [table.index(v) for v in verdict.witness["path"]]
+                    assert (path[0], path[-1]) == (s, o)
+                    assert len(path) - 1 >= min_len
+                    assert len(set(path)) == len(path)
+                    assert all(e in first.edges for e in zip(path, path[1:]))
+                    checked[kind] += 1
+        # three nodes admit no indirect cause that holds in a whole class
+        assert checked[HypothesisKind.CAUSE], checked
+        assert checked[HypothesisKind.INDIRECT_CAUSE] or n == 3, checked
+
     def test_quantified_agrees_with_mec_labels_sampled_n5(self):
         import random
         table = VariableTable.letters(5)
