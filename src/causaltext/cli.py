@@ -6,8 +6,12 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
+from collections import Counter
 from importlib import metadata
+from itertools import islice
 
 from .dataset import (balanced_generate, dataset_digest, generate,
                       read_samples, write_samples)
@@ -134,6 +138,8 @@ def cmd_generate(args) -> int:
 
     if args.balanced is not None and args.seed is None:
         raise UsageError("--balanced sampling requires --seed")
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must not be negative")
     kinds = None
     if args.kinds:
         kinds = [HypothesisKind(k.strip()) for k in args.kinds.split(",") if k.strip()]
@@ -142,25 +148,33 @@ def cmd_generate(args) -> int:
                                     kinds=kinds, style=args.style,
                                     theme=args.theme, minimal=not args.closure)
     else:
-        stream = generate(args.n, kinds=kinds, style=args.style, theme=args.theme,
-                          max_cond=args.max_cond, minimal=not args.closure)
-        if args.limit is not None:
-            samples = []
-            for s in stream:
-                samples.append(s)
-                if len(samples) >= args.limit:
-                    break
-        else:
-            samples = list(stream)
-    rows = write_samples(args.out, samples, gzip=args.gzip)
+        samples = generate(args.n, kinds=kinds, style=args.style, theme=args.theme,
+                           max_cond=args.max_cond, minimal=not args.closure)
+    labels: Counter[str] = Counter()
+
+    def tallied():
+        for s in islice(samples, args.limit):
+            labels[s.label] += 1
+            yield s
+
+    # write beside the target and move the file into place on success, so a
+    # failed run leaves no partial dataset
+    tmp_dir = tempfile.mkdtemp(prefix=".generate-",
+                               dir=os.path.dirname(os.path.abspath(args.out)))
+    try:
+        tmp = os.path.join(tmp_dir, os.path.basename(args.out))
+        rows = write_samples(tmp, tallied(), gzip=args.gzip)
+        os.replace(tmp, args.out)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
     idx = mec_index(args.n)
     summary = {
         "n_vars": args.n,
         "dags": idx.dag_count,
         "mecs": idx.group_count,
         "rows": rows,
-        "yes": sum(1 for s in samples if s.label == "Yes"),
-        "no": sum(1 for s in samples if s.label == "No"),
+        "yes": labels["Yes"],
+        "no": labels["No"],
         "digest": dataset_digest(args.out),
     }
     if args.format == "json":
@@ -339,11 +353,14 @@ def _emit_report(report: ScoreReport, fmt: str, group_by) -> None:
 
 
 def cmd_score(args) -> int:
+    group_by = tuple(k.strip() for k in args.group_by.split(",") if k.strip())
+    for key in group_by:
+        if key not in ("n_vars", "subtask"):
+            raise UsageError(f"unsupported group-by key {key!r}")
     records = _read_records(os.path.join(args.records, "records")
                             if os.path.isdir(os.path.join(args.records, "records"))
                             else args.records)
-    group_by = tuple(k.strip() for k in args.group_by.split(",") if k.strip())
-    report = score(records, group_by)
+    report = score(records)
     _emit_report(report, args.format, group_by)
     return 0
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ConfigError
-from .matrix import AdjMatrix
+from .matrix import AdjMatrix, _bits
 from .relations import Pair, RelationSet
 from .variables import VariableTable
 
@@ -72,11 +72,9 @@ def initial_matrix(vars: VariableTable, declared: Iterable[Pair] = ()) -> AdjMat
     For each declared pair (cause, effect) the cell [effect][cause] is set
     to 0, so the surviving [cause][effect] = 1 already encodes orientation.
     """
-    n = len(vars)
-    cells = [[0 if r == c else 1 for c in range(n)] for r in range(n)]
-    for cause, effect in declared:
-        cells[effect][cause] = 0
-    return AdjMatrix(vars, cells)
+    full = (1 << len(vars)) - 1
+    complete = AdjMatrix._from_rows(vars, (full ^ 1 << r for r in range(len(vars))))
+    return complete.with_zeros((effect, cause) for cause, effect in declared)
 
 
 def apply_unconditional(matrix: AdjMatrix, rels: RelationSet) -> AdjMatrix:
@@ -105,8 +103,8 @@ def apply_conditional(matrix: AdjMatrix, rels: RelationSet) -> AdjMatrix:
 def candidate_pairs(matrix: AdjMatrix) -> ColliderCandidates:
     """For each row with at least two 1-valued columns, all column pairs."""
     rows: dict[int, tuple[Pair, ...]] = {}
-    for r in range(matrix.n):
-        ones = [c for c in range(matrix.n) if matrix.cell(r, c) == 1]
+    for r, mask in enumerate(matrix.rows):
+        ones = list(_bits(mask))
         if len(ones) >= 2:
             rows[r] = tuple(combinations(ones, 2))
     return ColliderCandidates(matrix.vars, rows)
@@ -157,30 +155,30 @@ def propagate_orientations(matrix: AdjMatrix) -> AdjMatrix:
     """Orient chains until fixpoint: a -> b with b - c undirected and a, c
     non-adjacent forces b -> c (otherwise a new collider would appear).
 
-    Orientations apply one at a time so that a later rule application always
-    sees the current matrix; no pass can delete an edge.
+    Rule applications see the orientations made before them; for one
+    ``a -> b`` all eligible ``c`` orient at once, since ``b -> c`` changes
+    neither the adjacencies nor ``a -> b``. No pass can delete an edge.
     """
     matrix.validate_pdag()
-    cells = [list(row) for row in matrix.cells]
-    n = matrix.n
-
-    def adjacent(i, j):
-        return cells[i][j] or cells[j][i]
-
+    ch = matrix.child_masks()
+    und = matrix.undirected_masks()
+    adj = matrix.adjacency_masks()
+    zeros = []
     changed = True
     while changed:
         changed = False
-        for a in range(n):
-            for b in range(n):
-                if not (cells[a][b] and not cells[b][a]):
-                    continue  # need a directed a -> b
-                for c in range(n):
-                    if c in (a, b) or not (cells[b][c] and cells[c][b]):
-                        continue  # need an undirected b - c
-                    if not adjacent(a, c):
-                        cells[c][b] = 0
-                        changed = True
-    return AdjMatrix(matrix.vars, cells)
+        for a in range(matrix.n):
+            for b in _bits(ch[a]):
+                forced = und[b] & ~adj[a]
+                if not forced:
+                    continue
+                und[b] &= ~forced
+                ch[b] |= forced
+                for c in _bits(forced):
+                    und[c] &= ~(1 << b)
+                    zeros.append((c, b))
+                changed = True
+    return matrix.with_zeros(zeros)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BoundsError, CycleError
-from .matrix import AdjMatrix, is_acyclic
+from .matrix import AdjMatrix, _bits, is_acyclic
 from .variables import VariableTable
 
 MAX_NODES = 6
@@ -98,18 +98,7 @@ class Dag:
 
     def descendants(self, i: int) -> frozenset[int]:
         """All nodes reachable from ``i`` by one or more directed edges."""
-        seen = 0
-        frontier = self._ch[i]
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                nxt |= self._ch[lsb.bit_length() - 1]
-                m ^= lsb
-            frontier = nxt & ~seen
-        return frozenset(_bits(seen))
+        return frozenset(_bits(_ancestor_mask(self._ch, self._ch[i])))
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self._pa[i] >> j) & 1 or (self._ch[i] >> j) & 1)
@@ -154,13 +143,6 @@ class SepStatement:
 
     def sort_key(self):
         return (self.x, self.y, len(self.cond), tuple(sorted(self.cond)))
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +305,13 @@ class Mec:
     def cpdag(self, vars: VariableTable | None = None) -> AdjMatrix:
         """Matrix encoding: v-structure edges oriented, all others undirected."""
         vars = vars or VariableTable.letters(self.n)
-        cells = [[0] * self.n for _ in range(self.n)]
+        rows = [0] * self.n
         for i, j in self.skeleton:
-            cells[i][j] = cells[j][i] = 1
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         for x, c, y in self.vstructs:
-            cells[c][x] = 0
-            cells[c][y] = 0
-        return AdjMatrix(vars, cells)
+            rows[c] &= ~(1 << x | 1 << y)
+        return AdjMatrix._from_rows(vars, rows)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -541,15 +523,9 @@ def dag_extensions(matrix: AdjMatrix) -> list[Dag]:
     n = matrix.n
     if not 1 <= n <= MAX_NODES:
         raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
-    adj = [0] * n
-    for i, j in matrix.skeleton_pairs():
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = matrix.adjacency_masks()
     pa = matrix.parent_masks()
-    directed = 0
-    for j in range(n):
-        for i in _bits(pa[j]):
-            directed |= 1 << (i * n + j)
+    directed = sum(ch << i * n for i, ch in enumerate(matrix.child_masks()))
     undirected = sorted(matrix.undirected_pairs())
     masks: list[int] = []
 

@@ -998,14 +998,15 @@ def _step_table(records: Sequence[EvalRecord]) -> dict[str, float]:
             for k in keys}
 
 
-def score(records: Sequence[EvalRecord], group_by: Sequence[str] = ("n_vars",)) -> ScoreReport:
-    """Aggregate binary metrics plus per-step and per-subtask accuracy."""
+def score(records: Sequence[EvalRecord]) -> ScoreReport:
+    """Aggregate binary metrics plus per-step and per-subtask accuracy.
+
+    The parse-failure rate counts records with an unparseable step output;
+    a sample that failed in transport has none and is not counted.
+    """
     records = list(records)
     if not records:
         raise UsageError("no evaluation records to score")
-    for key in group_by:
-        if key not in ("n_vars", "subtask"):
-            raise UsageError(f"unsupported group-by key {key!r}")
     by_n: dict[int, Metrics] = {}
     step_by_n: dict[int, dict[str, float]] = {}
     for n in sorted({r.n_vars for r in records}):
@@ -1022,7 +1023,7 @@ def score(records: Sequence[EvalRecord], group_by: Sequence[str] = ("n_vars",)) 
         hits = sum(1 for r in records
                    if all(r.steps.get(k) and r.steps[k].match for k in present))
         subtasks[subtask] = hits / len(records)
-    failures = sum(1 for r in records if r.parse_failures or r.verdict is None)
+    failures = sum(1 for r in records if r.parse_failures)
     return ScoreReport(
         overall=metrics_from_records(records),
         by_n_vars=by_n,

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import ConfigError, ConsistencyError
-from .graphs import Dag, Mec, _bits, dag_extensions
-from .matrix import AdjMatrix
+from .graphs import Dag, Mec, dag_extensions
+from .matrix import AdjMatrix, _bits
 from .variables import VariableTable
 
 YES = "Yes"
@@ -150,7 +151,7 @@ def _common_witness(h: Hypothesis, extensions: list[Dag], table: VariableTable) 
         return {"confounders": [table.label(z) for z in sorted(shared)]}
     # cause / indirect cause: exhibit one directed path from the first extension
     first = extensions[0]
-    path = _reach(len(table), lambda a, b: (first.child_mask(a) >> b) & 1, s, o,
+    path = _reach([first.child_mask(v) for v in range(first.n)], s, o,
                   2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
     return {"path": [table.label(v) for v in path] if path else None}
 
@@ -159,73 +160,58 @@ def _rule_based(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
     matrix.validate_pdag()
     table = matrix.vars
     s, o = h.resolve(table)
-    cells = matrix.cells
-    n = matrix.n
     kind = h.kind
+    possible = matrix.rows  # a -> b holds in some orientation of the rest
 
-    def directed(a, b):
-        return cells[a][b] == 1 and cells[b][a] == 0
+    if kind is HypothesisKind.COMMON_CAUSE:
+        pa = matrix.parent_masks()
+        und = matrix.undirected_masks()
+        certain = pa[s] & pa[o]
+        if certain:
+            return Verdict(YES, {"confounders": [table.label(z) for z in _bits(certain)]})
+        if (pa[s] | und[s]) & (pa[o] | und[o]):
+            return Verdict(UNDETERMINED)
+        return Verdict(NO, {"counterexamples": 1})
 
-    def undirected(a, b):
-        return cells[a][b] == 1 and cells[b][a] == 1
-
-    def possible(a, b):
-        # could a -> b hold in some orientation of the remaining edges
-        return cells[a][b] == 1
-
+    ch = matrix.child_masks()
     if kind is HypothesisKind.DIRECT_CAUSE:
-        if directed(s, o):
+        if (ch[s] >> o) & 1:
             return Verdict(YES, {"edge": [table.label(s), table.label(o)]})
-        if undirected(s, o):
+        if (possible[s] >> o) & 1:  # not directed, so undirected
             return Verdict(UNDETERMINED)
         return Verdict(NO, {"counterexamples": 1})
 
     if kind is HypothesisKind.COMMON_EFFECT:
-        certain = [z for z in range(n) if z not in (s, o)
-                   and directed(s, z) and directed(o, z)]
+        certain = ch[s] & ch[o]
         if certain:
-            return Verdict(YES, {"colliders": [table.label(z) for z in certain]})
-        open_ = [z for z in range(n) if z not in (s, o)
-                 and possible(s, z) and possible(o, z)]
-        if open_:
-            return Verdict(UNDETERMINED)
-        return Verdict(NO, {"counterexamples": 1})
-
-    if kind is HypothesisKind.COMMON_CAUSE:
-        certain = [z for z in range(n) if z not in (s, o)
-                   and directed(z, s) and directed(z, o)]
-        if certain:
-            return Verdict(YES, {"confounders": [table.label(z) for z in certain]})
-        open_ = [z for z in range(n) if z not in (s, o)
-                 and possible(z, s) and possible(z, o)]
-        if open_:
+            return Verdict(YES, {"colliders": [table.label(z) for z in _bits(certain)]})
+        if possible[s] & possible[o]:
             return Verdict(UNDETERMINED)
         return Verdict(NO, {"counterexamples": 1})
 
     if kind in (HypothesisKind.CAUSE, HypothesisKind.INDIRECT_CAUSE):
         min_len = 2 if kind is HypothesisKind.INDIRECT_CAUSE else 1
-        sure = _reach(n, lambda a, b: directed(a, b), s, o, min_len)
+        sure = _reach(ch, s, o, min_len)
         if sure:
             return Verdict(YES, {"path": [table.label(v) for v in sure]})
-        maybe = _reach(n, lambda a, b: possible(a, b), s, o, min_len)
-        if maybe:
+        if _reach(possible, s, o, min_len):
             return Verdict(UNDETERMINED)
         return Verdict(NO, {"counterexamples": 1})
 
     raise ConfigError(f"unhandled hypothesis kind {kind}")
 
 
-def _reach(n: int, step, s: int, o: int, min_len: int) -> list[int] | None:
-    stack = [(s, [s])]
+def _reach(ch: Sequence[int], s: int, o: int, min_len: int) -> list[int] | None:
+    """A simple path ``s -> ... -> o`` of at least ``min_len`` edges along the
+    child masks ``ch``, found depth first, or None."""
+    stack = [(s, [s], 1 << s)]
     while stack:
-        node, path = stack.pop()
-        for nxt in range(n):
-            if nxt in path or not step(node, nxt):
-                continue
+        node, path, on_path = stack.pop()
+        for nxt in _bits(ch[node] & ~on_path):
             cand = path + [nxt]
             if nxt == o:
                 if len(cand) - 1 >= min_len:
                     return cand
                 continue
-            stack.append((nxt, cand))
+            stack.append((nxt, cand, on_path | 1 << nxt))
     return None

@@ -8,14 +8,30 @@ The encoding contract, shared by every consumer in the package:
 
 The diagonal is always zero. A matrix is a valid partially directed acyclic
 graph (PDAG) when its directed edges contain no cycle.
+
+Storage is one int per row: bit ``c`` of row ``r`` equals ``cells[r][c]``,
+so row ``r`` is the node set ``r`` may point into. ``cells``, ``cell`` and
+``to_mapping`` are views of those rows. Other modules read node-set masks,
+one per node, as :class:`~causaltext.graphs.Dag` does: ``rows``,
+``parent_masks``, ``child_masks``, ``undirected_masks`` and
+``adjacency_masks``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PdagError
 from .variables import VariableTable
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
 
 
 def is_acyclic(pa: Sequence[int]) -> bool:
@@ -40,7 +56,7 @@ def is_acyclic(pa: Sequence[int]) -> bool:
 class AdjMatrix:
     """Immutable n-by-n 0/1 matrix bound to a variable table."""
 
-    __slots__ = ("_vars", "_cells")
+    __slots__ = ("_vars", "_rows")
 
     def __init__(self, vars: VariableTable, cells: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in cells)
@@ -54,7 +70,20 @@ class AdjMatrix:
             if row[i] != 0:
                 raise PdagError(f"diagonal cell [{i}][{i}] must be 0")
         self._vars = vars
-        self._cells = rows
+        self._rows = tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+
+    @classmethod
+    def _from_rows(cls, vars: VariableTable, rows: Iterable[int]) -> "AdjMatrix":
+        """Build from row masks, checking only the row count, width and diagonal."""
+        self = object.__new__(cls)
+        self._vars = vars
+        self._rows = tuple(rows)
+        n = len(vars)
+        full = (1 << n) - 1
+        if len(self._rows) != n or any(row & ~(full ^ 1 << i)
+                                       for i, row in enumerate(self._rows)):
+            raise PdagError(f"matrix must be {n} rows of width {n} with a zero diagonal")
+        return self
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Mapping[str, int]],
@@ -71,75 +100,77 @@ class AdjMatrix:
 
     @property
     def n(self) -> int:
-        return len(self._vars)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Per node, its children and undirected neighbours."""
+        return self._rows
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        return self._cells
+        columns = range(self.n)
+        return tuple(tuple((row >> c) & 1 for c in columns) for row in self._rows)
 
     def cell(self, r: int, c: int) -> int:
-        return self._cells[r][c]
+        return (self._rows[r] >> c) & 1
 
     def with_zeros(self, positions: Iterable[tuple[int, int]]) -> "AdjMatrix":
         """Copy of the matrix with the given ``(row, col)`` cells set to 0."""
-        rows = [list(r) for r in self._cells]
+        rows = list(self._rows)
         for r, c in positions:
-            rows[r][c] = 0
-        return AdjMatrix(self._vars, rows)
+            rows[r] &= ~(1 << c)
+        return AdjMatrix._from_rows(self._vars, rows)
 
     def to_mapping(self) -> dict[str, dict[str, int]]:
         names = self._vars.names
-        return {names[r]: {names[c]: self._cells[r][c] for c in range(self.n)}
-                for r in range(self.n)}
+        return {names[r]: {name: (row >> c) & 1 for c, name in enumerate(names)}
+                for r, row in enumerate(self._rows)}
 
-    # -- structural views -------------------------------------------------
-
-    def skeleton_pairs(self) -> frozenset[tuple[int, int]]:
-        """Unordered pairs connected by any edge."""
-        out = set()
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self._cells[i][j] or self._cells[j][i]:
-                    out.add((i, j))
-        return frozenset(out)
-
-    def directed_edges(self) -> frozenset[tuple[int, int]]:
-        """Ordered pairs ``(r, c)`` with an oriented edge r -> c."""
-        out = set()
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self._cells[i][j] and not self._cells[j][i]:
-                    out.add((i, j))
-        return frozenset(out)
-
-    def undirected_pairs(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self._cells[i][j] and self._cells[j][i]:
-                    out.add((i, j))
-        return frozenset(out)
-
-    def oriented_colliders(self) -> frozenset[tuple[int, int, int]]:
-        """Triples ``(x, c, y)`` with directed x -> c <- y and x, y non-adjacent."""
-        directed = self.directed_edges()
-        skel = self.skeleton_pairs()
-        out = set()
-        for c in range(self.n):
-            parents = sorted(r for r, t in directed if t == c)
-            for a in range(len(parents)):
-                for b in range(a + 1, len(parents)):
-                    x, y = parents[a], parents[b]
-                    if (x, y) not in skel:
-                        out.add((x, c, y))
-        return frozenset(out)
+    def _columns(self) -> list[int]:
+        """Per node, the nodes whose row marks it 1."""
+        cols = [0] * len(self._rows)
+        for r, row in enumerate(self._rows):
+            for c in _bits(row):
+                cols[c] |= 1 << r
+        return cols
 
     def parent_masks(self) -> list[int]:
         """One bitmask per node of its parents along the directed edges."""
-        pa = [0] * self.n
-        for r, c in self.directed_edges():
-            pa[c] |= 1 << r
-        return pa
+        return [col & ~row for row, col in zip(self._rows, self._columns())]
+
+    def child_masks(self) -> list[int]:
+        """One bitmask per node of its children along the directed edges."""
+        return [row & ~col for row, col in zip(self._rows, self._columns())]
+
+    def undirected_masks(self) -> list[int]:
+        """One bitmask per node of its neighbours along undirected edges."""
+        return [row & col for row, col in zip(self._rows, self._columns())]
+
+    def adjacency_masks(self) -> list[int]:
+        """One bitmask per node of the nodes joined to it by any edge."""
+        return [row | col for row, col in zip(self._rows, self._columns())]
+
+    def skeleton_pairs(self) -> frozenset[tuple[int, int]]:
+        """Unordered pairs connected by any edge."""
+        return frozenset((i, j) for i, adj in enumerate(self.adjacency_masks())
+                         for j in _bits(adj) if i < j)
+
+    def directed_edges(self) -> frozenset[tuple[int, int]]:
+        """Ordered pairs ``(r, c)`` with an oriented edge r -> c."""
+        return frozenset((r, c) for r, ch in enumerate(self.child_masks())
+                         for c in _bits(ch))
+
+    def undirected_pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, und in enumerate(self.undirected_masks())
+                         for j in _bits(und) if i < j)
+
+    def oriented_colliders(self) -> frozenset[tuple[int, int, int]]:
+        """Triples ``(x, c, y)`` with directed x -> c <- y and x, y non-adjacent."""
+        adj = self.adjacency_masks()
+        return frozenset((x, c, y) for c, pa in enumerate(self.parent_masks())
+                         for x, y in combinations(_bits(pa), 2)
+                         if not (adj[x] >> y) & 1)
 
     def validate_pdag(self) -> None:
         """Raise :class:`PdagError` if the directed edges contain a cycle."""
@@ -149,10 +180,10 @@ class AdjMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjMatrix):
             return NotImplemented
-        return self._vars == other._vars and self._cells == other._cells
+        return self._vars == other._vars and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._vars, self._cells))
+        return hash((self._vars, self._rows))
 
     def __repr__(self) -> str:
-        return f"AdjMatrix({self._vars.names}, {self._cells})"
+        return f"AdjMatrix({self._vars.names}, {self.cells})"

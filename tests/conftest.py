@@ -1,9 +1,14 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
 from causaltext.fixtures import (FIVE_VAR_HYPOTHESIS, FIVE_VAR_PREMISE,
                                  JUNK_FOOD_HYPOTHESIS, JUNK_FOOD_PREMISE,
                                  THREE_VAR_HYPOTHESIS, THREE_VAR_PREMISE,
                                  five_var_doc, junk_food_doc, three_var_doc)
+from causaltext.matrix import AdjMatrix
+from causaltext.variables import VariableTable
 
 # expected step matrices for the bundled five-variable worked example
 FIVE_VAR_STEP_3 = {
@@ -78,3 +83,28 @@ def junk_food():
 @pytest.fixture(scope="session")
 def three_var():
     return three_var_doc()
+
+
+def pdag_cells(n, states):
+    """Cell grid whose pair ``(i, j)``, i < j, takes one of four states:
+    0 none, 1 i -> j, 2 j -> i, 3 undirected."""
+    cells = [[0] * n for _ in range(n)]
+    for (i, j), state in zip(combinations(range(n), 2), states):
+        cells[i][j] = state & 1
+        cells[j][i] = state >> 1
+    return cells
+
+
+def pdag_encoding(n, states):
+    return AdjMatrix(VariableTable.letters(n), pdag_cells(n, states))
+
+
+def reference_encodings():
+    """``(n, states)`` for every encoding on 1-4 nodes, then a seeded sample
+    of 300 5-node encodings."""
+    for n in range(1, 5):
+        for states in product(range(4), repeat=n * (n - 1) // 2):
+            yield n, states
+    rng = random.Random(2024)
+    for _ in range(300):
+        yield 5, tuple(rng.randrange(4) for _ in range(10))

@@ -70,6 +70,29 @@ class TestGenerate:
                                "-o", str(tmp_path / "x.jsonl"))
         assert code == 2
 
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys):
+        out_path = tmp_path / "x.jsonl"
+        code, _, _ = run_cli(capsys, "generate", "--n", "7", "-o", str(out_path))
+        assert code == 2
+        assert not out_path.exists()
+        assert list(tmp_path.iterdir()) == []
+        # a failed run also leaves an earlier dataset as it was
+        out_path.write_text("earlier\n")
+        code, _, _ = run_cli(capsys, "generate", "--n", "7", "-o", str(out_path))
+        assert code == 2
+        assert out_path.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("limit,draw", [(0, ()), (5, ()),
+                                            (3, ("--balanced", "4", "--seed", "1"))])
+    def test_limit(self, tmp_path, capsys, limit, draw):
+        out_path = tmp_path / "ds.jsonl"
+        code, out, _ = run_cli(capsys, "generate", "--n", "3", "--limit", str(limit),
+                               *draw, "-o", str(out_path), "--format", "json")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["rows"] == summary["yes"] + summary["no"] == limit
+        assert len(out_path.read_text().splitlines()) == limit
+
     def test_balanced_requires_seed(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--n", "3", "--balanced", "5",
                                "-o", str(tmp_path / "x.jsonl"))
@@ -141,6 +164,12 @@ class TestEvalAndScore:
         report = json.loads(out)
         assert report["overall"]["accuracy"] == 1.0
         assert all(v == 1.0 for v in report["subtask_accuracy"].values())
+
+    def test_score_rejects_unknown_group(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "score", "--records", str(tmp_path),
+                               "--group-by", "colour")
+        assert code == 2
+        assert "unsupported group-by key 'colour'" in err
 
     def test_score_empty_dir_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "score", "--records", str(tmp_path))

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from causaltext.errors import (BoundsError, ConsistencyError, PdagError,
@@ -6,6 +8,30 @@ from causaltext.graphs import SepStatement
 from causaltext.matrix import AdjMatrix
 from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
+
+from conftest import pdag_cells, reference_encodings
+
+
+def reference_views(cells):
+    """Skeleton, directed edges, undirected pairs, colliders and parent masks,
+    read cell by cell off a grid."""
+    n = len(cells)
+    skel = {(i, j) for i in range(n) for j in range(i + 1, n)
+            if cells[i][j] or cells[j][i]}
+    directed = {(i, j) for i in range(n) for j in range(n)
+                if i != j and cells[i][j] and not cells[j][i]}
+    undirected = {(i, j) for i in range(n) for j in range(i + 1, n)
+                  if cells[i][j] and cells[j][i]}
+    colliders = set()
+    for c in range(n):
+        parents = sorted(r for r, t in directed if t == c)
+        for x, y in combinations(parents, 2):
+            if (x, y) not in skel:
+                colliders.add((x, c, y))
+    pa = [0] * n
+    for r, c in directed:
+        pa[c] |= 1 << r
+    return skel, directed, undirected, colliders, pa
 
 
 class TestVariableTable:
@@ -53,6 +79,25 @@ class TestAdjMatrix:
             AdjMatrix(t, [[1, 1], [1, 0]])  # non-zero diagonal
         with pytest.raises(PdagError):
             AdjMatrix(t, [[0, 2], [1, 0]])  # non-binary cell
+
+    def test_row_constructor_checks_width_and_diagonal(self):
+        t = VariableTable.letters(2)
+        assert AdjMatrix._from_rows(t, [0b10, 0b01]) == AdjMatrix(t, [[0, 1], [1, 0]])
+        for rows in ([0b11, 0], [0b100, 0], [0b10]):  # diagonal, width, row count
+            with pytest.raises(PdagError):
+                AdjMatrix._from_rows(t, rows)
+
+    def test_views_match_cell_reference(self):
+        for n, states in reference_encodings():
+            cells = pdag_cells(n, states)
+            m = AdjMatrix(VariableTable.letters(n), cells)
+            names = m.vars.names
+            assert m.cells == tuple(tuple(row) for row in cells)
+            assert m.to_mapping() == {names[r]: {names[c]: cells[r][c] for c in range(n)}
+                                      for r in range(n)}
+            assert AdjMatrix.from_mapping(m.to_mapping()) == m
+            assert (m.skeleton_pairs(), m.directed_edges(), m.undirected_pairs(),
+                    m.oriented_colliders(), m.parent_masks()) == reference_views(cells)
 
     def test_mapping_roundtrip(self):
         mapping = {"A": {"A": 0, "B": 1}, "B": {"A": 0, "B": 0}}

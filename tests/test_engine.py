@@ -10,7 +10,7 @@ from causaltext.engine import (ColliderCandidates, EngineOptions,
                                candidate_pairs, filter_collider_pairs,
                                initial_matrix, orient_colliders,
                                propagate_orientations, run_c2p)
-from causaltext.errors import ConfigError
+from causaltext.errors import ConfigError, PdagError
 from causaltext.graphs import (Dag, enumerate_dags, skeleton, v_structures)
 from causaltext.matrix import AdjMatrix
 from causaltext.relations import RelationSet, relations_from_dag
@@ -19,11 +19,36 @@ from causaltext.variables import VariableTable
 from conftest import (FIVE_VAR_STEP_3, FIVE_VAR_STEP_4, FIVE_VAR_STEP_5,
                       FIVE_VAR_STEP_6, FIVE_VAR_STEP_7, FIVE_VAR_STEP_8,
                       JUNK_FOOD_STEP_3, JUNK_FOOD_STEP_4, JUNK_FOOD_STEP_6,
-                      JUNK_FOOD_STEP_8)
+                      JUNK_FOOD_STEP_8, pdag_encoding, reference_encodings)
 
 
 def ones(matrix):
     return sum(sum(row) for row in matrix.cells)
+
+
+def reference_propagate(matrix):
+    """Chain propagation one cell at a time over a cell grid."""
+    matrix.validate_pdag()
+    cells = [list(row) for row in matrix.cells]
+    n = matrix.n
+
+    def adjacent(i, j):
+        return cells[i][j] or cells[j][i]
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if not (cells[a][b] and not cells[b][a]):
+                    continue  # need a directed a -> b
+                for c in range(n):
+                    if c in (a, b) or not (cells[b][c] and cells[c][b]):
+                        continue  # need an undirected b - c
+                    if not adjacent(a, c):
+                        cells[c][b] = 0
+                        changed = True
+    return AdjMatrix(matrix.vars, cells)
 
 
 class TestSteps:
@@ -156,6 +181,17 @@ class TestPropagation:
         ])
         out = propagate_orientations(m)
         assert out.directed_edges() == {(0, 1), (1, 2), (2, 3)}
+
+    def test_matches_cell_reference(self):
+        for n, states in reference_encodings():
+            matrix = pdag_encoding(n, states)
+            try:
+                expected = reference_propagate(matrix)
+            except PdagError:
+                with pytest.raises(PdagError):
+                    propagate_orientations(matrix)
+                continue
+            assert propagate_orientations(matrix) == expected, states
 
 
 class TestRunPipeline:

@@ -16,7 +16,7 @@ from causaltext.matrix import AdjMatrix, is_acyclic
 from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
 
-from conftest import FIVE_VAR_STEP_8
+from conftest import FIVE_VAR_STEP_8, pdag_encoding
 
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
@@ -87,16 +87,6 @@ def brute_force_extensions(matrix):
             out.append(cand)
     out.sort(key=lambda d: d.mask)
     return out
-
-
-def pdag_encoding(n, states):
-    """Matrix whose pair ``(i, j)``, i < j, takes one of four states:
-    0 none, 1 i -> j, 2 j -> i, 3 undirected."""
-    cells = [[0] * n for _ in range(n)]
-    for (i, j), state in zip(combinations(range(n), 2), states):
-        cells[i][j] = state & 1
-        cells[j][i] = state >> 1
-    return AdjMatrix(VariableTable.letters(n), cells)
 
 
 def assert_extensions_match_reference(matrix):

@@ -297,6 +297,15 @@ class TestTransport:
             assert r.error and "status 200" in r.error and "not JSON" in r.error
             assert not r.correct
 
+    def test_transport_failures_are_not_parse_failures(self, http_stub,
+                                                       balanced_n3, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
+        config = BackendConfig(endpoint=http_stub, attempts=1)
+        records = run_batch(balanced_n3[:4], config, MODE_STEP_BY_STEP)
+        assert len(records) == 4
+        assert all(r.error and r.parse_failures == 0 for r in records)
+        assert score(records).parse_failure_rate == 0.0
+
     def test_unreachable_endpoint(self):
         config = BackendConfig(endpoint="http://127.0.0.1:9", attempts=2,
                                backoff=0.0, timeout=0.5)
@@ -343,10 +352,6 @@ class TestMetrics:
         with pytest.raises(UsageError):
             score([])
 
-    def test_score_rejects_unknown_group(self, balanced_n3):
-        records = run_batch(balanced_n3[:2], BackendConfig(), MODE_BASELINE_COT)
-        with pytest.raises(UsageError):
-            score(records, group_by=("colour",))
 
 
 class TestRecordSerialization:

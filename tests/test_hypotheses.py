@@ -3,18 +3,20 @@ from itertools import combinations, permutations
 import pytest
 
 from causaltext.engine import run_c2p
-from causaltext.errors import ConsistencyError
+from causaltext.errors import ConfigError, ConsistencyError, PdagError
 from causaltext.graphs import Dag, dag_extensions, enumerate_dags, group_mecs
 from causaltext.hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                                    NO, UNDETERMINED, YES, Hypothesis,
-                                   HypothesisKind, Verdict, binary_answer,
+                                   SYMMETRIC_KINDS, HypothesisKind, Verdict,
+                                   binary_answer,
                                    evaluate_on_pdag, holds_in_dag,
                                    label_against_mec)
 from causaltext.matrix import AdjMatrix
 from causaltext.relations import relations_from_dag
 from causaltext.variables import VariableTable
 
-from conftest import FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8
+from conftest import (FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8, pdag_encoding,
+                      reference_encodings)
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -25,6 +27,83 @@ KINDS = list(HypothesisKind)
 
 def H(kind, s, o):
     return Hypothesis(kind, s, o)
+
+
+def reference_rule_based(h, matrix):
+    """Rule-based verdict read cell by cell off the matrix."""
+    matrix.validate_pdag()
+    table = matrix.vars
+    s, o = h.resolve(table)
+    cells = matrix.cells
+    n = matrix.n
+    kind = h.kind
+
+    def directed(a, b):
+        return cells[a][b] == 1 and cells[b][a] == 0
+
+    def undirected(a, b):
+        return cells[a][b] == 1 and cells[b][a] == 1
+
+    def possible(a, b):
+        # could a -> b hold in some orientation of the remaining edges
+        return cells[a][b] == 1
+
+    if kind is HypothesisKind.DIRECT_CAUSE:
+        if directed(s, o):
+            return Verdict(YES, {"edge": [table.label(s), table.label(o)]})
+        if undirected(s, o):
+            return Verdict(UNDETERMINED)
+        return Verdict(NO, {"counterexamples": 1})
+
+    if kind is HypothesisKind.COMMON_EFFECT:
+        certain = [z for z in range(n) if z not in (s, o)
+                   and directed(s, z) and directed(o, z)]
+        if certain:
+            return Verdict(YES, {"colliders": [table.label(z) for z in certain]})
+        open_ = [z for z in range(n) if z not in (s, o)
+                 and possible(s, z) and possible(o, z)]
+        if open_:
+            return Verdict(UNDETERMINED)
+        return Verdict(NO, {"counterexamples": 1})
+
+    if kind is HypothesisKind.COMMON_CAUSE:
+        certain = [z for z in range(n) if z not in (s, o)
+                   and directed(z, s) and directed(z, o)]
+        if certain:
+            return Verdict(YES, {"confounders": [table.label(z) for z in certain]})
+        open_ = [z for z in range(n) if z not in (s, o)
+                 and possible(z, s) and possible(z, o)]
+        if open_:
+            return Verdict(UNDETERMINED)
+        return Verdict(NO, {"counterexamples": 1})
+
+    if kind in (HypothesisKind.CAUSE, HypothesisKind.INDIRECT_CAUSE):
+        min_len = 2 if kind is HypothesisKind.INDIRECT_CAUSE else 1
+        sure = reference_reach(n, lambda a, b: directed(a, b), s, o, min_len)
+        if sure:
+            return Verdict(YES, {"path": [table.label(v) for v in sure]})
+        maybe = reference_reach(n, lambda a, b: possible(a, b), s, o, min_len)
+        if maybe:
+            return Verdict(UNDETERMINED)
+        return Verdict(NO, {"counterexamples": 1})
+
+    raise ConfigError(f"unhandled hypothesis kind {kind}")
+
+
+def reference_reach(n, step, s, o, min_len):
+    stack = [(s, [s])]
+    while stack:
+        node, path = stack.pop()
+        for nxt in range(n):
+            if nxt in path or not step(node, nxt):
+                continue
+            cand = path + [nxt]
+            if nxt == o:
+                if len(cand) - 1 >= min_len:
+                    return cand
+                continue
+            stack.append((nxt, cand))
+    return None
 
 
 class TestHoldsInDag:
@@ -111,6 +190,25 @@ class TestEvaluateOnPdag:
         matrix = AdjMatrix(VariableTable.letters(4), cells)
         with pytest.raises(ConsistencyError):
             evaluate_on_pdag(H(HypothesisKind.CAUSE, "A", "D"), matrix)
+
+    def test_rule_based_matches_cell_reference(self):
+        claims = {}
+        for n, states in reference_encodings():
+            matrix = pdag_encoding(n, states)
+            if n not in claims:
+                table = matrix.vars
+                claims[n] = [H(kind, table.label(i), table.label(j)) for kind in KINDS
+                             for i, j in (combinations(range(n), 2)
+                                          if kind in SYMMETRIC_KINDS
+                                          else permutations(range(n), 2))]
+            try:
+                expected = [reference_rule_based(h, matrix) for h in claims[n]]
+            except PdagError:
+                with pytest.raises(PdagError):
+                    evaluate_on_pdag(claims[n][0], matrix, MODE_RULE_BASED)
+                continue
+            got = [evaluate_on_pdag(h, matrix, MODE_RULE_BASED) for h in claims[n]]
+            assert got == expected, states
 
     def test_verdict_serialization(self):
         v = Verdict(YES, {"edge": ["A", "B"]})
