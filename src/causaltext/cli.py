@@ -10,6 +10,7 @@ import shutil
 import sys
 import tempfile
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 from itertools import islice
 
@@ -23,7 +24,7 @@ from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
 from .fixtures import FIXTURES
 from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
                       RecordingBackend, ScoreReport, make_backend,
-                      run_pipeline, score, validate_config)
+                      run_pipeline, score, validate_config, write_json_atomic)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                          HypothesisKind)
 from .parsing import THEMES, parse_premise
@@ -44,11 +45,18 @@ def _version() -> str:
 
 
 def _load_config_defaults(argv):
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog="causaltext", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return {}
-    path = argv[argv.index("--config") + 1]
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"config file {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     if data.get("version") != 1:
         raise ConfigError(f"unsupported config file version: {data.get('version')!r}")
     defaults = data.get("defaults", {})
@@ -146,7 +154,8 @@ def cmd_generate(args) -> int:
     if args.balanced is not None:
         samples = balanced_generate([args.n], args.balanced, args.seed,
                                     kinds=kinds, style=args.style,
-                                    theme=args.theme, minimal=not args.closure)
+                                    theme=args.theme, minimal=not args.closure,
+                                    max_cond=args.max_cond)
     else:
         samples = generate(args.n, kinds=kinds, style=args.style, theme=args.theme,
                            max_cond=args.max_cond, minimal=not args.closure)
@@ -267,11 +276,13 @@ def cmd_eval(args) -> int:
     config = BackendConfig(endpoint=endpoint, model=args.model,
                            auth_env=args.auth_env, attempts=args.attempts)
     validate_config(config)
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must not be negative")
+    if args.parallel < 1:
+        raise UsageError("--parallel must be at least 1")
     options = EngineOptions(collider_filter=args.collider_filter,
                             propagate=args.propagate)
-    samples = read_samples(args.dataset)
-    if args.limit is not None:
-        samples = samples[:args.limit]
+    samples = read_samples(args.dataset)[:args.limit]
     if not samples:
         raise UsageError(f"dataset {args.dataset} holds no samples")
     os.makedirs(args.out, exist_ok=True)
@@ -280,16 +291,16 @@ def cmd_eval(args) -> int:
     backend = make_backend(config, options)
     if args.record:
         backend = RecordingBackend(backend, os.path.join(args.out, "transcripts"))
+
+    def run(sample):
+        return run_pipeline(sample, config, args.mode, options, backend=backend)
+
     records = []
-    if args.parallel > 1:
-        from .harness import run_batch
-        records = run_batch(samples, config, args.mode, options,
-                            backend=backend, parallelism=args.parallel)
-        for rec in records:
-            _write_record(records_dir, rec)
-    else:
-        for sample in samples:
-            rec = run_pipeline(sample, config, args.mode, options, backend=backend)
+    with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+        # one worker thread would only contend with the record writes for
+        # the GIL, so --parallel 1 runs the samples on this thread
+        done = pool.map(run, samples) if args.parallel > 1 else map(run, samples)
+        for rec in done:
             _write_record(records_dir, rec)
             records.append(rec)
     report = score(records)
@@ -309,9 +320,7 @@ def cmd_eval(args) -> int:
 
 
 def _write_record(records_dir: str, rec: EvalRecord) -> None:
-    path = os.path.join(records_dir, f"{rec.sample_id}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rec.as_dict(), fh, indent=1)
+    write_json_atomic(os.path.join(records_dir, f"{rec.sample_id}.json"), rec.as_dict())
 
 
 def _read_records(records_dir: str) -> list[EvalRecord]:

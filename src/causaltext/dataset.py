@@ -150,7 +150,8 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
 def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
                       kinds: Sequence[HypothesisKind] | None = None,
                       style: str = "symbolic", theme: str | None = None,
-                      minimal: bool = True) -> list[Sample]:
+                      minimal: bool = True,
+                      max_cond: int | None = None) -> list[Sample]:
     """Balanced draw without enumerating the whole sample universe.
 
     Walks each variable count's shuffled stream until both label quotas are
@@ -164,7 +165,7 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
         needed = {YES: per_cell, NO: per_cell}
         picked: list[Sample] = []
         stream = generate(n, kinds=kinds, style=style, theme=theme,
-                          minimal=minimal, order="shuffled",
+                          max_cond=max_cond, minimal=minimal, order="shuffled",
                           seed=seed * 1009 + n)
         for s in stream:
             if needed[s.label] > 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .matrix import AdjMatrix, _bits
@@ -56,6 +56,14 @@ class ColliderCandidates:
         lab = self.vars.label
         return {lab(r): [[lab(a), lab(b)] for a, b in pairs]
                 for r, pairs in sorted(self.rows.items())}
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[str, Iterable[Sequence[str]]],
+                     vars: VariableTable) -> "ColliderCandidates":
+        """Inverse of :meth:`to_mapping`."""
+        idx = vars.index
+        return cls(vars, {idx(r): tuple((idx(a), idx(b)) for a, b in pairs)
+                          for r, pairs in mapping.items()})
 
     def is_empty(self) -> bool:
         return not self.rows

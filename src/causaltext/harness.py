@@ -24,16 +24,17 @@ import requests
 
 from .engine import (ColliderCandidates, EngineOptions, apply_conditional,
                      apply_unconditional, candidate_pairs,
-                     filter_collider_pairs, initial_matrix, orient_colliders,
-                     run_c2p)
+                     filter_collider_pairs, initial_matrix, orient_colliders)
 from .errors import (BackendError, ConfigError, TransportError, UsageError)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, NO, YES, binary_answer,
                          evaluate_on_pdag)
 from .matrix import AdjMatrix
 from .parsing import parse_hypothesis, parse_premise
+from .pipeline import solve_doc
 from .prompts import (PromptContext, extract_sections, identify_step,
                       is_cot_prompt, is_few_shot_prompt, render_cot,
-                      render_few_shot, render_prompt)
+                      render_few_shot, render_prompt, split_sections,
+                      step_replies, step_reply)
 from .relations import RelationSet
 from .variables import VariableTable
 
@@ -240,11 +241,19 @@ class RecordingBackend:
             }
             with self._lock:
                 self._exchanges.setdefault(sample_id, []).append(entry)
-                path = os.path.join(self.directory, f"{sample_id}.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump({"sample_id": sample_id,
-                               "exchanges": self._exchanges[sample_id]}, fh, indent=1)
+                write_json_atomic(os.path.join(self.directory, f"{sample_id}.json"),
+                                  {"sample_id": sample_id,
+                                   "exchanges": self._exchanges[sample_id]})
         return response
+
+
+def write_json_atomic(path: str, data) -> None:
+    """Write ``data`` as JSON beside ``path`` and move it into place, so a
+    crash never leaves a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+    os.replace(tmp, path)
 
 
 class MockBackend:
@@ -263,9 +272,11 @@ class MockBackend:
     def complete(self, messages, *, sample_id=None, step=None) -> str:
         content = messages[-1]["content"] if messages else ""
         if is_few_shot_prompt(content):
-            return self._few_shot_reply(content)
+            return step_replies(self._solve(content))
         if is_cot_prompt(content):
-            return self._cot_reply(content)
+            final = self._solve(content)["step_9"]
+            return ("Working through the structure of the premise step by step "
+                    f"leads to the verdict {final['answer']}. " + step_reply(9, final))
         detected = identify_step(content)
         if detected is None:
             raise TransportError("oracle backend cannot identify the prompt")
@@ -275,21 +286,13 @@ class MockBackend:
     # step handlers -------------------------------------------------------
 
     def _step_1(self, sections) -> str:
-        doc = parse_premise(sections["Premise"])
-        payload = {"number of random variables": len(doc.variables),
-                   "names of random variables": list(doc.variables.names)}
-        return "Here is the extraction.\n" + json.dumps(payload)
+        table = parse_premise(sections["Premise"]).variables
+        return ("Here is the extraction.\n"
+                + step_reply(1, {"count": len(table), "names": list(table.names)}))
 
     def _step_2(self, sections) -> str:
-        doc = parse_premise(sections["Premise"])
-        rel = doc.relations.as_dict()
-        payload = {
-            "Dependencies": rel["dependencies"],
-            "Unconditional Independencies": rel["unconditional_independencies"],
-            "Conditional Independencies": rel["conditional_independencies"],
-            "Cause-and-Effect Relations": rel["declared_causes"],
-        }
-        return "All of Statistical Relations:\n" + json.dumps(payload)
+        relations = parse_premise(sections["Premise"]).relations
+        return "All of Statistical Relations:\n" + step_reply(2, relations.as_dict())
 
     def _step_3(self, sections) -> str:
         names = json.loads(sections["Random variables"])
@@ -297,26 +300,26 @@ class MockBackend:
         table = VariableTable(names)
         matrix = initial_matrix(
             table, [(table.index(a), table.index(b)) for a, b in declared])
-        return "Initial adjacency matrix:\n" + json.dumps(matrix.to_mapping())
+        return "Initial adjacency matrix:\n" + step_reply(3, matrix.to_mapping())
 
     def _step_4(self, sections) -> str:
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
         rels = _relations_for(matrix.vars,
                               uncond=json.loads(sections["Unconditional independencies"]))
         out = apply_unconditional(matrix, rels)
-        return "Updated adjacency matrix:\n" + json.dumps(out.to_mapping())
+        return "Updated adjacency matrix:\n" + step_reply(4, out.to_mapping())
 
     def _step_5(self, sections) -> str:
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
         rels = _relations_for(matrix.vars,
                               cond=json.loads(sections["Conditional independencies"]))
         out = apply_conditional(matrix, rels)
-        return "Updated adjacency matrix:\n" + json.dumps(out.to_mapping())
+        return "Updated adjacency matrix:\n" + step_reply(5, out.to_mapping())
 
     def _step_6(self, sections) -> str:
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
         cands = candidate_pairs(matrix)
-        return "Candidates:\n" + json.dumps(cands.to_mapping())
+        return "Candidates:\n" + step_reply(6, cands.to_mapping())
 
     def _step_7(self, sections) -> str:
         cand_map = json.loads(sections["Candidates"])
@@ -328,49 +331,33 @@ class MockBackend:
                          *(x for pairs in cand_map.values() for p in pairs for x in p)})
         table = VariableTable(labels)
         rels = _relations_for(table, uncond=uncond, cond=cond)
-        cands = ColliderCandidates(table, {
-            table.index(row): tuple((table.index(a), table.index(b)) for a, b in pairs)
-            for row, pairs in cand_map.items()})
+        cands = ColliderCandidates.from_mapping(cand_map, table)
         kept = filter_collider_pairs(cands, rels, self.options.collider_filter)
-        return "Filtered candidates:\n" + json.dumps(kept.to_mapping())
+        return "Filtered candidates:\n" + step_reply(7, kept.to_mapping())
 
     def _step_8(self, sections) -> str:
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
-        cand_map = json.loads(sections["Candidates"])
-        table = matrix.vars
-        cands = ColliderCandidates(table, {
-            table.index(row): tuple((table.index(a), table.index(b)) for a, b in pairs)
-            for row, pairs in cand_map.items()})
+        cands = ColliderCandidates.from_mapping(json.loads(sections["Candidates"]),
+                                                matrix.vars)
         out = orient_colliders(matrix, cands)
-        return "Final adjacency matrix:\n" + json.dumps(out.to_mapping())
+        return "Final adjacency matrix:\n" + step_reply(8, out.to_mapping())
 
     def _step_9(self, sections) -> str:
         doc = parse_premise(sections["Premise"])
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]),
                                         vars=doc.variables)
         h = parse_hypothesis(sections["Hypothesis"], doc.variables)
-        verdict = evaluate_on_pdag(h, matrix, self.eval_mode)
-        note = f"The evaluation over the matrix gives {verdict.answer}."
-        return f'{note} Final Answer: "{binary_answer(verdict)}"'
+        verdict = evaluate_on_pdag(h, matrix, self.eval_mode).as_dict()
+        return (f"The evaluation over the matrix gives {verdict['answer']}. "
+                + step_reply(9, verdict))
 
     # bundled modes --------------------------------------------------------
 
-    def _few_shot_reply(self, content: str) -> str:
-        from .pipeline import solve_doc
-        from .prompts import _format_trace_block
+    def _solve(self, content: str) -> dict:
+        """The solve report for the premise and hypothesis of a bundled prompt."""
         sections = extract_sections(content)
-        doc = parse_premise(sections["Premise"])
-        res = solve_doc(doc, sections["Hypothesis"], self.options, self.eval_mode)
-        return _format_trace_block(res.report())
-
-    def _cot_reply(self, content: str) -> str:
-        from .pipeline import solve_doc
-        sections = extract_sections(content)
-        doc = parse_premise(sections["Premise"])
-        res = solve_doc(doc, sections["Hypothesis"], self.options, self.eval_mode)
-        answer = binary_answer(res.verdict)
-        return (f"Working through the structure of the premise step by step "
-                f'leads to the verdict {res.verdict.answer}. Final Answer: "{answer}"')
+        return solve_doc(parse_premise(sections["Premise"]), sections["Hypothesis"],
+                         self.options, self.eval_mode).report()
 
 
 def _relations_for(table: VariableTable, uncond=(), cond=()) -> RelationSet:
@@ -707,23 +694,10 @@ class EvalRecord:
         return cls(**{**data, "steps": steps})
 
 
-def _reference_steps(sample, options: EngineOptions, eval_mode: str):
-    doc = parse_premise(sample.premise)
-    h = parse_hypothesis(sample.hypothesis_text, doc.variables)
-    trace = run_c2p(doc.relations, options)
-    verdict = evaluate_on_pdag(h, trace.final, eval_mode)
-    refs = {
-        1: {"count": len(doc.variables), "names": list(doc.variables.names)},
-        2: doc.relations.as_dict(),
-        3: trace.step_3.to_mapping(),
-        4: trace.step_4.to_mapping(),
-        5: trace.step_5.to_mapping(),
-        6: trace.step_6.to_mapping(),
-        7: trace.step_7.to_mapping(),
-        8: trace.step_8.to_mapping(),
-        9: verdict,
-    }
-    return refs, verdict
+def _reference_steps(sample, options: EngineOptions, eval_mode: str) -> dict:
+    """The engine's solve report for a sample: what every step is graded against."""
+    return solve_doc(parse_premise(sample.premise), sample.hypothesis_text,
+                     options, eval_mode).report()
 
 
 def _match_step(step: int, parsed, ref) -> bool:
@@ -754,21 +728,11 @@ def _match_step(step: int, parsed, ref) -> bool:
         answer = parsed.get("answer") if isinstance(parsed, dict) else None
         if answer is None:
             return False
-        return binary_answer(answer) == binary_answer(ref)
+        return binary_answer(answer) == binary_answer(ref["answer"])
     return False
 
 
 _STEP_SECTION_RE = re.compile(r"^\s*(?:\*+\s*)?Step\s+(\d+)\s*:", re.M)
-
-
-def split_step_sections(text: str) -> dict[int, str]:
-    """Carve a multi-step response into per-step chunks."""
-    hits = list(_STEP_SECTION_RE.finditer(text))
-    out: dict[int, str] = {}
-    for k, hit in enumerate(hits):
-        stop = hits[k + 1].start() if k + 1 < len(hits) else len(text)
-        out[int(hit.group(1))] = text[hit.end():stop].strip()
-    return out
 
 
 def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
@@ -784,12 +748,11 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
         raise ConfigError(f"unknown pipeline mode {mode!r}; pick one of {EVAL_MODES}")
     options = options or EngineOptions()
     backend = backend or make_backend(config, options, eval_mode)
-    refs, _ref_verdict = _reference_steps(sample, options, eval_mode)
+    refs = _reference_steps(sample, options, eval_mode)
     ctx = PromptContext(premise=sample.premise, hypothesis=sample.hypothesis_text)
     started = time.monotonic()
     steps: dict[str, StepResult] = {}
     error = None
-    verdict = None
     usage_tally: dict[str, int] = {}
 
     def track_usage():
@@ -801,6 +764,8 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
                     usage_tally[key] = usage_tally.get(key, 0) + value
 
     def finish():
+        final = steps.get("step_9")
+        verdict = final.parsed.get("answer") if final and final.parsed else None
         parse_failures = sum(1 for s in steps.values() if s.raw is not None and not s.match
                              and s.parsed is None)
         correct = verdict is not None and binary_answer(verdict) == sample.label
@@ -825,15 +790,12 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
                 break
             track_usage()
             parsed = parse_step_output(step, raw)
-            match = _match_step(step, parsed.value, refs[step])
+            match = _match_step(step, parsed.value, refs[f"step_{step}"])
             steps[f"step_{step}"] = StepResult(raw, parsed.value, match, parsed.error)
             prior[step] = parsed.value
             if parsed.value is None and step < 9:
                 error = f"step {step}: unparseable output ends the chain"
                 break
-        final = steps.get("step_9")
-        if final and isinstance(final.parsed, dict):
-            verdict = final.parsed.get("answer")
         return finish()
 
     if mode == MODE_FEW_SHOT:
@@ -849,12 +811,10 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
     track_usage()
     if mode == MODE_BASELINE_COT:
         parsed = parse_step_output(9, raw)
-        match = _match_step(9, parsed.value, refs[9])
+        match = _match_step(9, parsed.value, refs["step_9"])
         steps["step_9"] = StepResult(raw, parsed.value, match, parsed.error)
-        if parsed.value:
-            verdict = parsed.value.get("answer")
         return finish()
-    sections = split_step_sections(raw)
+    sections = {int(k): chunk for k, chunk in split_sections(raw, _STEP_SECTION_RE)}
     for step in range(1, 10):
         chunk = sections.get(step)
         if chunk is None and step == 9:
@@ -863,11 +823,8 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
             steps[f"step_{step}"] = StepResult(None, None, False, "section missing")
             continue
         parsed = parse_step_output(step, chunk)
-        match = _match_step(step, parsed.value, refs[step])
+        match = _match_step(step, parsed.value, refs[f"step_{step}"])
         steps[f"step_{step}"] = StepResult(chunk, parsed.value, match, parsed.error)
-    final = steps.get("step_9")
-    if final and isinstance(final.parsed, dict):
-        verdict = final.parsed.get("answer")
     return finish()
 
 

@@ -56,7 +56,7 @@ def is_acyclic(pa: Sequence[int]) -> bool:
 class AdjMatrix:
     """Immutable n-by-n 0/1 matrix bound to a variable table."""
 
-    __slots__ = ("_vars", "_rows")
+    __slots__ = ("_vars", "_rows", "_cols")
 
     def __init__(self, vars: VariableTable, cells: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in cells)
@@ -71,6 +71,7 @@ class AdjMatrix:
                 raise PdagError(f"diagonal cell [{i}][{i}] must be 0")
         self._vars = vars
         self._rows = tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+        self._cols = None
 
     @classmethod
     def _from_rows(cls, vars: VariableTable, rows: Iterable[int]) -> "AdjMatrix":
@@ -78,6 +79,7 @@ class AdjMatrix:
         self = object.__new__(cls)
         self._vars = vars
         self._rows = tuple(rows)
+        self._cols = None
         n = len(vars)
         full = (1 << n) - 1
         if len(self._rows) != n or any(row & ~(full ^ 1 << i)
@@ -127,13 +129,15 @@ class AdjMatrix:
         return {names[r]: {name: (row >> c) & 1 for c, name in enumerate(names)}
                 for r, row in enumerate(self._rows)}
 
-    def _columns(self) -> list[int]:
-        """Per node, the nodes whose row marks it 1."""
-        cols = [0] * len(self._rows)
-        for r, row in enumerate(self._rows):
-            for c in _bits(row):
-                cols[c] |= 1 << r
-        return cols
+    def _columns(self) -> tuple[int, ...]:
+        """Per node, the nodes whose row marks it 1; computed on first use."""
+        if self._cols is None:
+            cols = [0] * len(self._rows)
+            for r, row in enumerate(self._rows):
+                for c in _bits(row):
+                    cols[c] |= 1 << r
+            self._cols = tuple(cols)
+        return self._cols
 
     def parent_masks(self) -> list[int]:
         """One bitmask per node of its parents along the directed edges."""

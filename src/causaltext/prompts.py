@@ -13,8 +13,10 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import TemplateError
+from .hypotheses import binary_answer
 
 STEP_INSTRUCTIONS: dict[int, str] = {
     1: ("Please give the number of random variables in the given premise and "
@@ -108,20 +110,29 @@ _SECTION_ORDER = (
     "Conditional independencies", "Candidates", "Hypothesis",
 )
 
-# slots each step needs, as (section name, prior-step key, extractor)
-_STEP_SLOTS: dict[int, tuple[tuple[str, int | None, str], ...]] = {
+# slots each step needs, as (section name, prior step, key): a slot without a
+# prior step reads the context attribute ``key``; otherwise it is the prior
+# step's output, or its entry ``key`` when a key is given
+_STEP_SLOTS: dict[int, tuple[tuple[str, int | None, str | None], ...]] = {
     1: (("Premise", None, "premise"),),
     2: (("Premise", None, "premise"), ("Random variables", 1, "names")),
-    3: (("Random variables", 1, "names"), ("Cause-and-effect relations", 2, "declared")),
-    4: (("Adjacency matrix", 3, "matrix"), ("Unconditional independencies", 2, "uncond")),
-    5: (("Adjacency matrix", 4, "matrix"), ("Conditional independencies", 2, "cond")),
-    6: (("Adjacency matrix", 5, "matrix"),),
-    7: (("Candidates", 6, "candidates"), ("Unconditional independencies", 2, "uncond"),
-        ("Conditional independencies", 2, "cond")),
-    8: (("Adjacency matrix", 5, "matrix"), ("Candidates", 7, "candidates")),
-    9: (("Premise", None, "premise"), ("Adjacency matrix", 8, "matrix"),
+    3: (("Random variables", 1, "names"),
+        ("Cause-and-effect relations", 2, "declared_causes")),
+    4: (("Adjacency matrix", 3, None),
+        ("Unconditional independencies", 2, "unconditional_independencies")),
+    5: (("Adjacency matrix", 4, None),
+        ("Conditional independencies", 2, "conditional_independencies")),
+    6: (("Adjacency matrix", 5, None),),
+    7: (("Candidates", 6, None),
+        ("Unconditional independencies", 2, "unconditional_independencies"),
+        ("Conditional independencies", 2, "conditional_independencies")),
+    8: (("Adjacency matrix", 5, None), ("Candidates", 7, None)),
+    9: (("Premise", None, "premise"), ("Adjacency matrix", 8, None),
         ("Hypothesis", None, "hypothesis")),
 }
+
+_SECTION_RE = re.compile(
+    r"^(" + "|".join(re.escape(s) for s in _SECTION_ORDER) + r"):", re.M)
 
 
 @dataclass(frozen=True)
@@ -130,56 +141,37 @@ class PromptContext:
     hypothesis: str | None = None
 
 
-def _slot_value(extractor: str, ctx: PromptContext, prior_value) -> str:
-    if extractor == "premise":
-        if not ctx.premise:
-            raise TemplateError("no premise available")
-        return ctx.premise
-    if extractor == "hypothesis":
-        if not ctx.hypothesis:
-            raise TemplateError("no hypothesis available")
-        return ctx.hypothesis
-    if prior_value is None:
-        raise TemplateError(f"missing prior step output for slot {extractor!r}")
-    if extractor == "names":
-        return json.dumps(prior_value.get("names"))
-    if extractor == "declared":
-        return json.dumps(prior_value.get("declared_causes", []))
-    if extractor == "uncond":
-        return json.dumps(prior_value.get("unconditional_independencies", []))
-    if extractor == "cond":
-        return json.dumps(prior_value.get("conditional_independencies", []))
-    if extractor in ("matrix", "candidates"):
-        return json.dumps(prior_value)
-    raise TemplateError(f"unknown slot extractor {extractor!r}")
-
-
 def render_prompt(step: int, ctx: PromptContext, prior: dict[int, object]) -> str:
     """Deterministic prompt text for one step, slots filled from prior outputs."""
     if step not in STEP_INSTRUCTIONS:
         raise TemplateError(f"unknown step {step}")
     parts = [STEP_INSTRUCTIONS[step]]
-    for section, prior_step, extractor in _STEP_SLOTS[step]:
-        prior_value = prior.get(prior_step) if prior_step is not None else None
-        if prior_step is not None and prior_value is None:
-            raise TemplateError(f"step {step} needs the step {prior_step} output")
-        value = _slot_value(extractor, ctx, prior_value)
+    for section, prior_step, key in _STEP_SLOTS[step]:
+        if prior_step is None:
+            value = getattr(ctx, key)
+            if not value:
+                raise TemplateError(f"no {key} available")
+        else:
+            output = prior.get(prior_step)
+            if output is None:
+                raise TemplateError(f"step {step} needs the step {prior_step} output")
+            value = json.dumps(output if key is None else output.get(key, []))
         parts.append(f"{section}:\n{value}")
     return "\n\n".join(parts)
 
 
+def split_sections(text: str, marker: re.Pattern = _SECTION_RE) -> Iterator[tuple[str, str]]:
+    """Cut ``text`` at each match of ``marker``: the match's first group, then
+    the stripped text up to the next match."""
+    hits = list(marker.finditer(text))
+    stops = [hit.start() for hit in hits[1:]] + [len(text)]
+    for hit, stop in zip(hits, stops):
+        yield hit.group(1), text[hit.end():stop].strip()
+
+
 def extract_sections(text: str) -> dict[str, str]:
     """Recover the slot sections of a rendered prompt (used by the oracle backend)."""
-    marker = re.compile(
-        r"^(" + "|".join(re.escape(s) for s in _SECTION_ORDER) + r"):\s*$|^("
-        + "|".join(re.escape(s) for s in _SECTION_ORDER) + r"):\s*(?=\S)",
-        re.M)
-    sections: dict[str, str] = {}
-    hits = [(m.start(), m.group(1) or m.group(2), m.end()) for m in marker.finditer(text)]
-    for k, (start, name, end) in enumerate(hits):
-        stop = hits[k + 1][0] if k + 1 < len(hits) else len(text)
-        sections[name] = text[end:stop].strip()
-    return sections
+    return dict(split_sections(text))
 
 
 def identify_step(text: str) -> int | None:
@@ -199,31 +191,30 @@ def is_cot_prompt(text: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# few-shot bundle
+# step replies and the few-shot bundle
 
 
-def _format_trace_block(report: dict) -> str:
-    """The nine step outputs of a solve report, in transcript form."""
-    lines = []
-    lines.append("Step 1:")
-    lines.append(json.dumps({"number of random variables": report["step_1"]["count"],
-                             "names of random variables": report["step_1"]["names"]}))
-    step2 = report["step_2"]
-    lines.append("Step 2:")
-    lines.append(json.dumps({
-        "Dependencies": step2["dependencies"],
-        "Unconditional Independencies": step2["unconditional_independencies"],
-        "Conditional Independencies": step2["conditional_independencies"],
-        "Cause-and-Effect Relations": step2["declared_causes"],
-    }))
-    for k in (3, 4, 5, 6, 7, 8):
-        lines.append(f"Step {k}:")
-        lines.append(json.dumps(report[f"step_{k}"]))
-    lines.append("Step 9:")
-    answer = report["step_9"].get("answer", "Undetermined")
-    binary = "Yes" if answer == "Yes" else "No"
-    lines.append(f'Final Answer: "{binary}"')
-    return "\n".join(lines)
+def step_reply(step: int, entry) -> str:
+    """The reply text for one step, from that step's entry of a solve report."""
+    if step == 1:
+        return json.dumps({"number of random variables": entry["count"],
+                           "names of random variables": entry["names"]})
+    if step == 2:
+        return json.dumps({
+            "Dependencies": entry["dependencies"],
+            "Unconditional Independencies": entry["unconditional_independencies"],
+            "Conditional Independencies": entry["conditional_independencies"],
+            "Cause-and-Effect Relations": entry["declared_causes"],
+        })
+    if step == 9:
+        return f'Final Answer: "{binary_answer(entry.get("answer"))}"'
+    return json.dumps(entry)
+
+
+def step_replies(report: dict) -> str:
+    """The nine step replies of a solve report, in transcript form."""
+    return "\n".join(f"Step {k}:\n{step_reply(k, report[f'step_{k}'])}"
+                     for k in range(1, 10))
 
 
 def _bundle_examples() -> list[tuple[str, str, dict]]:
@@ -256,7 +247,7 @@ def few_shot_bundle() -> str:
     blocks = [FEW_SHOT_HEADER]
     for k, (premise, hypothesis, report) in enumerate(_bundle_examples(), start=1):
         blocks.append(f"Example {k}:\nPremise: {premise}\nHypothesis: {hypothesis}\n"
-                      + _format_trace_block(report))
+                      + step_replies(report))
     return "\n\n".join(blocks)
 
 

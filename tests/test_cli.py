@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from causaltext import cli
 from causaltext.cli import main
+from causaltext.dataset import read_samples
 
 from conftest import (FIVE_VAR_PREMISE, FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8,
                       THREE_VAR_PREMISE)
@@ -92,6 +94,16 @@ class TestGenerate:
         summary = json.loads(out)
         assert summary["rows"] == summary["yes"] + summary["no"] == limit
         assert len(out_path.read_text().splitlines()) == limit
+
+    def test_balanced_keeps_max_cond(self, tmp_path, capsys):
+        out_path = tmp_path / "ds.jsonl"
+        code, _, _ = run_cli(capsys, "generate", "--n", "4", "--balanced", "3",
+                             "--seed", "1", "--max-cond", "0", "-o", str(out_path))
+        assert code == 0
+        samples = read_samples(out_path)
+        assert len(samples) == 6
+        assert not any(s.relations.cond_indep for s in samples)
+        assert not any("given" in s.premise for s in samples)
 
     def test_balanced_requires_seed(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--n", "3", "--balanced", "5",
@@ -183,6 +195,57 @@ class TestEvalAndScore:
         assert code == 2
         assert "malformed record x.json" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--limit", "-1", "--limit must not be negative"),
+        ("--parallel", "0", "--parallel must be at least 1")])
+    def test_bad_limit_or_parallel_exits_2(self, tmp_path, dataset, capsys,
+                                           flag, value, message):
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset),
+                               "--backend", "mock", "--out", str(out_dir),
+                               flag, value)
+        assert code == 2
+        assert message in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("parallel", ["1", "3"])
+    def test_records_written_as_samples_finish(self, tmp_path, dataset, capsys,
+                                               monkeypatch, parallel):
+        ids = [s.id for s in read_samples(dataset)]
+        real = cli.run_pipeline
+
+        def crash_on_third(sample, *args, **kwargs):
+            if sample.id == ids[2]:
+                raise RuntimeError("worker died")
+            return real(sample, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
+        out_dir = tmp_path / "run"
+        with pytest.raises(RuntimeError):
+            main(["eval", "--dataset", str(dataset), "--backend", "mock",
+                  "--out", str(out_dir), "--record", "--parallel", parallel])
+        records = out_dir / "records"
+        assert sorted(p.name for p in records.iterdir()) == sorted(
+            f"{i}.json" for i in ids[:2])
+        for i in ids[:2]:
+            assert json.loads((records / f"{i}.json").read_text())["correct"]
+        assert not list(out_dir.rglob("*.tmp"))
+
+    def test_parallel_records_match_serial(self, tmp_path, dataset, capsys):
+        runs = {}
+        for parallel in ("1", "3"):
+            out_dir = tmp_path / parallel
+            code, _, _ = run_cli(capsys, "eval", "--dataset", str(dataset),
+                                 "--backend", "mock", "--out", str(out_dir),
+                                 "--parallel", parallel)
+            assert code == 0
+            runs[parallel] = {}
+            for path in (out_dir / "records").iterdir():
+                record = json.loads(path.read_text())
+                record.pop("elapsed_ms")
+                runs[parallel][path.name] = record
+        assert runs["1"] == runs["3"] and len(runs["1"]) == 8
+
     def test_missing_auth_env_fails_before_request(self, tmp_path, dataset,
                                                    capsys, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN", raising=False)
@@ -219,6 +282,30 @@ class TestConfigFile:
                                "--fixture", "junk-food", "--format", "text")
         assert code == 0
         assert "Step 9  answer: Yes" in out
+
+    def test_equals_form_applies_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1,
+                                   "defaults": {"format": "json"}}))
+        code, out, _ = run_cli(capsys, f"--config={cfg}", "solve",
+                               "--fixture", "junk-food")
+        assert code == 0
+        assert json.loads(out)["step_8"] == JUNK_FOOD_STEP_8
+
+    def test_config_without_path_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--fixture", "junk-food", "--config"])
+        assert err.value.code == 2
+        assert "--config: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["{not json", "[1, 2]"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        code, _, err = run_cli(capsys, "--config", str(cfg), "solve",
+                               "--fixture", "junk-food")
+        assert code == 2
+        assert f"config file {cfg}" in err
 
     def test_bad_version_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -124,6 +124,13 @@ class TestSteps:
         assert trace_correct.final.oriented_colliders() == v_structures(dag)
         assert trace_literal.final.oriented_colliders() != v_structures(dag)
 
+    def test_candidates_from_mapping_inverts_to_mapping(self, five_var):
+        trace = run_c2p(five_var.relations)
+        for cands in (trace.step_6, trace.step_7):
+            mapping = cands.to_mapping()
+            back = ColliderCandidates.from_mapping(mapping, five_var.variables)
+            assert back == cands and back.to_mapping() == mapping
+
     def test_filter_unknown_mode(self, five_var):
         cands = candidate_pairs(initial_matrix(five_var.variables))
         with pytest.raises(ConfigError):

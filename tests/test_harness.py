@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -352,6 +353,40 @@ class TestMetrics:
         with pytest.raises(UsageError):
             score([])
 
+
+
+# sha256 of the mock oracle's output for ``balanced_n3``: the few-shot
+# bundle, and per mode the transcripts plus the records without their timing.
+# Any change to a step reply, a prompt or the grading shows here.
+GOLDEN_BUNDLE = "fe8c05bb3a12869c18d6e8aa990ea6ae59fae28c3e0df7abe50a73a79c39ebea"
+GOLDEN_MOCK = {
+    MODE_STEP_BY_STEP: "af8fddb80f30f592a77c5593556306e9ba24608b6462352f9e9628ee28c64301",
+    MODE_FEW_SHOT: "ba015fe57e96a4a78f4c61dae558be254aa241f016b85c622a8793694ba13925",
+    MODE_BASELINE_COT: "f11cdd8097f677a0360d81949c7a878be75512c580622575c6455bf74bf3c276",
+}
+
+
+def mock_output_digest(samples, mode, directory) -> str:
+    recorder = RecordingBackend(MockBackend(), directory)
+    records = run_batch(samples, BackendConfig(), mode, backend=recorder)
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + path.read_bytes())
+    for r in records:
+        d = r.as_dict()
+        d.pop("elapsed_ms")
+        h.update(json.dumps(d, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestGoldenOutput:
+    def test_few_shot_bundle(self):
+        assert hashlib.sha256(few_shot_bundle().encode()).hexdigest() == GOLDEN_BUNDLE
+
+    @pytest.mark.parametrize("mode", [MODE_STEP_BY_STEP, MODE_FEW_SHOT,
+                                      MODE_BASELINE_COT])
+    def test_mock_transcripts_and_records(self, tmp_path, balanced_n3, mode):
+        assert mock_output_digest(balanced_n3, mode, tmp_path) == GOLDEN_MOCK[mode]
 
 
 class TestRecordSerialization:
