@@ -132,7 +132,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     if defaults:
         # config-file defaults; explicit flags still win at parse time
-        for p in (parser, gen, sol, ev, sc):
+        parsers = (parser, gen, sol, ev, sc)
+        known = {a.dest for p in parsers for a in p._actions}
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            raise ConfigError("config 'defaults' names no option of any command: "
+                              + ", ".join(map(repr, unknown)))
+        for p in parsers:
             p.set_defaults(**defaults)
     return parser
 

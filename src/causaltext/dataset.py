@@ -15,13 +15,15 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BoundsError, CapacityError, ConfigError, ResourceError
-from .graphs import Dag, Mec, mec_index
-from .hypotheses import NO, YES, Hypothesis, HypothesisKind, label_against_mec
+from .graphs import Dag, _ancestor_mask, mec_digest, mec_index
+from .hypotheses import NO, YES, Hypothesis, HypothesisKind
+from .matrix import _bits
 from .parsing import (THEMES, PremiseDoc, parse_hypothesis, parse_premise,
                       render_hypothesis, render_premise)
 from .relations import RelationSet, relations_from_dag
@@ -42,10 +44,6 @@ DIRECTIONAL_KINDS = (
     HypothesisKind.INDIRECT_CAUSE,
     HypothesisKind.CAUSE,
 )
-
-RECORD_FIELDS = ("id", "n_vars", "premise", "hypothesis", "label", "kind",
-                 "mec_digest", "style", "schema_version")
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -93,6 +91,43 @@ def _style_tag(style: str, theme: str | None) -> str:
     return f"story:{theme or 'health'}"
 
 
+def class_labels(n: int, masks: Iterable[int]) -> dict[HypothesisKind, list[int]]:
+    """Which claims hold in every member of a class, as row bitmasks.
+
+    ``masks`` are the members' edge bitmasks (edge ``i -> j`` at bit
+    ``i*n + j``). Bit ``j`` of ``holds[kind][i]`` is set iff the claim
+    ``(kind, i, j)`` holds in every member, so it equals
+    ``label_against_mec`` on the class for every claim at once.
+    """
+    full = (1 << n) - 1
+    nodes = range(n)
+    direct, indirect, cause = [full] * n, [full] * n, [full] * n
+    effect, common = [full] * n, [full] * n
+    for m in masks:
+        ch = [m >> i * n & full for i in nodes]
+        pa = [0] * n
+        for i in nodes:
+            for c in _bits(ch[i]):
+                pa[c] |= 1 << i
+        for i in nodes:
+            grandchildren = co_parents = siblings = 0
+            for c in _bits(ch[i]):
+                grandchildren |= ch[c]
+                co_parents |= pa[c]
+            for p in _bits(pa[i]):
+                siblings |= ch[p]
+            # reached through a child: the ends of directed paths of length >= 2
+            through = _ancestor_mask(ch, grandchildren)
+            direct[i] &= ch[i]
+            indirect[i] &= through
+            cause[i] &= ch[i] | through
+            effect[i] &= co_parents & ~(1 << i)
+            common[i] &= siblings & ~(1 << i)
+    return {HypothesisKind.DIRECT_CAUSE: direct, HypothesisKind.INDIRECT_CAUSE: indirect,
+            HypothesisKind.CAUSE: cause, HypothesisKind.COMMON_EFFECT: effect,
+            HypothesisKind.COMMON_CAUSE: common}
+
+
 def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
              style: str = "symbolic", theme: str | None = None,
              max_cond: int | None = None, minimal: bool = True,
@@ -102,6 +137,8 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     ``order="canonical"`` walks classes and claims deterministically;
     ``order="shuffled"`` visits them in a seeded random order, which lets a
     consumer draw a balanced subset without labeling the whole universe.
+    Each class is labelled once (``class_labels``) and each claim's sentence
+    is rendered once per call, so a row costs a bit test and a string join.
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
@@ -129,22 +166,29 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     elif style != "symbolic":
         raise ConfigError(f"unknown style {style!r}")
 
+    claims = []
+    for kind, i, j in _hypothesis_slots(n, kinds):
+        h = Hypothesis(kind, table.label(i), table.label(j))
+        claims.append((kind, kind.value, i, j, h, render_hypothesis(h, table, names),
+                       f"{kind.value}-{h.subject}{h.object}-{tag}"))
     for g in group_order:
-        members = tuple(Dag.from_mask(n, int(m)) for m in idx.member_masks(int(g)))
-        mec = Mec(n, idx.skeleton_set(int(g)), idx.vstruct_set(int(g)), members)
-        rels = relations_from_dag(members[0], table, max_cond=max_cond, minimal=minimal)
-        doc = PremiseDoc("", table, rels)
-        premise = render_premise(doc, style, theme=theme, names=names)
-        digest = mec.digest()
-        slots = _hypothesis_slots(n, kinds)
+        g = int(g)
+        masks = idx.member_masks(g).tolist()
+        holds = class_labels(n, masks)
+        rels = relations_from_dag(Dag.from_mask(n, masks[0]), table,
+                                  max_cond=max_cond, minimal=minimal)
+        premise = render_premise(PremiseDoc("", table, rels), style, theme=theme,
+                                 names=names)
+        digest = mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g))
+        prefix = f"{n}v-{digest[:10]}-"
+        slots = claims
         if rng is not None:
+            slots = list(claims)
             rng.shuffle(slots)
-        for kind, i, j in slots:
-            h = Hypothesis(kind, table.label(i), table.label(j))
-            label = label_against_mec(h, mec, table)
-            text = render_hypothesis(h, table, names)
-            sid = f"{n}v-{digest[:10]}-{kind.value}-{table.label(i)}{table.label(j)}-{tag}"
-            yield Sample(sid, n, premise, rels, h, text, label, kind.value, digest, tag)
+        for kind, kind_name, i, j, h, text, suffix in slots:
+            label = YES if holds[kind][i] >> j & 1 else NO
+            yield Sample(prefix + suffix, n, premise, rels, h, text, label,
+                         kind_name, digest, tag)
 
 
 def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
@@ -217,12 +261,26 @@ def storyify(sample: Sample, theme: str = "health",
 
 
 def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> int:
-    """Write one JSON record per line; returns the number of rows."""
+    """Write one JSON record per line; returns the number of rows.
+
+    Each line is ``json.dumps(s.record())`` byte for byte, joined from the
+    fields' encodings; a premise shared with the previous row is reused,
+    not encoded again.
+    """
     opener = gzip_mod.open if gzip else open
     count = 0
+    premise = premise_json = None
     with opener(path, "wt", encoding="utf-8") as fh:
         for s in samples:
-            fh.write(json.dumps(s.record()) + "\n")
+            if s.premise != premise:
+                premise, premise_json = s.premise, _json_str(s.premise)
+            fh.write(f'{{"id": {_json_str(s.id)}, "n_vars": {s.n_vars}, '
+                     f'"premise": {premise_json}, '
+                     f'"hypothesis": {_json_str(s.hypothesis_text)}, '
+                     f'"label": {_json_str(s.label)}, "kind": {_json_str(s.kind)}, '
+                     f'"mec_digest": {_json_str(s.mec_digest)}, '
+                     f'"style": {_json_str(s.style)}, '
+                     f'"schema_version": {s.schema_version}}}\n')
             count += 1
     return count
 

@@ -277,6 +277,13 @@ def v_structures(dag: Dag) -> frozenset[tuple[int, int, int]]:
     return frozenset(out)
 
 
+def mec_digest(n: int, skel: Iterable[tuple[int, int]],
+               vstructs: Iterable[tuple[int, int, int]]) -> str:
+    """Stable short hash of an equivalence-class key (``Mec.digest``)."""
+    payload = f"{n}|{sorted(skel)}|{sorted(vstructs)}"
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class Mec:
     """A Markov equivalence class: its identifying key plus all member DAGs."""
@@ -299,8 +306,7 @@ class Mec:
 
     def digest(self) -> str:
         """Stable short hash of the class key, used as a dataset field."""
-        payload = f"{self.n}|{sorted(self.skeleton)}|{sorted(self.vstructs)}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return mec_digest(self.n, self.skeleton, self.vstructs)
 
     def cpdag(self, vars: VariableTable | None = None) -> AdjMatrix:
         """Matrix encoding: v-structure edges oriented, all others undirected."""

@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import json
 
 import pytest
@@ -126,6 +128,34 @@ class TestGenerate:
                                  "--seed", "7", "-o", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+DATASET_FORMS = {"canonical": (), "balanced": ("--balanced", "10", "--seed", "3"),
+                 "story": ("--style", "story")}
+# sha256 of the dataset bytes, pinned from the output of the row-by-row
+# labelling (every claim checked in every member DAG) that class labels replaced
+GOLDEN_DATASETS = {
+    ("3", "canonical"): "6a8ab95bc4f84cde17b5e3ab5332efa8743effcf903dce4cb0a8aa57946fdb6f",
+    ("3", "balanced"): "e3277727ad0db838e82121814c38f63fb69cb5ad7341f1e72aa30b3f9853bb5d",
+    ("3", "story"): "921c3896dbe23dd49bdbe437023b55216f39ae8aeae006be73a405cb3c12f8e0",
+    ("4", "canonical"): "e809d40e5d4864c7311d1bef25bba23840882d660086758eb921a3a87022566e",
+    ("4", "balanced"): "5a704a665d427dd8aa080b18624a294d3d496d662b6d8deb6add2fea6edaf11b",
+    ("4", "story"): "1315c764736779280577db76c6a5b6c9d364140b0f04cc4964f7efc50a9b2b57",
+}
+
+
+class TestGoldenDatasets:
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("n,form", list(GOLDEN_DATASETS))
+    def test_generate_bytes(self, tmp_path, capsys, n, form, compress):
+        out_path = tmp_path / ("ds.jsonl.gz" if compress else "ds.jsonl")
+        code, _, _ = run_cli(capsys, "generate", "--n", n, *DATASET_FORMS[form],
+                             "-o", str(out_path), *(["--gzip"] if compress else []))
+        assert code == 0
+        data = out_path.read_bytes()
+        if compress:  # the gzip header carries an mtime: compare the content
+            data = gzip.decompress(data)
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_DATASETS[n, form]
 
 
 class TestEvalAndScore:
@@ -306,6 +336,23 @@ class TestConfigFile:
                                "--fixture", "junk-food")
         assert code == 2
         assert f"config file {cfg}" in err
+
+    def test_unknown_default_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "defaults": {"fromat": "json"}}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "solve",
+                                 "--fixture", "junk-food")
+        assert code == 2
+        assert "'fromat'" in err and not out
+
+    def test_key_of_another_command_is_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1,
+                                   "defaults": {"format": "json", "gzip": True}}))
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "solve",
+                               "--fixture", "junk-food")
+        assert code == 0
+        assert json.loads(out)["step_8"] == JUNK_FOOD_STEP_8
 
     def test_bad_version_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,16 +1,18 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from causaltext.dataset import (balanced_generate, generate, read_samples,
-                                storyify, write_samples)
+from causaltext.dataset import (Sample, balanced_generate, class_labels,
+                                generate, read_samples, storyify, write_samples)
 from causaltext.errors import (BoundsError, CapacityError, ConfigError,
                                ResourceError)
 from causaltext.fixtures import THREE_VAR_PREMISE
-from causaltext.graphs import enumerate_dags, group_mecs
-from causaltext.hypotheses import NO, YES, HypothesisKind, holds_in_dag
+from causaltext.graphs import Dag, Mec, enumerate_dags, group_mecs, mec_index
+from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
+                                   holds_in_dag, label_against_mec)
 from causaltext.parsing import parse_hypothesis, parse_premise
 from causaltext.variables import VariableTable
 
@@ -111,6 +113,28 @@ class TestLabelSoundness:
                 == sample.hypothesis
 
 
+class TestClassLabels:
+    @pytest.mark.parametrize("n,every", [(2, 1), (3, 1), (4, 1), (5, 20)])
+    def test_equals_label_against_mec(self, n, every):
+        # every (kind, i, j), symmetric kinds in both orders, against the oracle
+        idx = mec_index(n)
+        table = VariableTable.letters(n)
+        for g in range(0, idx.group_count, every):
+            masks = idx.member_masks(g).tolist()
+            mec = Mec(n, idx.skeleton_set(g), idx.vstruct_set(g),
+                      tuple(Dag.from_mask(n, m) for m in masks))
+            holds = class_labels(n, masks)
+            for kind in HypothesisKind:
+                for i in range(n):
+                    assert not holds[kind][i] >> i & 1
+                    for j in range(n):
+                        if i == j:
+                            continue
+                        h = Hypothesis(kind, table.label(i), table.label(j))
+                        got = YES if holds[kind][i] >> j & 1 else NO
+                        assert got == label_against_mec(h, mec, table), (g, h)
+
+
 class TestBalancedGenerate:
     def test_shape_and_determinism(self):
         a = balanced_generate([3, 4], 4, seed=7)
@@ -182,6 +206,22 @@ class TestPersistence:
         path = tmp_path / "ds.jsonl.gz"
         write_samples(path, n3_samples[:10], gzip=True)
         assert len(read_samples(path)) == 10
+
+    def test_lines_equal_json_dumps(self, tmp_path, n3_samples):
+        odd = ['say "hi"', "back\\slash", "ctl\x00\x1f\t\n\r\x7f",
+               "caf\u00e9 \u2192 \U0001F600", "</script>", ""]
+        base = n3_samples[0]
+        # the same premise object, then an equal copy of it
+        samples = [base, base, replace(base, premise="".join(list(base.premise)))]
+        for k, text in enumerate(odd):
+            samples.append(Sample(f"id-{text}", 3 + k, text, base.relations,
+                                  base.hypothesis, text + "?", text, text, text,
+                                  text, k))
+            samples.append(replace(samples[-1], premise=text + "!"))
+        path = tmp_path / "ds.jsonl"
+        assert write_samples(path, samples) == len(samples)
+        assert path.read_bytes() == "".join(
+            json.dumps(s.record()) + "\n" for s in samples).encode("utf-8")
 
     def test_record_field_order(self, tmp_path, n3_samples):
         path = tmp_path / "ds.jsonl"
