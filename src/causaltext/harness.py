@@ -29,7 +29,7 @@ from .errors import (BackendError, ConfigError, TransportError, UsageError)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, NO, YES, binary_answer,
                          evaluate_on_pdag)
 from .matrix import AdjMatrix
-from .parsing import parse_hypothesis, parse_premise
+from .parsing import PremiseDoc, parse_hypothesis, parse_premise
 from .pipeline import solve_doc
 from .prompts import (PromptContext, extract_sections, identify_step,
                       is_cot_prompt, is_few_shot_prompt, render_cot,
@@ -251,8 +251,9 @@ def write_json_atomic(path: str, data) -> None:
     """Write ``data`` as JSON beside ``path`` and move it into place, so a
     crash never leaves a partial file."""
     tmp = path + ".tmp"
+    text = json.dumps(data, indent=1)  # one write, not one per token
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -261,13 +262,18 @@ class MockBackend:
 
     The reply is computed from the prompt text alone (premise, matrices, and
     lists are read back out of the rendered sections), so the full
-    render/transport/parse path is exercised without any network.
+    render/transport/parse path is exercised without any network. Steps 1,
+    2 and 9 of one sample share one parse of its premise.
     """
 
     def __init__(self, options: EngineOptions | None = None,
                  eval_mode: str = MODE_EXTENSION_QUANTIFIED):
         self.options = options or EngineOptions()
         self.eval_mode = eval_mode
+        # ((sample_id, premise text), PremiseDoc) of the last parse; one tuple,
+        # read and replaced whole, so a thread never pairs a key with another
+        # sample's doc
+        self._last_parse = (None, None)
 
     def complete(self, messages, *, sample_id=None, step=None) -> str:
         content = messages[-1]["content"] if messages else ""
@@ -280,19 +286,28 @@ class MockBackend:
         detected = identify_step(content)
         if detected is None:
             raise TransportError("oracle backend cannot identify the prompt")
+        sections = extract_sections(content)
         handler = getattr(self, f"_step_{detected}")
-        return handler(extract_sections(content))
+        if detected in (1, 2, 9):  # the steps whose prompt holds the premise
+            return handler(sections, self._parse(sample_id, sections["Premise"]))
+        return handler(sections)
+
+    def _parse(self, sample_id, premise: str) -> PremiseDoc:
+        key, doc = self._last_parse
+        if key != (sample_id, premise):
+            doc = parse_premise(premise)
+            self._last_parse = ((sample_id, premise), doc)
+        return doc
 
     # step handlers -------------------------------------------------------
 
-    def _step_1(self, sections) -> str:
-        table = parse_premise(sections["Premise"]).variables
+    def _step_1(self, sections, doc: PremiseDoc) -> str:
+        table = doc.variables
         return ("Here is the extraction.\n"
                 + step_reply(1, {"count": len(table), "names": list(table.names)}))
 
-    def _step_2(self, sections) -> str:
-        relations = parse_premise(sections["Premise"]).relations
-        return "All of Statistical Relations:\n" + step_reply(2, relations.as_dict())
+    def _step_2(self, sections, doc: PremiseDoc) -> str:
+        return "All of Statistical Relations:\n" + step_reply(2, doc.relations.as_dict())
 
     def _step_3(self, sections) -> str:
         names = json.loads(sections["Random variables"])
@@ -342,8 +357,7 @@ class MockBackend:
         out = orient_colliders(matrix, cands)
         return "Final adjacency matrix:\n" + step_reply(8, out.to_mapping())
 
-    def _step_9(self, sections) -> str:
-        doc = parse_premise(sections["Premise"])
+    def _step_9(self, sections, doc: PremiseDoc) -> str:
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]),
                                         vars=doc.variables)
         h = parse_hypothesis(sections["Hypothesis"], doc.variables)
@@ -695,9 +709,10 @@ class EvalRecord:
 
 
 def _reference_steps(sample, options: EngineOptions, eval_mode: str) -> dict:
-    """The engine's solve report for a sample: what every step is graded against."""
-    return solve_doc(parse_premise(sample.premise), sample.hypothesis_text,
-                     options, eval_mode).report()
+    """The engine's solve report for a sample: what every step is graded
+    against. It reads the relations and claim the sample already holds."""
+    doc = PremiseDoc(sample.premise, sample.relations.vars, sample.relations)
+    return solve_doc(doc, sample.hypothesis, options, eval_mode).report()
 
 
 def _match_step(step: int, parsed, ref) -> bool:

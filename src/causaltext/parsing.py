@@ -91,6 +91,7 @@ _HEADER_FACTORS = re.compile(
 _HEADER_ALIASES = re.compile(
     r"^(?P<list>.+\([A-Za-z][A-Za-z0-9]*\))\s+have relations? with each other$", re.I)
 _ALIAS_ENTRY = re.compile(r"^(?P<name>.+?)\s*\((?P<label>[A-Za-z][A-Za-z0-9]*)\)$")
+_AND_RE = re.compile(r"\s+and\s+")
 
 
 def _sentences(text: str):
@@ -117,7 +118,7 @@ def _split_names(listing: str) -> list[str]:
             chunk = chunk[4:].strip()
         if not chunk:
             continue
-        out.extend(p.strip() for p in re.split(r"\s+and\s+", chunk) if p.strip())
+        out.extend(p.strip() for p in _AND_RE.split(chunk) if p.strip())
     return out
 
 
@@ -137,6 +138,13 @@ class _Scan:
 
     def add_label(self, label: str, alias: str | None = None):
         if label not in self.labels:
+            # mentions resolve case-insensitively, so "a" and "A" cannot
+            # both name a variable
+            low = label.lower()
+            for other in self.labels:
+                if other.lower() == low:
+                    raise ConsistencyError(
+                        f"variable labels {other!r} and {label!r} differ only in case")
             self.labels.append(label)
         if alias is not None:
             self.aliases[label] = alias
@@ -163,20 +171,25 @@ class _Scan:
 
 
 def _mention_pattern(scan: _Scan) -> str:
-    if not scan.declared_header:
-        return r"[A-Za-z][A-Za-z0-9]*"
+    """Alternation of every declared label and alias, longest first."""
     mentions = list(scan.labels) + list(scan.aliases.values())
     mentions.sort(key=len, reverse=True)
     return "(?:" + "|".join(re.escape(m) for m in mentions) + ")"
 
 
-def _statement_patterns(mention: str) -> list[tuple[str, re.Pattern]]:
+_CORR_BETWEEN = re.compile(
+    r"^there (?:is|exists) a correlation between (?P<body>.+)$", re.I)
+_CORR_SPLIT = re.compile(r",?\s+and between\s+", re.I)
+
+
+def _statement_patterns(mention: str) -> tuple[list[tuple[str, re.Pattern]], re.Pattern]:
+    """The six statement patterns over one mention alternation, and the pair
+    pattern that splits the body of a ``corr_between`` statement."""
     m = mention
-    return [
+    patterns = [
         ("corr_with", re.compile(
             rf"^(?P<x>{m}) (?:correlates|is correlated) with (?P<y>{m})$", re.I)),
-        ("corr_between", re.compile(
-            r"^there (?:is|exists) a correlation between (?P<body>.+)$", re.I)),
+        ("corr_between", _CORR_BETWEEN),
         ("indep_given", re.compile(
             rf"^(?P<x>{m}) and (?P<y>{m}) are (?:conditionally )?independent"
             rf" given (?P<given>.+)$", re.I)),
@@ -188,21 +201,24 @@ def _statement_patterns(mention: str) -> list[tuple[str, re.Pattern]]:
         ("cause_of", re.compile(
             rf"^(?P<x>{m}) is the cause of (?P<y>{m})$", re.I)),
     ]
+    return patterns, re.compile(rf"^(?P<x>{m}) and (?P<y>{m})$", re.I)
 
 
-def _parse_statement(scan: _Scan, body: str) -> bool:
+# Without a header any label-shaped word is a mention.
+_FREE_PATTERNS = _statement_patterns(r"[A-Za-z][A-Za-z0-9]*")
+
+
+def _parse_statement(scan: _Scan, body: str, patterns) -> bool:
     body = _PREFIX_RE.sub("", body)
-    mention = _mention_pattern(scan)
-    for name, pat in _statement_patterns(mention):
+    statements, pair_pat = patterns
+    for name, pat in statements:
         hit = pat.match(body)
         if not hit:
             continue
         if name == "corr_with":
             scan.deps.add(scan.pair(hit["x"], hit["y"]))
         elif name == "corr_between":
-            pieces = re.split(r",?\s+and between\s+", hit["body"], flags=re.I)
-            pair_pat = re.compile(rf"^(?P<x>{mention}) and (?P<y>{mention})$", re.I)
-            for piece in pieces:
+            for piece in _CORR_SPLIT.split(hit["body"]):
                 sub = pair_pat.match(piece.strip())
                 if not sub:
                     raise ConsistencyError(f"cannot split correlation pair: {piece.strip()!r}")
@@ -295,9 +311,12 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
                 pending.append((start, end, rest))
         else:
             pending.append((start, end, body))
+    # every declaration is in, so the mentions are fixed from here on
+    patterns = (_statement_patterns(_mention_pattern(scan)) if scan.declared_header
+                else _FREE_PATTERNS)
     for start, end, body in pending:
         try:
-            if _parse_statement(scan, body):
+            if _parse_statement(scan, body, patterns):
                 scan.parsed += 1
             else:
                 scan.problems.append((start, end, f"unrecognized sentence: {body!r}"))

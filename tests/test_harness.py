@@ -1,12 +1,15 @@
 import hashlib
 import http.server
 import json
+import sys
 import threading
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltext import harness, pipeline
 from causaltext.dataset import balanced_generate, generate
 from causaltext.errors import (BackendError, ConfigError, TemplateError,
                                TransportError, UsageError)
@@ -144,6 +147,67 @@ class TestMockClosure:
         parallel = run_batch(balanced_n3, BackendConfig(), MODE_STEP_BY_STEP,
                              parallelism=4)
         assert stripped(serial) == stripped(parallel)
+
+    @pytest.mark.parametrize("mode", [MODE_STEP_BY_STEP, MODE_FEW_SHOT,
+                                      MODE_BASELINE_COT])
+    def test_each_sample_parses_its_premise_once(self, balanced_n3, mode,
+                                                 monkeypatch):
+        # The grading reference reads the relations and claim the sample
+        # holds, so the one parse left is the mock's read of the prompt.
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (harness, pipeline):
+            for name in ("parse_premise", "parse_hypothesis"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for sample in balanced_n3:
+            calls.clear()
+            record = run_pipeline(sample, BackendConfig(), mode)
+            assert record.correct and record.error is None
+            assert calls.count("parse_premise") == 1
+            assert calls.count("parse_hypothesis") == 1
+
+    def test_shared_mock_under_threads(self, balanced_n3):
+        # Eight threads share one mock and its one-slot parse memo, switching
+        # as often as the interpreter allows, and walk the same prompts in
+        # step so that two often ask for one key; every reply must be the one
+        # a fresh mock gives for that prompt.
+        jobs, seen = [], set()
+        for sample in [*balanced_n3, *islice(generate(4), 0, None, 1111)]:
+            if sample.premise in seen:
+                continue
+            seen.add(sample.premise)
+            ctx = PromptContext(sample.premise, sample.hypothesis_text)
+            names = list(sample.relations.vars.names)
+            for step, prior in ((1, {}), (2, {1: {"count": len(names), "names": names}})):
+                prompt = [{"role": "user", "content": render_prompt(step, ctx, prior)}]
+                want = MockBackend().complete(prompt, sample_id=sample.id)
+                jobs.append((sample.id, prompt, want))
+        shared, wrong = MockBackend(), []
+
+        def worker(offset):
+            for k in range(400):
+                sid, prompt, want = jobs[(offset + k) % len(jobs)]
+                if shared.complete(prompt, sample_id=sid) != want:
+                    wrong.append(sid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i % 2,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class AlwaysYesBackend:

@@ -1,10 +1,14 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltext.dataset import generate
 from causaltext.errors import (ConsistencyError, PremiseParseError,
-                               ResourceError)
-from causaltext.fixtures import THREE_VAR_PREMISE, smbh_doc
+                               ResourceError, UnknownVariableError)
+from causaltext.fixtures import FIXTURES, THREE_VAR_PREMISE, smbh_doc
 from causaltext.hypotheses import Hypothesis, HypothesisKind
 from causaltext.parsing import (PremiseDoc, parse_hypothesis, parse_premise,
                                 render_hypothesis, render_premise,
@@ -67,6 +71,18 @@ class TestParsePremise:
                 "A correlates with Q.")
         with pytest.raises(PremiseParseError):
             parse_premise(text)
+
+    @pytest.mark.parametrize("header", [
+        "Suppose there is a closed system of 3 variables, a, A and B.",
+        "rain (a), wind (A) and sun (B) have relations with each other.",
+    ])
+    def test_labels_differing_only_in_case_rejected(self, header):
+        # Mentions resolve case-insensitively, so "A" would name "a" here.
+        text = header + " A correlates with B. However, a is independent of B."
+        with pytest.raises(PremiseParseError) as err:
+            parse_premise(text)
+        assert err.value.problems == [
+            (0, len(header), "variable labels 'a' and 'A' differ only in case")]
 
     def test_sentence_accounting(self):
         text = ("A correlates with B. Gibberish here. B is independent of C. "
@@ -199,3 +215,121 @@ class TestRoundTripProperties:
     def test_story_roundtrip(self, doc, theme):
         rendered = render_premise(doc, "story", theme=theme)
         assert parse_premise(rendered).relations == doc.relations
+
+
+# Premises the grammar must reject, each with the problem it shows: unknown
+# mentions, self-pairs, empty conditioning lists, count mismatches,
+# unsplittable correlation lists, unrecognized sentences and inline statements
+# after "as follows:". The golden digest pins every span and message.
+_HEADER2 = "Suppose there is a closed system of 2 variables, A and B. "
+_HEADER3 = "Suppose there is a closed system of 3 variables, A, B and C. "
+_AS_FOLLOWS = "All statistical relations among these 3 variables are as follows: "
+MALFORMED_PREMISES = (
+    "",
+    "   ",
+    "Hello there.",
+    "A loves B.",
+    "Does A correlate with B?",
+    "A loves B. C hates D. A correlates with A.",
+    _HEADER2 + "A correlates with C.",
+    _HEADER3 + "A and B are independent given D.",
+    _HEADER3 + "There is a correlation between A and D.",
+    "x (A) and y (B) have relations with each other. x correlates with z.",
+    "Let's consider two factors: rain and wind. rain correlates with sun.",
+    "A correlates with A.",
+    _HEADER2 + "A is independent of A.",
+    "A is the cause of A.",
+    "a and A are independent from each other.",
+    "A and B are independent given ,.",
+    _HEADER3 + "A and B are independent given , and.",
+    "Suppose there is a closed system of 3 variables, A and B.",
+    "Suppose there is a closed system of 2 variables, A, B and C. A correlates with B.",
+    "Let's consider three factors: rain and wind.",
+    "Let's consider 2 factors: rain, wind and sun.",
+    "There is a correlation between A, B.",
+    "There is a correlation between A and B, and between C.",
+    _HEADER3 + _AS_FOLLOWS + "A loves C. B correlates with C.",
+    _HEADER3 + _AS_FOLLOWS + "A correlates with D.",
+    _HEADER3 + _AS_FOLLOWS + "A and B are independent given ,.",
+    "Suppose there is a closed system of 2 variables, A and A.",
+    "Suppose there is a closed system of 2 variables, A and B-1.",
+    "running, sleeping (B) have relations with each other.",
+    "x (A) and y (A) have relations with each other.",
+    "All statistical relations among these 0 variables are as follows.",
+    "A correlates with B. A is independent of B.",
+    "A is the cause of B. B is the cause of A.",
+    "A and B are independent given A.",
+    _HEADER2 + "However, moreover, A correlates with B.",
+)
+
+MALFORMED_HYPOTHESES = ("", "   ?", "A loves C.", "A directly affects Q.",
+                        "Does A cause A indirectly?")
+
+
+def _parse_outcome(parse, *args) -> dict:
+    try:
+        doc = parse(*args)
+    except PremiseParseError as exc:
+        return {"error": "PremiseParseError", "problems": exc.problems}
+    except (ConsistencyError, UnknownVariableError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(doc, Hypothesis):
+        return {"hypothesis": [doc.kind.value, doc.subject, doc.object]}
+    return {"names": doc.variables.names,
+            "aliases": sorted(doc.variables.aliases.items()),
+            "relations": doc.relations.as_dict(), "provenance": doc.provenance}
+
+
+def _outcome_digest(outcomes) -> str:
+    h = hashlib.sha256()
+    for outcome in outcomes:
+        h.update(json.dumps(outcome, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _class_outcomes(style: str):
+    """Every distinct premise of every class at n=2..4 and every distinct
+    claim sentence, parsed against the variables of the first premise."""
+    for n in (2, 3, 4):
+        premises, claims = {}, {}
+        for s in generate(n, style=style):
+            premises.setdefault(s.premise, None)
+            claims.setdefault(s.hypothesis_text, None)
+        for premise in premises:
+            yield _parse_outcome(parse_premise, premise)
+        table = parse_premise(next(iter(premises))).variables
+        for claim in claims:
+            yield _parse_outcome(parse_hypothesis, claim, table)
+
+
+class TestParserGolden:
+    """sha256 over every parse outcome, pinned from the output of the parser
+    before its patterns were built once per premise: variables, relations and
+    provenance of each accepted premise, and error type with every span and
+    message of each rejected one."""
+
+    @pytest.mark.parametrize("style, digest", [
+        ("symbolic", "e42494962f1f682564c3b8eeead714e9d4a55506bc9f977ebea116576a427578"),
+        ("story", "4b83da1d6bfb55403f63736011855dfe46ba938ee75c92c3b3c07495f2304277"),
+    ])
+    def test_every_class_up_to_four(self, style, digest):
+        assert _outcome_digest(_class_outcomes(style)) == digest
+
+    def test_fixtures(self):
+        outcomes = []
+        for name in sorted(FIXTURES):
+            make_doc, hypothesis = FIXTURES[name]
+            doc = make_doc()
+            outcomes.append(_parse_outcome(parse_premise, doc.raw_text))
+            outcomes.append(_parse_outcome(parse_hypothesis, hypothesis, doc.variables))
+        assert _outcome_digest(outcomes) == ("2eb56b607f67f03944ebe2f1c5e978d00c6e9b5d"
+                                           "03013a19c32bd2b31e967711")
+
+    def test_malformed(self):
+        table = VariableTable.letters(3)
+        outcomes = [_parse_outcome(parse_premise, text) for text in MALFORMED_PREMISES]
+        outcomes += [_parse_outcome(parse_hypothesis, text, table)
+                     for text in MALFORMED_HYPOTHESES]
+        assert all("error" in o for o in outcomes[:len(MALFORMED_PREMISES) - 1])
+        assert _outcome_digest(outcomes) == ("d9dbaf4286a44e09efc0c29b1981e6bb"
+                                           "bfc042cd26d88052e9ff00b80be616c6")
