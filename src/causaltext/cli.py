@@ -154,6 +154,8 @@ def cmd_generate(args) -> int:
         raise UsageError("--balanced sampling requires --seed")
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must not be negative")
+    if args.balanced is not None and args.balanced < 0:
+        raise UsageError("--balanced must not be negative")
     kinds = None
     if args.kinds:
         kinds = [HypothesisKind(k.strip()) for k in args.kinds.split(",") if k.strip()]
@@ -288,7 +290,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--parallel must be at least 1")
     options = EngineOptions(collider_filter=args.collider_filter,
                             propagate=args.propagate)
-    samples = read_samples(args.dataset)[:args.limit]
+    samples = read_samples(args.dataset, limit=args.limit)
     if not samples:
         raise UsageError(f"dataset {args.dataset} holds no samples")
     os.makedirs(args.out, exist_ok=True)

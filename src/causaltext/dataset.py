@@ -204,6 +204,8 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
     """
     if seed is None:
         raise ConfigError("a seed is required for balanced generation")
+    if per_cell < 0:
+        raise BoundsError(f"samples per cell must not be negative, got {per_cell}")
     out: list[Sample] = []
     for n in sorted(set(ns)):
         needed = {YES: per_cell, NO: per_cell}
@@ -285,20 +287,28 @@ def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> int:
     return count
 
 
-def read_samples(path) -> list[Sample]:
-    """Load records, re-deriving relations and hypotheses from their text."""
+def read_samples(path, limit: int | None = None) -> list[Sample]:
+    """Load records, re-deriving relations and hypotheses from their text.
+
+    Reading stops after ``limit`` records. A premise equal to the previous
+    row's is not parsed again: the row reuses that row's document.
+    """
     text_opener = gzip_mod.open if str(path).endswith(".gz") else open
-    out = []
+    out: list[Sample] = []
+    premise = doc = None
     with text_opener(path, "rt", encoding="utf-8") as fh:
         for line in fh:
+            if limit is not None and len(out) >= limit:
+                break
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            doc = parse_premise(rec["premise"])
+            if rec["premise"] != premise:
+                premise, doc = rec["premise"], parse_premise(rec["premise"])
             h = parse_hypothesis(rec["hypothesis"], doc.variables)
             out.append(Sample(
-                id=rec["id"], n_vars=rec["n_vars"], premise=rec["premise"],
+                id=rec["id"], n_vars=rec["n_vars"], premise=premise,
                 relations=doc.relations, hypothesis=h,
                 hypothesis_text=rec["hypothesis"], label=rec["label"],
                 kind=rec["kind"], mec_digest=rec["mec_digest"],

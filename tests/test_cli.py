@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from causaltext import cli
+from causaltext import cli, dataset
 from causaltext.cli import main
-from causaltext.dataset import read_samples
+from causaltext.dataset import generate, read_samples, write_samples
 
 from conftest import (FIVE_VAR_PREMISE, FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8,
                       THREE_VAR_PREMISE)
@@ -112,6 +112,19 @@ class TestGenerate:
                                "-o", str(tmp_path / "x.jsonl"))
         assert code == 2
         assert "seed" in err
+
+    def test_negative_balanced_exits_2_before_drawing(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew from the universe")
+
+        monkeypatch.setattr(cli, "balanced_generate", no_draw)
+        out_path = tmp_path / "x.jsonl"
+        code, _, err = run_cli(capsys, "generate", "--n", "5", "--balanced", "-2",
+                               "--seed", "1", "-o", str(out_path))
+        assert code == 2
+        assert "--balanced must not be negative" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_capacity_error_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--n", "2", "--balanced", "1",
@@ -237,6 +250,26 @@ class TestEvalAndScore:
         assert code == 2
         assert message in err
         assert not out_dir.exists()
+
+    def test_limit_parses_only_the_first_rows(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ds.jsonl"
+        write_samples(path, list(generate(4))[::48])  # one row per class
+        calls = []
+        real = dataset.parse_premise
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(dataset, "parse_premise", counting)
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(capsys, "eval", "--dataset", str(path), "--backend",
+                               "mock", "--out", str(out_dir), "--limit", "5",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n_records"] == 5
+        assert len(calls) == 5
+        assert len(list((out_dir / "records").iterdir())) == 5
 
     @pytest.mark.parametrize("parallel", ["1", "3"])
     def test_records_written_as_samples_finish(self, tmp_path, dataset, capsys,

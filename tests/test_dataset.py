@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from causaltext import dataset
 from causaltext.dataset import (Sample, balanced_generate, class_labels,
                                 generate, read_samples, storyify, write_samples)
 from causaltext.errors import (BoundsError, CapacityError, ConfigError,
@@ -145,6 +146,14 @@ class TestBalancedGenerate:
             for label in (YES, NO):
                 assert sum(1 for s in a if s.n_vars == n and s.label == label) == 4
 
+    def test_negative_per_cell_draws_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew from the universe")
+
+        monkeypatch.setattr(dataset, "generate", no_draw)
+        with pytest.raises(BoundsError, match="must not be negative"):
+            balanced_generate([5], -2, seed=1)
+
     def test_capacity_error(self):
         # two-variable classes admit no Yes label at all
         with pytest.raises(CapacityError) as err:
@@ -201,6 +210,46 @@ class TestPersistence:
         assert [s.id for s in back] == [s.id for s in subset]
         assert [s.label for s in back] == [s.label for s in subset]
         assert all(a.relations == b.relations for a, b in zip(back, subset))
+
+    def test_premise_parsed_once_per_run(self, tmp_path, monkeypatch):
+        rows = list(generate(4))
+        a, b = rows[:10], rows[48:58]  # 48 rows per class
+        assert len({s.premise for s in a}) == len({s.premise for s in b}) == 1
+        samples = a + b + a[:5]  # three runs of equal premises
+        path = tmp_path / "ds.jsonl"
+        write_samples(path, samples)
+        # the reference parses every row
+        reference = []
+        for s in samples:
+            doc = parse_premise(s.premise)
+            reference.append(replace(s, relations=doc.relations,
+                                     hypothesis=parse_hypothesis(s.hypothesis_text,
+                                                                 doc.variables)))
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_premise(text)
+
+        monkeypatch.setattr(dataset, "parse_premise", counting)
+        assert read_samples(path) == reference
+        assert calls == [a[0].premise, b[0].premise, a[0].premise]
+
+    def test_limit_stops_reading(self, tmp_path, monkeypatch):
+        samples = list(generate(3))[::24]  # one row per class
+        path = tmp_path / "ds.jsonl"
+        write_samples(path, samples)
+        full = read_samples(path)
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_premise(text)
+
+        monkeypatch.setattr(dataset, "parse_premise", counting)
+        assert read_samples(path, limit=4) == full[:4]
+        assert calls == [s.premise for s in samples[:4]]
+        assert read_samples(path, limit=0) == []
 
     def test_gzip_roundtrip(self, tmp_path, n3_samples):
         path = tmp_path / "ds.jsonl.gz"

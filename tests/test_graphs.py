@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 from math import factorial
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
                                PdagError)
-from causaltext.graphs import (Dag, all_dsep_statements, d_separated,
-                               dag_count, dag_extensions, enumerate_dags,
-                               group_mecs, mec_index, mec_of_dag, skeleton,
-                               v_structures)
+from causaltext.graphs import (Dag, MecIndex, _dag_masks, all_dsep_statements,
+                               d_separated, dag_count, dag_extensions,
+                               enumerate_dags, group_mecs, mec_index,
+                               mec_of_dag, skeleton, v_structures)
 from causaltext.matrix import AdjMatrix, is_acyclic
 from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
@@ -108,6 +109,12 @@ class TestEnumeration:
 
     def test_counts_match_recurrence(self):
         assert [dag_count(n) for n in range(7)] == [1, 1, 3, 25, 543, 29281, 3781503]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_dag_masks_ascend_and_match_count(self, n):
+        masks = _dag_masks(n)
+        assert len(masks) == dag_count(n)
+        assert (masks[1:] > masks[:-1]).all()
 
     def test_no_duplicates_and_sorted(self):
         masks = [d.mask for d in enumerate_dags(4)]
@@ -276,6 +283,45 @@ class TestEquivalence:
         index_members = {tuple(int(v) for v in idx.member_masks(g))
                          for g in range(idx.group_count)}
         assert oracle_members == index_members
+
+
+# sha256 over ``_masks``, ``_starts`` and the sorted (skeleton_set,
+# vstruct_set) of every group (every 16th at n=6, where building the sets
+# of all 1,067,825 groups takes about 15 s), pinned from the index built
+# with whole-universe key arrays
+INDEX_GOLDEN = {
+    3: "52b236641db28cc82125f5fe69963376f197947ca23904aa821291f4af6d9fc8",
+    4: "01a795ff22b292cf2392a568bdd9f7ba2d3f5833485f6cb5f2218604df5a0028",
+    5: "38818ba5d28655d741a97fe3c323f9c973a5feacf940c2d99f9ca0b0169c008a",
+    6: "1eb20298b86badbe9aa004ab07cf539e22131965eb459cfb5c53567a7bd074e7",
+}
+
+
+class TestMecIndexGolden:
+    @pytest.mark.parametrize("n", sorted(INDEX_GOLDEN))
+    def test_index_unchanged(self, n):
+        idx = mec_index(n)
+        h = hashlib.sha256()
+        h.update(idx._masks.astype("<i8").tobytes())
+        h.update(idx._starts.astype("<i8").tobytes())
+        for g in range(0, idx.group_count, 16 if n == 6 else 1):
+            h.update(repr((g, sorted(idx.skeleton_set(g)),
+                           sorted(idx.vstruct_set(g)))).encode())
+        assert h.hexdigest() == INDEX_GOLDEN[n]
+
+    def test_group_keys_are_the_members_keys(self):
+        # a strided sample of the six-node groups, checked against the
+        # per-DAG definitions
+        idx = mec_index(6)
+        for g in range(0, idx.group_count, 4099):
+            for m in idx.member_masks(g)[[0, -1]]:
+                dag = Dag.from_mask(6, int(m))
+                assert idx.skeleton_set(g) == skeleton(dag)
+                assert idx.vstruct_set(g) == v_structures(dag)
+
+    def test_keys_held_once_per_group(self):
+        idx = MecIndex(4)
+        assert len(idx._skel) == len(idx._vst) == idx.group_count
 
 
 class TestExtensions:
