@@ -3,9 +3,9 @@
 Run with:  python demos/01_graph_toolkit.py
 """
 
-from causaltext import (Dag, all_dsep_statements, d_separated, dag_count,
-                        dag_extensions, enumerate_dags, group_mecs, mec_of_dag,
-                        skeleton, v_structures)
+from causaltext import (Dag, d_separated, dag_count, dag_extensions,
+                        enumerate_dags, group_mecs, mec_of_dag,
+                        relations_from_dag, skeleton, v_structures)
 
 # Every labeled acyclic graph on a handful of nodes can be enumerated
 # exactly. The counts grow fast: 25 graphs at three nodes, 3.78 million at
@@ -26,9 +26,10 @@ print("\ncollider A->C<-B")
 print("  A _||_ B given {} :", d_separated(collider, 0, 1))
 print("  A _||_ B given C :", d_separated(collider, 0, 1, {2}))
 
-# All separation statements of a graph, capped at one conditioning variable.
+# All separation statements of a graph, capped at one conditioning variable:
+# the full closure, not only the minimal separating sets.
 print("\nstatements of the chain:",
-      [(s.x, s.y, sorted(s.cond)) for s in all_dsep_statements(chain, 1)])
+      relations_from_dag(chain, max_cond=1, minimal=False).as_dict())
 
 # Graphs with the same skeleton and the same colliders are observationally
 # indistinguishable; grouping the 25 three-node graphs yields 11 classes.

@@ -9,9 +9,9 @@ Run with:  python demos/04_mock_evaluation.py
 
 import json
 
-from causaltext import (BackendConfig, balanced_generate, run_batch,
-                        run_pipeline, score)
-from causaltext.harness import MODE_BASELINE_COT, MODE_FEW_SHOT, MODE_STEP_BY_STEP
+from causaltext import BackendConfig, balanced_generate, run_pipeline, score
+from causaltext.harness import (MODE_BASELINE_COT, MODE_FEW_SHOT,
+                                MODE_STEP_BY_STEP, make_backend)
 from causaltext.prompts import PromptContext, render_prompt
 
 samples = balanced_generate([3], per_cell=6, seed=8)
@@ -34,8 +34,9 @@ print("verdict:", record.verdict, " correct:", record.correct)
 # Whole-batch scoring in each prompting mode. The oracle closes the loop,
 # so every metric lands at 1.0; a real backend slots in by changing the
 # endpoint URL, and transcripts can be recorded and replayed for audits.
+backend = make_backend(config)
 for mode in (MODE_STEP_BY_STEP, MODE_FEW_SHOT, MODE_BASELINE_COT):
-    records = run_batch(samples, config, mode)
+    records = [run_pipeline(s, config, mode, backend=backend) for s in samples]
     report = score(records)
     m = report.overall
     print(f"\n=== {mode}")

@@ -17,12 +17,12 @@ from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
                      ConfigError, ConsistencyError, CycleError, PdagError,
                      PremiseParseError, ResourceError, TemplateError,
                      TransportError, UnknownVariableError, UsageError)
-from .graphs import (Dag, Mec, SepStatement, all_dsep_statements, d_separated,
-                     dag_count, dag_extensions, enumerate_dags, group_mecs,
-                     mec_of_dag, skeleton, v_structures)
+from .graphs import (Dag, Mec, d_separated, dag_count, dag_extensions,
+                     enumerate_dags, group_mecs, mec_of_dag, skeleton,
+                     v_structures)
 from .harness import (BackendConfig, EvalRecord, Metrics, MockBackend,
                       ScoreReport, metrics_from_records, parse_step_output,
-                      run_batch, run_pipeline, score)
+                      run_pipeline, score)
 from .hypotheses import (Hypothesis, HypothesisKind, Verdict, binary_answer,
                          evaluate_on_pdag, holds_in_dag, label_against_mec)
 from .matrix import AdjMatrix
@@ -42,9 +42,9 @@ __all__ = [
     "EvalRecord", "Hypothesis", "HypothesisKind", "Mec", "Metrics",
     "MockBackend", "PdagError", "PremiseDoc", "PremiseParseError",
     "PromptContext", "RelationSet", "ResourceError", "Sample", "ScoreReport",
-    "SepStatement", "SolveResult", "TemplateError", "THEMES",
+    "SolveResult", "TemplateError", "THEMES",
     "TransportError", "UnknownVariableError", "UsageError", "VariableTable",
-    "Verdict", "all_dsep_statements", "apply_conditional",
+    "Verdict", "apply_conditional",
     "apply_unconditional", "balanced_generate", "binary_answer",
     "candidate_pairs", "d_separated", "dag_count", "dag_extensions",
     "enumerate_dags", "evaluate_on_pdag", "filter_collider_pairs", "generate",
@@ -52,7 +52,7 @@ __all__ = [
     "mec_of_dag", "metrics_from_records", "orient_colliders",
     "parse_hypothesis", "parse_premise", "parse_step_output",
     "propagate_orientations", "read_samples", "relations_from_dag",
-    "render_hypothesis", "render_premise", "render_prompt", "run_batch",
+    "render_hypothesis", "render_premise", "render_prompt",
     "run_c2p", "run_pipeline", "score", "skeleton", "solve_doc", "solve_text",
     "storyify", "v_structures", "write_samples",
 ]

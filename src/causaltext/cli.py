@@ -158,7 +158,13 @@ def cmd_generate(args) -> int:
         raise UsageError("--balanced must not be negative")
     kinds = None
     if args.kinds:
-        kinds = [HypothesisKind(k.strip()) for k in args.kinds.split(",") if k.strip()]
+        valid = [k.value for k in HypothesisKind]
+        kinds = []
+        for name in filter(None, (k.strip() for k in args.kinds.split(","))):
+            if name not in valid:
+                raise UsageError(f"unknown hypothesis kind {name!r}; "
+                                 f"pick from {', '.join(valid)}")
+            kinds.append(HypothesisKind(name))
     if args.balanced is not None:
         samples = balanced_generate([args.n], args.balanced, args.seed,
                                     kinds=kinds, style=args.style,

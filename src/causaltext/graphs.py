@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -115,36 +114,6 @@ class Dag:
         return f"Dag({self._n}, edges={sorted(self._edges)})"
 
 
-@dataclass(frozen=True)
-class SepStatement:
-    """An independence fact: ``x`` and ``y`` are separated given ``cond``.
-
-    The pair is stored unordered with the smaller index first.
-    """
-
-    x: int
-    y: int
-    cond: frozenset[int]
-
-    def __post_init__(self):
-        if self.x == self.y:
-            raise BoundsError("a statement needs two distinct variables")
-        if self.x > self.y:
-            low, high = self.y, self.x
-            object.__setattr__(self, "x", low)
-            object.__setattr__(self, "y", high)
-        object.__setattr__(self, "cond", frozenset(self.cond))
-        if self.x in self.cond or self.y in self.cond:
-            raise BoundsError("conditioning set may not contain the pair itself")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
-    def sort_key(self):
-        return (self.x, self.y, len(self.cond), tuple(sorted(self.cond)))
-
-
 # ---------------------------------------------------------------------------
 # d-separation
 
@@ -228,31 +197,6 @@ def d_separated(dag: Dag, x: int, y: int, cond: Iterable[int] = ()) -> bool:
     for i in cond:
         zmask |= 1 << i
     return not _d_connected(dag._pa, dag._ch, x, y, zmask)
-
-
-def all_dsep_statements(dag: Dag, max_cond: int) -> list[SepStatement]:
-    """Every separation statement holding in ``dag`` with ``|cond| <= max_cond``.
-
-    The result is ordered canonically (by pair, then conditioning-set size,
-    then the sorted set itself) so downstream output is reproducible.
-    """
-    n = dag.n
-    if not 0 <= max_cond <= n - 2:
-        raise BoundsError(f"max_cond must be between 0 and n-2={n - 2}, got {max_cond}")
-    out = []
-    pa, ch = dag._pa, dag._ch
-    for x in range(n):
-        for y in range(x + 1, n):
-            rest = [v for v in range(n) if v != x and v != y]
-            for size in range(max_cond + 1):
-                for sub in combinations(rest, size):
-                    zmask = 0
-                    for i in sub:
-                        zmask |= 1 << i
-                    if not _d_connected(pa, ch, x, y, zmask):
-                        out.append(SepStatement(x, y, frozenset(sub)))
-    out.sort(key=SepStatement.sort_key)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import urlparse
@@ -138,16 +137,17 @@ class HttpBackend:
                   hashlib.sha256(body.encode()).hexdigest()[:12])
         last_exc: Exception | None = None
         for attempt in range(self.config.attempts):
+            if attempt:
+                # back off between attempts only: none follows the last
+                time.sleep(self.config.backoff * (2 ** (attempt - 1)))
             try:
                 resp = requests.post(self.config.endpoint, data=body,
                                      headers=headers, timeout=self.config.timeout)
             except requests.RequestException as exc:
                 last_exc = exc
-                time.sleep(self.config.backoff * (2 ** attempt))
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_exc = BackendError(resp.status_code, resp.text[:200])
-                time.sleep(self.config.backoff * (2 ** attempt))
                 continue
             if resp.status_code != 200:
                 raise BackendError(resp.status_code, resp.text[:200])
@@ -841,22 +841,6 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
         match = _match_step(step, parsed.value, refs[f"step_{step}"])
         steps[f"step_{step}"] = StepResult(chunk, parsed.value, match, parsed.error)
     return finish()
-
-
-def run_batch(samples: Sequence, config: BackendConfig,
-              mode: str = MODE_STEP_BY_STEP,
-              options: EngineOptions | None = None,
-              eval_mode: str = MODE_EXTENSION_QUANTIFIED,
-              backend=None, parallelism: int = 1) -> list[EvalRecord]:
-    """Run many samples, optionally concurrently; order follows the input."""
-    backend = backend or make_backend(config, options, eval_mode)
-    if parallelism <= 1:
-        return [run_pipeline(s, config, mode, options, eval_mode, backend)
-                for s in samples]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(run_pipeline, s, config, mode, options,
-                               eval_mode, backend) for s in samples]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
                      UnknownVariableError)
@@ -170,11 +171,10 @@ class _Scan:
         return tuple(sorted((a, b)))  # type: ignore[return-value]
 
 
-def _mention_pattern(scan: _Scan) -> str:
-    """Alternation of every declared label and alias, longest first."""
-    mentions = list(scan.labels) + list(scan.aliases.values())
-    mentions.sort(key=len, reverse=True)
-    return "(?:" + "|".join(re.escape(m) for m in mentions) + ")"
+def _mention_pattern(mentions: Iterable[str]) -> str:
+    """Alternation of every label and alias in ``mentions``, longest first."""
+    ordered = sorted(mentions, key=len, reverse=True)
+    return "(?:" + "|".join(re.escape(m) for m in ordered) + ")"
 
 
 _CORR_BETWEEN = re.compile(
@@ -312,8 +312,10 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
         else:
             pending.append((start, end, body))
     # every declaration is in, so the mentions are fixed from here on
-    patterns = (_statement_patterns(_mention_pattern(scan)) if scan.declared_header
-                else _FREE_PATTERNS)
+    patterns = _FREE_PATTERNS
+    if scan.declared_header:
+        mention = _mention_pattern([*scan.labels, *scan.aliases.values()])
+        patterns = _statement_patterns(mention)
     for start, end, body in pending:
         try:
             if _parse_statement(scan, body, patterns):
@@ -383,9 +385,7 @@ def parse_hypothesis(text: str, vars: VariableTable) -> Hypothesis:
     body = text.strip().rstrip(".?!").strip()
     if not body:
         raise PremiseParseError([(0, 0, "empty hypothesis")])
-    mentions = list(vars.names) + list(vars.aliases.values())
-    mentions.sort(key=len, reverse=True)
-    mention = "(?:" + "|".join(re.escape(m) for m in mentions) + ")"
+    mention = _mention_pattern([*vars.names, *vars.aliases.values()])
     for kind, pat in _hypothesis_patterns(mention):
         hit = pat.match(body)
         if hit:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .errors import BoundsError, ConsistencyError
-from .graphs import Dag, SepStatement, all_dsep_statements
-from .matrix import is_acyclic
+from .graphs import Dag, _d_connected
+from .matrix import _bits, is_acyclic
 from .variables import VariableTable
 
 Pair = tuple[int, int]
@@ -123,41 +124,6 @@ class RelationSet:
         }
 
 
-def relations_from_statements(table: VariableTable,
-                              statements: Iterable[SepStatement],
-                              minimal: bool = True) -> RelationSet:
-    """Turn separation statements into a relation set.
-
-    Pairs with no statement become dependencies. With ``minimal`` (the
-    default) only statements whose conditioning set has no separating proper
-    subset are kept, which is the terse premise style; otherwise the full
-    closure is verbalized.
-    """
-    n = len(table)
-    by_pair: dict[Pair, list[frozenset[int]]] = {}
-    for st in statements:
-        by_pair.setdefault(st.pair, []).append(st.cond)
-    deps = set()
-    uncond = set()
-    cond = set()
-    for x in range(n):
-        for y in range(x + 1, n):
-            conds = by_pair.get((x, y))
-            if not conds:
-                deps.add((x, y))
-                continue
-            kept = conds
-            if minimal:
-                kept = [c for c in conds
-                        if not any(o < c for o in conds)]
-            for c in kept:
-                if c:
-                    cond.add(((x, y), c))
-                else:
-                    uncond.add((x, y))
-    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond))
-
-
 def relations_from_dag(dag: Dag, table: VariableTable | None = None,
                        max_cond: int | None = None,
                        minimal: bool = True) -> RelationSet:
@@ -166,13 +132,44 @@ def relations_from_dag(dag: Dag, table: VariableTable | None = None,
     ``max_cond`` defaults to ``n - 2``, which is always enough to separate
     every non-adjacent pair, so the dependencies are exactly the adjacent
     pairs.
+
+    Each pair tries the subsets of the other nodes in size order, up to
+    ``max_cond``; a pair no subset separates is a dependency. With
+    ``minimal`` (the default) a subset that contains a separating set found
+    earlier is skipped untested, since it cannot be minimal, so only the
+    sets with no separating proper subset are kept, which is the terse
+    premise style; otherwise every separating set is verbalized.
     """
     table = table or VariableTable.letters(dag.n)
-    if len(table) != dag.n:
+    n = dag.n
+    if len(table) != n:
         raise BoundsError("variable table size must match the graph")
-    if dag.n < 2:
+    if n < 2:
         return RelationSet(table)
     if max_cond is None:
-        max_cond = dag.n - 2
-    statements = all_dsep_statements(dag, max_cond)
-    return relations_from_statements(table, statements, minimal=minimal)
+        max_cond = n - 2
+    if not 0 <= max_cond <= n - 2:
+        raise BoundsError(f"max_cond must be between 0 and n-2={n - 2}, got {max_cond}")
+    pa = [dag.parent_mask(i) for i in range(n)]
+    ch = [dag.child_mask(i) for i in range(n)]
+    deps = set()
+    uncond = set()
+    cond = set()
+    for x, y in combinations(range(n), 2):
+        rest = [1 << v for v in range(n) if v != x and v != y]
+        found: list[int] = []
+        for size in range(max_cond + 1):
+            for sub in combinations(rest, size):
+                z = sum(sub)
+                if minimal and any(f & z == f for f in found):
+                    continue
+                if not _d_connected(pa, ch, x, y, z):
+                    found.append(z)
+        if not found:
+            deps.add((x, y))
+        for z in found:
+            if z:
+                cond.add(((x, y), frozenset(_bits(z))))
+            else:
+                uncond.add((x, y))
+    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond))

@@ -107,6 +107,24 @@ class TestGenerate:
         assert not any(s.relations.cond_indep for s in samples)
         assert not any("given" in s.premise for s in samples)
 
+    def test_max_cond_out_of_range_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "x.jsonl"
+        code, _, err = run_cli(capsys, "generate", "--n", "4", "--max-cond", "3",
+                               "-o", str(out_path))
+        assert code == 2
+        assert "max_cond must be between 0 and n-2=2, got 3" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_kind_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "generate", "--n", "3", "--kinds", "cause,bogus",
+                               "-o", str(tmp_path / "x.jsonl"))
+        assert code == 2
+        assert "'bogus'" in err
+        for kind in ("direct_cause", "indirect_cause", "cause", "common_effect",
+                     "common_cause"):
+            assert kind in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_balanced_requires_seed(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--n", "3", "--balanced", "5",
                                "-o", str(tmp_path / "x.jsonl"))

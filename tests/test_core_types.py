@@ -2,9 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from causaltext.errors import (BoundsError, ConsistencyError, PdagError,
+from causaltext.errors import (ConsistencyError, PdagError,
                                UnknownVariableError)
-from causaltext.graphs import SepStatement
 from causaltext.matrix import AdjMatrix
 from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
@@ -163,15 +162,3 @@ class TestRelationSet:
         rels = RelationSet(t, uncond_indep={(0, 1)},
                            cond_indep={((0, 1), frozenset({2}))})
         assert len(rels.independence_conds((0, 1))) == 2
-
-
-class TestSepStatement:
-    def test_canonical_pair_order(self):
-        s = SepStatement(2, 0, frozenset({1}))
-        assert (s.x, s.y) == (0, 2)
-
-    def test_pair_not_in_cond(self):
-        with pytest.raises(BoundsError):
-            SepStatement(0, 1, frozenset({1}))
-        with pytest.raises(BoundsError):
-            SepStatement(1, 1, frozenset())

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
                                PdagError)
-from causaltext.graphs import (Dag, MecIndex, _dag_masks, all_dsep_statements,
-                               d_separated, dag_count, dag_extensions,
-                               enumerate_dags, group_mecs, mec_index,
-                               mec_of_dag, skeleton, v_structures)
+from causaltext.graphs import (Dag, MecIndex, _dag_masks, d_separated,
+                               dag_count, dag_extensions, enumerate_dags,
+                               group_mecs, mec_index, mec_of_dag, skeleton,
+                               v_structures)
 from causaltext.matrix import AdjMatrix, is_acyclic
-from causaltext.relations import RelationSet
+from causaltext.relations import RelationSet, relations_from_dag
 from causaltext.variables import VariableTable
 
 from conftest import FIVE_VAR_STEP_8, pdag_encoding
@@ -224,30 +224,69 @@ class TestDSeparation:
                             dsep_path_oracle(dag, x, y, sub)
 
 
+def relations_oracle(dag, max_cond, minimal):
+    """Relation set read off the public ``d_separated``, subset by subset."""
+    n = dag.n
+    deps, uncond, cond = set(), set(), set()
+    for x, y in combinations(range(n), 2):
+        rest = [v for v in range(n) if v not in (x, y)]
+        seps = [frozenset(sub) for size in range(max_cond + 1)
+                for sub in combinations(rest, size) if d_separated(dag, x, y, sub)]
+        if not seps:
+            deps.add((x, y))
+        for c in seps:
+            if minimal and any(o < c for o in seps):
+                continue  # a separating proper subset exists
+            if c:
+                cond.add(((x, y), c))
+            else:
+                uncond.add((x, y))
+    return RelationSet(VariableTable.letters(n), deps, uncond, cond)
+
+
 class TestStatements:
     def test_collider_statements(self):
-        coll = Dag(3, [(0, 2), (1, 2)])
-        stmts = all_dsep_statements(coll, 1)
-        assert [(s.x, s.y, set(s.cond)) for s in stmts] == [(0, 1, set())]
+        rels = relations_from_dag(Dag(3, [(0, 2), (1, 2)]), max_cond=1)
+        assert rels.dependencies == {(0, 2), (1, 2)}
+        assert rels.uncond_indep == {(0, 1)}
+        assert rels.cond_indep == frozenset()
 
     def test_chain_statements(self):
-        chain = Dag(3, [(0, 1), (1, 2)])
-        stmts = all_dsep_statements(chain, 1)
-        assert [(s.x, s.y, set(s.cond)) for s in stmts] == [(0, 2, {1})]
+        rels = relations_from_dag(Dag(3, [(0, 1), (1, 2)]), max_cond=1)
+        assert rels.dependencies == {(0, 1), (1, 2)}
+        assert rels.uncond_indep == frozenset()
+        assert rels.cond_indep == {((0, 2), frozenset({1}))}
 
     def test_empty_graph_statements(self):
-        empty = Dag(3)
-        stmts = all_dsep_statements(empty, 1)
+        rels = relations_from_dag(Dag(3), max_cond=1, minimal=False)
         # 3 pairs, each separated by the empty set and by the one third node
-        assert len(stmts) == 6
-        assert {(s.x, s.y) for s in stmts} == {(0, 1), (0, 2), (1, 2)}
-        assert all(len(s.cond) <= 1 for s in stmts)
+        assert rels.dependencies == frozenset()
+        assert rels.uncond_indep == {(0, 1), (0, 2), (1, 2)}
+        assert rels.cond_indep == {((0, 1), frozenset({2})), ((0, 2), frozenset({1})),
+                                   ((1, 2), frozenset({0}))}
+        # the minimal style keeps only the empty sets
+        assert not relations_from_dag(Dag(3), max_cond=1).cond_indep
 
     def test_max_cond_bounds(self):
-        with pytest.raises(BoundsError):
-            all_dsep_statements(Dag(3), 2)
-        with pytest.raises(BoundsError):
-            all_dsep_statements(Dag(3), -1)
+        with pytest.raises(BoundsError, match=r"^max_cond must be between 0 and "
+                                              r"n-2=1, got 2$"):
+            relations_from_dag(Dag(3), max_cond=2)
+        with pytest.raises(BoundsError, match=r"^max_cond must be between 0 and "
+                                              r"n-2=1, got -1$"):
+            relations_from_dag(Dag(3), max_cond=-1)
+        # a single node has no pair to separate, whatever the bound
+        assert relations_from_dag(Dag(1), max_cond=5).is_empty()
+
+    def test_matches_subset_oracle(self):
+        dags = [d for n in range(2, 5) for d in enumerate_dags(n)]
+        idx = mec_index(5)
+        dags += [Dag.from_mask(5, int(idx.member_masks(g)[0]))
+                 for g in range(0, idx.group_count, 20)]
+        for dag in dags:
+            for max_cond in range(dag.n - 1):
+                for minimal in (True, False):
+                    assert relations_from_dag(dag, max_cond=max_cond, minimal=minimal) \
+                        == relations_oracle(dag, max_cond, minimal), (dag, max_cond, minimal)
 
 
 class TestEquivalence:

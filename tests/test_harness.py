@@ -17,7 +17,7 @@ from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
                                 MockBackend, MODE_BASELINE_COT, MODE_FEW_SHOT,
                                 MODE_STEP_BY_STEP, RecordingBackend,
                                 ReplayBackend, StepResult, make_backend,
-                                parse_step_output, run_batch, run_pipeline,
+                                parse_step_output, run_pipeline,
                                 score, validate_config)
 from causaltext.prompts import PromptContext, few_shot_bundle, render_prompt
 
@@ -119,7 +119,7 @@ class TestMockClosure:
     @pytest.mark.parametrize("mode", [MODE_STEP_BY_STEP, MODE_FEW_SHOT,
                                       MODE_BASELINE_COT])
     def test_all_metrics_perfect(self, balanced_n3, mode):
-        records = run_batch(balanced_n3, BackendConfig(), mode)
+        records = [run_pipeline(s, BackendConfig(), mode) for s in balanced_n3]
         report = score(records)
         m = report.overall
         assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
@@ -130,23 +130,10 @@ class TestMockClosure:
 
     def test_story_samples_pass_through(self):
         samples = balanced_generate([3], 3, seed=2, style="story", theme="social")
-        records = run_batch(samples, BackendConfig(), MODE_STEP_BY_STEP)
+        records = [run_pipeline(s, BackendConfig(), MODE_STEP_BY_STEP)
+                   for s in samples]
         assert all(r.correct for r in records)
         assert all(v.match for r in records for v in r.steps.values())
-
-    def test_parallel_batch_matches_serial(self, balanced_n3):
-        def stripped(records):
-            out = []
-            for r in records:
-                d = r.as_dict()
-                d.pop("elapsed_ms")
-                out.append(d)
-            return out
-
-        serial = run_batch(balanced_n3, BackendConfig(), MODE_STEP_BY_STEP)
-        parallel = run_batch(balanced_n3, BackendConfig(), MODE_STEP_BY_STEP,
-                             parallelism=4)
-        assert stripped(serial) == stripped(parallel)
 
     @pytest.mark.parametrize("mode", [MODE_STEP_BY_STEP, MODE_FEW_SHOT,
                                       MODE_BASELINE_COT])
@@ -217,8 +204,9 @@ class AlwaysYesBackend:
 
 class TestDegenerateBackends:
     def test_always_yes_accuracy_equals_yes_rate(self, balanced_n3):
-        records = run_batch(balanced_n3, BackendConfig(), MODE_BASELINE_COT,
-                            backend=AlwaysYesBackend())
+        backend = AlwaysYesBackend()
+        records = [run_pipeline(s, BackendConfig(), MODE_BASELINE_COT, backend=backend)
+                   for s in balanced_n3]
         report = score(records)
         assert report.overall.accuracy == 0.5  # the set is balanced
         assert report.overall.recall == 1.0
@@ -234,11 +222,11 @@ class TestTranscripts:
     def test_record_then_replay_is_deterministic(self, tmp_path, balanced_n3):
         samples = balanced_n3[:4]
         recorder = RecordingBackend(MockBackend(), tmp_path / "t")
-        first = run_batch(samples, BackendConfig(), MODE_STEP_BY_STEP,
-                          backend=recorder)
+        first = [run_pipeline(s, BackendConfig(), MODE_STEP_BY_STEP, backend=recorder)
+                 for s in samples]
         replay = ReplayBackend(tmp_path / "t")
-        second = run_batch(samples, BackendConfig(), MODE_STEP_BY_STEP,
-                           backend=replay)
+        second = [run_pipeline(s, BackendConfig(), MODE_STEP_BY_STEP, backend=replay)
+                  for s in samples]
 
         def stable(records):
             out = []
@@ -343,6 +331,18 @@ class TestTransport:
             make_backend(config).complete([{"role": "user", "content": "hello"}])
         _StubHandler.status = 200
 
+    @pytest.mark.parametrize("status", [None, 503])
+    def test_backoff_only_between_attempts(self, http_stub, status, monkeypatch):
+        # None: a refused connection; 503: a server error worth a retry
+        slept = []
+        monkeypatch.setattr(harness.time, "sleep", slept.append)
+        monkeypatch.setattr(_StubHandler, "status", status or 200)
+        endpoint = "http://127.0.0.1:9" if status is None else http_stub
+        config = BackendConfig(endpoint=endpoint, attempts=3, backoff=0.5, timeout=0.5)
+        with pytest.raises(TransportError if status is None else BackendError):
+            make_backend(config).complete([{"role": "user", "content": "hello"}])
+        assert slept == [0.5, 1.0]
+
     def test_client_error_no_retry(self, http_stub):
         _StubHandler.status = 404
         config = BackendConfig(endpoint=http_stub, attempts=3, backoff=0.0)
@@ -356,7 +356,9 @@ class TestTransport:
                                                           monkeypatch):
         monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
         config = BackendConfig(endpoint=http_stub, attempts=1)
-        records = run_batch(balanced_n3[:2], config, MODE_STEP_BY_STEP)
+        backend = make_backend(config)
+        records = [run_pipeline(s, config, MODE_STEP_BY_STEP, backend=backend)
+                   for s in balanced_n3[:2]]
         assert len(records) == 2
         for r in records:
             assert r.error and "status 200" in r.error and "not JSON" in r.error
@@ -366,7 +368,9 @@ class TestTransport:
                                                        balanced_n3, monkeypatch):
         monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
         config = BackendConfig(endpoint=http_stub, attempts=1)
-        records = run_batch(balanced_n3[:4], config, MODE_STEP_BY_STEP)
+        backend = make_backend(config)
+        records = [run_pipeline(s, config, MODE_STEP_BY_STEP, backend=backend)
+                   for s in balanced_n3[:4]]
         assert len(records) == 4
         assert all(r.error and r.parse_failures == 0 for r in records)
         assert score(records).parse_failure_rate == 0.0
@@ -432,7 +436,7 @@ GOLDEN_MOCK = {
 
 def mock_output_digest(samples, mode, directory) -> str:
     recorder = RecordingBackend(MockBackend(), directory)
-    records = run_batch(samples, BackendConfig(), mode, backend=recorder)
+    records = [run_pipeline(s, BackendConfig(), mode, backend=recorder) for s in samples]
     h = hashlib.sha256()
     for path in sorted(directory.iterdir()):
         h.update(path.name.encode() + path.read_bytes())
