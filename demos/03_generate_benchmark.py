@@ -7,7 +7,7 @@ import collections
 import tempfile
 from pathlib import Path
 
-from causaltext import (balanced_generate, generate, read_samples, storyify,
+from causaltext import (balanced_generate, generate, read_samples,
                         write_samples)
 
 # The full three-variable universe: 11 equivalence classes crossed with
@@ -34,11 +34,16 @@ wide = balanced_generate([3, 4, 5], per_cell=5, seed=7)
 print("across variable counts:",
       collections.Counter((s.n_vars, s.label) for s in wide))
 
-# Any row can be retold as a themed story without touching its label.
-story = storyify(yes, "marketing")
-print("\nstory restyle:")
+# The same draw in story style: themed variable names, the same classes,
+# claims and labels.
+stories = balanced_generate([3], per_cell=10, seed=42, style="story",
+                            theme="marketing")
+story = stories[0]
+print("\nstory style:")
 print(" ", story.premise)
 print("  hypothesis:", story.hypothesis_text, "->", story.label)
+print("  labels as in the symbolic draw:",
+      [s.label for s in stories] == [s.label for s in balanced])
 
 # Rows persist as line-delimited records and read back losslessly.
 with tempfile.TemporaryDirectory() as tmp:

@@ -16,6 +16,7 @@ from causaltext.prompts import PromptContext, render_prompt
 
 samples = balanced_generate([3], per_cell=6, seed=8)
 config = BackendConfig()  # endpoint defaults to the in-process oracle
+backend = make_backend(config)
 
 # What the first prompt of a chain looks like.
 ctx = PromptContext(premise=samples[0].premise,
@@ -25,7 +26,7 @@ print(render_prompt(1, ctx, {}))
 
 # One sample through the nine-step chain: every parsed output is compared
 # cell-exactly against the engine's own trace.
-record = run_pipeline(samples[0], config, MODE_STEP_BY_STEP)
+record = run_pipeline(samples[0], backend, MODE_STEP_BY_STEP)
 print("\n=== one chained run")
 for key, step in record.steps.items():
     print(f"  {key}: match={step.match}")
@@ -34,9 +35,8 @@ print("verdict:", record.verdict, " correct:", record.correct)
 # Whole-batch scoring in each prompting mode. The oracle closes the loop,
 # so every metric lands at 1.0; a real backend slots in by changing the
 # endpoint URL, and transcripts can be recorded and replayed for audits.
-backend = make_backend(config)
 for mode in (MODE_STEP_BY_STEP, MODE_FEW_SHOT, MODE_BASELINE_COT):
-    records = [run_pipeline(s, config, mode, backend=backend) for s in samples]
+    records = [run_pipeline(s, backend, mode) for s in samples]
     report = score(records)
     m = report.overall
     print(f"\n=== {mode}")

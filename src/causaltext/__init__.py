@@ -8,7 +8,7 @@ against those datasets with exact per-step grading.
 """
 
 from .dataset import (Sample, balanced_generate, generate, read_samples,
-                      storyify, write_samples)
+                      write_samples)
 from .engine import (ColliderCandidates, EngineOptions, EngineTrace,
                      apply_conditional, apply_unconditional, candidate_pairs,
                      filter_collider_pairs, initial_matrix, orient_colliders,
@@ -54,5 +54,5 @@ __all__ = [
     "propagate_orientations", "read_samples", "relations_from_dag",
     "render_hypothesis", "render_premise", "render_prompt",
     "run_c2p", "run_pipeline", "score", "skeleton", "solve_doc", "solve_text",
-    "storyify", "v_structures", "write_samples",
+    "v_structures", "write_samples",
 ]

@@ -17,10 +17,9 @@ from itertools import islice
 from .dataset import (balanced_generate, dataset_digest, generate,
                       read_samples, write_samples)
 from .engine import EngineOptions, FILTER_MODES, FILTER_PC_CORRECT
-from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
-                     ConfigError, ConsistencyError, CycleError, PdagError,
-                     PremiseParseError, ResourceError, TransportError,
-                     UnknownVariableError, UsageError)
+from .errors import (BoundsError, CausaltextError, ConfigError,
+                     ConsistencyError, CycleError, PremiseParseError,
+                     ResourceError, UnknownVariableError, UsageError)
 from .fixtures import FIXTURES
 from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
                       RecordingBackend, ScoreReport, make_backend,
@@ -157,7 +156,7 @@ def cmd_generate(args) -> int:
     if args.balanced is not None and args.balanced < 0:
         raise UsageError("--balanced must not be negative")
     kinds = None
-    if args.kinds:
+    if args.kinds is not None:
         valid = [k.value for k in HypothesisKind]
         kinds = []
         for name in filter(None, (k.strip() for k in args.kinds.split(","))):
@@ -165,6 +164,9 @@ def cmd_generate(args) -> int:
                 raise UsageError(f"unknown hypothesis kind {name!r}; "
                                  f"pick from {', '.join(valid)}")
             kinds.append(HypothesisKind(name))
+        if not kinds:
+            raise UsageError(f"--kinds names no hypothesis kind; "
+                             f"pick from {', '.join(valid)}")
     if args.balanced is not None:
         samples = balanced_generate([args.n], args.balanced, args.seed,
                                     kinds=kinds, style=args.style,
@@ -307,7 +309,7 @@ def cmd_eval(args) -> int:
         backend = RecordingBackend(backend, os.path.join(args.out, "transcripts"))
 
     def run(sample):
-        return run_pipeline(sample, config, args.mode, options, backend=backend)
+        return run_pipeline(sample, backend, args.mode, options)
 
     records = []
     with ThreadPoolExecutor(max_workers=args.parallel) as pool:
@@ -401,8 +403,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, TransportError, BackendError, PdagError,
-            CausaltextError, OSError) as exc:
+    except (CausaltextError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

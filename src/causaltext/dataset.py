@@ -12,38 +12,29 @@ from __future__ import annotations
 
 import gzip as gzip_mod
 import hashlib
+import io
 import json
+import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, CapacityError, ConfigError, ResourceError
+from .errors import BoundsError, CapacityError, ConfigError, UsageError
 from .graphs import Dag, _ancestor_mask, mec_digest, mec_index
-from .hypotheses import NO, YES, Hypothesis, HypothesisKind
+from .hypotheses import NO, SYMMETRIC_KINDS, YES, Hypothesis, HypothesisKind
 from .matrix import _bits
-from .parsing import (THEMES, PremiseDoc, parse_hypothesis, parse_premise,
+from .parsing import (PremiseDoc, _story_names, parse_hypothesis, parse_premise,
                       render_hypothesis, render_premise)
 from .relations import RelationSet, relations_from_dag
 from .variables import VariableTable
 
 SCHEMA_VERSION = 1
 
-ALL_KINDS = (
-    HypothesisKind.DIRECT_CAUSE,
-    HypothesisKind.INDIRECT_CAUSE,
-    HypothesisKind.CAUSE,
-    HypothesisKind.COMMON_EFFECT,
-    HypothesisKind.COMMON_CAUSE,
-)
+_SEPARATORS = tuple({"/", os.sep, os.altsep} - {None})
 
-DIRECTIONAL_KINDS = (
-    HypothesisKind.DIRECT_CAUSE,
-    HypothesisKind.INDIRECT_CAUSE,
-    HypothesisKind.CAUSE,
-)
 
 @dataclass(frozen=True)
 class Sample:
@@ -78,7 +69,7 @@ class Sample:
 def _hypothesis_slots(n: int, kinds: Sequence[HypothesisKind]) -> list[tuple[HypothesisKind, int, int]]:
     slots = []
     for kind in kinds:
-        if kind in DIRECTIONAL_KINDS:
+        if kind not in SYMMETRIC_KINDS:
             slots.extend((kind, i, j) for i in range(n) for j in range(n) if i != j)
         else:
             slots.extend((kind, i, j) for i in range(n) for j in range(i + 1, n))
@@ -146,7 +137,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
         raise ConfigError(f"unknown order {order!r}")
     if order == "shuffled" and seed is None:
         raise ConfigError("a seed is required for shuffled generation")
-    kinds = tuple(kinds or ALL_KINDS)
+    kinds = tuple(dict.fromkeys(kinds or HypothesisKind))
     table = VariableTable.letters(n)
     idx = mec_index(n)
     group_order: Iterable[int] = range(idx.group_count)
@@ -157,12 +148,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     tag = _style_tag(style, theme)
     names = None
     if style == "story":
-        bank = THEMES.get(theme or "health")
-        if bank is None:
-            raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
-        if len(bank) < n:
-            raise ResourceError(f"theme bank holds {len(bank)} names but {n} are needed")
-        names = {table.label(i): bank[i] for i in range(n)}
+        names = _story_names(table, theme, None)
     elif style != "symbolic":
         raise ConfigError(f"unknown style {style!r}")
 
@@ -229,35 +215,6 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
     return out
 
 
-def storyify(sample: Sample, theme: str = "health",
-             bank: Sequence[str] | None = None,
-             seed: int | None = None) -> Sample:
-    """Re-render a sample's premise and claim with themed variable names.
-
-    Relations, label, kind, and digest are untouched. With a seed the
-    name-to-variable assignment is shuffled; otherwise the bank is applied
-    in order.
-    """
-    table = sample.relations.vars
-    pool = list(bank if bank is not None else THEMES.get(theme, ()))
-    if bank is None and theme not in THEMES:
-        raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
-    if len(pool) < sample.n_vars:
-        raise ResourceError(
-            f"name bank holds {len(pool)} names but {sample.n_vars} are needed")
-    chosen = pool[:sample.n_vars]
-    if seed is not None:
-        chosen = random.Random(seed).sample(pool, sample.n_vars)
-    names = {table.label(i): chosen[i] for i in range(sample.n_vars)}
-    doc = PremiseDoc(sample.premise, table, sample.relations)
-    premise = render_premise(doc, "story", names=names)
-    text = render_hypothesis(sample.hypothesis, table, names)
-    tag = f"story:{theme}" if bank is None else "story:custom"
-    base = sample.id.rsplit("-", 1)[0]
-    return replace(sample, id=f"{base}-{tag}", premise=premise,
-                   hypothesis_text=text, style=tag)
-
-
 # ---------------------------------------------------------------------------
 # persistence (line-delimited records)
 
@@ -267,12 +224,16 @@ def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> int:
 
     Each line is ``json.dumps(s.record())`` byte for byte, joined from the
     fields' encodings; a premise shared with the previous row is reused,
-    not encoded again.
+    not encoded again. A gzip stream carries no timestamp, so equal rows
+    give equal bytes.
     """
-    opener = gzip_mod.open if gzip else open
+    if gzip:
+        fh = io.TextIOWrapper(gzip_mod.GzipFile(path, "wb", mtime=0), encoding="utf-8")
+    else:
+        fh = open(path, "w", encoding="utf-8")
     count = 0
     premise = premise_json = None
-    with opener(path, "wt", encoding="utf-8") as fh:
+    with fh:
         for s in samples:
             if s.premise != premise:
                 premise, premise_json = s.premise, _json_str(s.premise)
@@ -291,19 +252,25 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
     """Load records, re-deriving relations and hypotheses from their text.
 
     Reading stops after ``limit`` records. A premise equal to the previous
-    row's is not parsed again: the row reuses that row's document.
+    row's is not parsed again: the row reuses that row's document. An id
+    must be usable as a file name inside one directory (records and
+    transcripts are stored as ``<id>.json``), so a path-like id is rejected.
     """
     text_opener = gzip_mod.open if str(path).endswith(".gz") else open
     out: list[Sample] = []
     premise = doc = None
     with text_opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if limit is not None and len(out) >= limit:
                 break
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            sid = str(rec["id"])
+            if sid in ("", ".", "..") or any(sep in sid for sep in _SEPARATORS):
+                raise UsageError(f"{path} line {lineno}: sample id {sid!r}"
+                                 " is not a plain file name")
             if rec["premise"] != premise:
                 premise, doc = rec["premise"], parse_premise(rec["premise"])
             h = parse_hypothesis(rec["hypothesis"], doc.variables)

@@ -68,11 +68,6 @@ class ColliderCandidates:
     def is_empty(self) -> bool:
         return not self.rows
 
-    def __eq__(self, other):
-        if not isinstance(other, ColliderCandidates):
-            return NotImplemented
-        return self.vars == other.vars and self.rows == other.rows
-
 
 def initial_matrix(vars: VariableTable, declared: Iterable[Pair] = ()) -> AdjMatrix:
     """Fully connected start matrix, with declared effect-to-cause cells zeroed.
@@ -197,8 +192,6 @@ class EngineTrace:
     equals ``step_8`` unless propagation ran.
     """
 
-    relations: RelationSet
-    options: EngineOptions
     step_3: AdjMatrix
     step_4: AdjMatrix
     step_5: AdjMatrix
@@ -233,7 +226,7 @@ def run_c2p(rels: RelationSet, options: EngineOptions | None = None) -> EngineTr
     kept = filter_collider_pairs(cands, rels, options.collider_filter)
     m8 = orient_colliders(m5, kept)
     m9 = propagate_orientations(m8) if options.propagate else m8
-    return EngineTrace(rels, options, m3, m4, m5, cands, kept, m8, m9)
+    return EngineTrace(m3, m4, m5, cands, kept, m8, m9)
 
 
 def _require_shared_table(matrix: AdjMatrix, rels: RelationSet) -> None:

@@ -7,7 +7,6 @@ pre-parsed with its reading documented below.
 
 from __future__ import annotations
 
-from .hypotheses import Hypothesis, HypothesisKind
 from .parsing import PROVENANCE_FIXTURE, PremiseDoc, parse_premise
 from .relations import RelationSet
 from .variables import VariableTable
@@ -117,10 +116,6 @@ def smbh_doc() -> PremiseDoc:
         }),
     )
     return PremiseDoc(SMBH_PREMISE_TEXT, table, rels, PROVENANCE_FIXTURE)
-
-
-def smbh_hypothesis() -> Hypothesis:
-    return Hypothesis(HypothesisKind.CAUSE, "CD", "BHM")
 
 
 FIXTURES = {

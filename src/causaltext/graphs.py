@@ -89,9 +89,6 @@ class Dag:
     def child_mask(self, i: int) -> int:
         return self._ch[i]
 
-    def parents(self, i: int) -> frozenset[int]:
-        return frozenset(_bits(self._pa[i]))
-
     def children(self, i: int) -> frozenset[int]:
         return frozenset(_bits(self._ch[i]))
 
@@ -241,10 +238,6 @@ class Mec:
         if not self.members:
             raise BoundsError("an equivalence class needs at least one member")
 
-    @property
-    def key(self):
-        return (self.skeleton, self.vstructs)
-
     def sort_key(self):
         return (tuple(sorted(self.skeleton)), tuple(sorted(self.vstructs)))
 
@@ -262,9 +255,6 @@ class Mec:
         for x, c, y in self.vstructs:
             rows[c] &= ~(1 << x | 1 << y)
         return AdjMatrix._from_rows(vars, rows)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def group_mecs(dags: Sequence[Dag]) -> list[Mec]:

@@ -99,7 +99,7 @@ def validate_config(config: BackendConfig) -> None:
     elif parsed.scheme == "mock":
         pass
     elif parsed.scheme == "replay":
-        if not (parsed.netloc or parsed.path):
+        if not _replay_directory(config.endpoint):
             raise ConfigError("replay endpoint needs a transcript directory")
     else:
         raise ConfigError(f"unsupported endpoint scheme: {config.endpoint!r}")
@@ -107,11 +107,16 @@ def validate_config(config: BackendConfig) -> None:
         raise ConfigError("attempts must be at least 1")
 
 
+def _replay_directory(endpoint: str) -> str:
+    # all the text after the scheme: a URL parse would cut it at '#' or '?'
+    rest = endpoint.split(":", 1)[1]
+    return rest[2:] if rest.startswith("//") else rest
+
+
 class HttpBackend:
     """Generic chat endpoint: ordered role/content messages in, text out."""
 
     def __init__(self, config: BackendConfig):
-        validate_config(config)
         self.config = config
         self._token = os.environ[config.auth_env] if config.auth_env else None
         self._local = threading.local()
@@ -266,10 +271,8 @@ class MockBackend:
     2 and 9 of one sample share one parse of its premise.
     """
 
-    def __init__(self, options: EngineOptions | None = None,
-                 eval_mode: str = MODE_EXTENSION_QUANTIFIED):
+    def __init__(self, options: EngineOptions | None = None):
         self.options = options or EngineOptions()
-        self.eval_mode = eval_mode
         # ((sample_id, premise text), PremiseDoc) of the last parse; one tuple,
         # read and replaced whole, so a thread never pairs a key with another
         # sample's doc
@@ -361,7 +364,7 @@ class MockBackend:
         matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]),
                                         vars=doc.variables)
         h = parse_hypothesis(sections["Hypothesis"], doc.variables)
-        verdict = evaluate_on_pdag(h, matrix, self.eval_mode).as_dict()
+        verdict = evaluate_on_pdag(h, matrix, MODE_EXTENSION_QUANTIFIED).as_dict()
         return (f"The evaluation over the matrix gives {verdict['answer']}. "
                 + step_reply(9, verdict))
 
@@ -371,7 +374,7 @@ class MockBackend:
         """The solve report for the premise and hypothesis of a bundled prompt."""
         sections = extract_sections(content)
         return solve_doc(parse_premise(sections["Premise"]), sections["Hypothesis"],
-                         self.options, self.eval_mode).report()
+                         self.options).report()
 
 
 def _relations_for(table: VariableTable, uncond=(), cond=()) -> RelationSet:
@@ -385,15 +388,13 @@ def _relations_for(table: VariableTable, uncond=(), cond=()) -> RelationSet:
     )
 
 
-def make_backend(config: BackendConfig, options: EngineOptions | None = None,
-                 eval_mode: str = MODE_EXTENSION_QUANTIFIED):
+def make_backend(config: BackendConfig, options: EngineOptions | None = None):
     validate_config(config)
     scheme = config.scheme()
     if scheme == "mock":
-        return MockBackend(options, eval_mode)
+        return MockBackend(options)
     if scheme == "replay":
-        parsed = urlparse(config.endpoint)
-        return ReplayBackend((parsed.netloc or "") + parsed.path)
+        return ReplayBackend(_replay_directory(config.endpoint))
     return HttpBackend(config)
 
 
@@ -405,10 +406,6 @@ def make_backend(config: BackendConfig, options: EngineOptions | None = None,
 class ParsedStep:
     value: object | None
     error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.value is not None
 
 
 _QUOTE_KEYS_RE = re.compile(r"([{,]\s*)([A-Za-z_][A-Za-z0-9_\- ]*?)(\s*:)")
@@ -708,11 +705,11 @@ class EvalRecord:
         return cls(**{**data, "steps": steps})
 
 
-def _reference_steps(sample, options: EngineOptions, eval_mode: str) -> dict:
+def _reference_steps(sample, options: EngineOptions | None) -> dict:
     """The engine's solve report for a sample: what every step is graded
     against. It reads the relations and claim the sample already holds."""
     doc = PremiseDoc(sample.premise, sample.relations.vars, sample.relations)
-    return solve_doc(doc, sample.hypothesis, options, eval_mode).report()
+    return solve_doc(doc, sample.hypothesis, options).report()
 
 
 def _match_step(step: int, parsed, ref) -> bool:
@@ -750,10 +747,8 @@ def _match_step(step: int, parsed, ref) -> bool:
 _STEP_SECTION_RE = re.compile(r"^\s*(?:\*+\s*)?Step\s+(\d+)\s*:", re.M)
 
 
-def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
-                 options: EngineOptions | None = None,
-                 eval_mode: str = MODE_EXTENSION_QUANTIFIED,
-                 backend=None) -> EvalRecord:
+def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP,
+                 options: EngineOptions | None = None) -> EvalRecord:
     """Evaluate one sample against a backend and grade every step.
 
     Backend failures abort the sample, never the batch: the record keeps the
@@ -761,9 +756,7 @@ def run_pipeline(sample, config: BackendConfig, mode: str = MODE_STEP_BY_STEP,
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown pipeline mode {mode!r}; pick one of {EVAL_MODES}")
-    options = options or EngineOptions()
-    backend = backend or make_backend(config, options, eval_mode)
-    refs = _reference_steps(sample, options, eval_mode)
+    refs = _reference_steps(sample, options)
     ctx = PromptContext(premise=sample.premise, hypothesis=sample.hypothesis_text)
     started = time.monotonic()
     steps: dict[str, StepResult] = {}

@@ -45,10 +45,6 @@ class PremiseDoc:
     relations: RelationSet
     provenance: str = PROVENANCE_SYMBOLIC
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
-
 
 # ---------------------------------------------------------------------------
 # themed name banks for story-style rendering

@@ -80,26 +80,11 @@ class VariableTable:
     def label(self, i: int) -> str:
         return self._names[i]
 
-    def alias_of(self, label: str) -> str | None:
-        return self._aliases.get(label)
-
-    def display(self, i: int) -> str:
-        """Alias when one exists, otherwise the bare label."""
-        label = self._names[i]
-        return self._aliases.get(label, label)
-
     def __len__(self) -> int:
         return len(self._names)
 
     def __iter__(self):
         return iter(self._names)
-
-    def __contains__(self, mention) -> bool:
-        try:
-            self.index(mention)
-        except UnknownVariableError:
-            return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VariableTable):

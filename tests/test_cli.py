@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,14 @@ class TestGenerate:
             assert kind in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kinds", [",", " , ", ""])
+    def test_kinds_naming_no_kind_exits_2(self, tmp_path, capsys, kinds):
+        code, _, err = run_cli(capsys, "generate", "--n", "3", "--kinds", kinds,
+                               "-o", str(tmp_path / "x.jsonl"))
+        assert code == 2
+        assert "names no hypothesis kind" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_balanced_requires_seed(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--n", "3", "--balanced", "5",
                                "-o", str(tmp_path / "x.jsonl"))
@@ -184,7 +193,7 @@ class TestGoldenDatasets:
                              "-o", str(out_path), *(["--gzip"] if compress else []))
         assert code == 0
         data = out_path.read_bytes()
-        if compress:  # the gzip header carries an mtime: compare the content
+        if compress:  # the goldens pin the uncompressed bytes
             data = gzip.decompress(data)
         assert hashlib.sha256(data).hexdigest() == GOLDEN_DATASETS[n, form]
 
@@ -226,6 +235,38 @@ class TestEvalAndScore:
         a = json.loads((run_a / "metrics.json").read_text())
         b = json.loads((run_b / "metrics.json").read_text())
         assert a == b
+
+    def test_replay_directory_with_url_characters(self, tmp_path, dataset, capsys):
+        # '#' and '?' would end the path of a parsed URL
+        for name in ("a#b", "c?d"):
+            transcripts = tmp_path / name / "t"
+            runs = {}
+            for run, source in (("rec", ("--backend", "mock", "--record")),
+                                ("rep", ("--replay", str(transcripts)))):
+                out_dir = tmp_path / name / run
+                code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset),
+                                       *source, "--out", str(out_dir))
+                assert code == 0, err
+                if run == "rec":
+                    (out_dir / "transcripts").rename(transcripts)
+                runs[run] = {}
+                for path in (out_dir / "records").iterdir():
+                    record = json.loads(path.read_text())
+                    record.pop("elapsed_ms")
+                    runs[run][path.name] = record
+            assert runs["rec"] == runs["rep"] and len(runs["rec"]) == 8
+
+    def test_path_like_id_exits_2_and_writes_nothing(self, tmp_path, dataset, capsys):
+        samples = read_samples(dataset)
+        bad = tmp_path / "x" / "bad.jsonl"
+        bad.parent.mkdir()
+        write_samples(bad, [samples[0], replace(samples[1], id="../../escaped")])
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(bad), "--backend",
+                               "mock", "--out", str(tmp_path / "x" / "run"), "--record")
+        assert code == 2
+        assert "line 2" in err and "../../escaped" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_score_from_records(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"

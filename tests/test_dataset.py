@@ -1,15 +1,16 @@
 import itertools
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
 from causaltext import dataset
 from causaltext.dataset import (Sample, balanced_generate, class_labels,
-                                generate, read_samples, storyify, write_samples)
+                                generate, read_samples, write_samples)
 from causaltext.errors import (BoundsError, CapacityError, ConfigError,
-                               ResourceError)
+                               ResourceError, UsageError)
 from causaltext.fixtures import THREE_VAR_PREMISE
 from causaltext.graphs import Dag, Mec, enumerate_dags, group_mecs, mec_index
 from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
@@ -64,6 +65,16 @@ class TestGenerate:
         only = list(generate(3, kinds=[HypothesisKind.COMMON_EFFECT]))
         assert len(only) == 11 * 3
         assert {s.kind for s in only} == {"common_effect"}
+
+    def test_repeated_kinds_are_dropped(self):
+        once = list(generate(3, kinds=[HypothesisKind.CAUSE, HypothesisKind.COMMON_CAUSE]))
+        twice = list(generate(3, kinds=[HypothesisKind.CAUSE, HypothesisKind.COMMON_CAUSE,
+                                        HypothesisKind.CAUSE]))
+        assert twice == once
+        assert len({s.id for s in once}) == len(once)
+        kinds = [HypothesisKind.CAUSE, HypothesisKind.CAUSE]
+        assert balanced_generate([3], 4, seed=2, kinds=kinds) \
+            == balanced_generate([3], 4, seed=2, kinds=kinds[:1])
 
     def test_premise_mec_invariant_across_members(self):
         # every member of a class verbalizes to the same premise
@@ -163,34 +174,27 @@ class TestBalancedGenerate:
 
 class TestStoryify:
     def test_health_story_keeps_label_and_relations(self, n3_samples):
-        base = next(s for s in n3_samples
-                    if s.premise == THREE_VAR_PREMISE and s.kind == "direct_cause"
-                    and s.label == YES)
-        story = storyify(base, "health")
-        assert story.label == base.label
-        assert story.mec_digest == base.mec_digest
-        assert "eating junk food" in story.premise
-        doc = parse_premise(story.premise)
-        assert doc.relations == base.relations
-        assert parse_hypothesis(story.hypothesis_text, doc.variables) \
-            == base.hypothesis
+        stories = list(generate(3, style="story", theme="health"))
+        assert len(stories) == len(n3_samples)
+        docs = {}
+        for base, story in zip(n3_samples, stories):
+            assert (story.label, story.kind, story.mec_digest) \
+                == (base.label, base.kind, base.mec_digest)
+            assert base.id.endswith("-symbolic")
+            assert story.id == base.id[:-len("symbolic")] + "story:health"
+            if story.premise not in docs:
+                docs[story.premise] = parse_premise(story.premise)
+            doc = docs[story.premise]
+            assert doc.relations == base.relations
+            assert parse_hypothesis(story.hypothesis_text, doc.variables) \
+                == base.hypothesis
+        collider = next(s for s, b in zip(stories, n3_samples)
+                        if b.premise == THREE_VAR_PREMISE)
+        assert "eating junk food" in collider.premise
 
-    def test_identity_bank(self, n3_samples):
-        base = n3_samples[0]
-        same = storyify(base, bank=list("ABC"))
-        doc = parse_premise(same.premise)
-        assert doc.relations == base.relations
-
-    def test_bank_too_small(self):
-        sample = next(iter(generate(5, order="shuffled", seed=1)))
-        with pytest.raises(ResourceError):
-            storyify(sample, bank=["a", "b", "c"])
-
-    def test_seeded_assignment_is_reproducible(self, n3_samples):
-        base = n3_samples[0]
-        a = storyify(base, "marketing", seed=5)
-        b = storyify(base, "marketing", seed=5)
-        assert a.premise == b.premise
+    def test_unknown_theme(self):
+        with pytest.raises(ResourceError, match="unknown theme"):
+            next(generate(3, style="story", theme="astrology"))
 
     def test_generate_story_style(self):
         samples = list(generate(3, style="story", theme="economics",
@@ -255,6 +259,24 @@ class TestPersistence:
         path = tmp_path / "ds.jsonl.gz"
         write_samples(path, n3_samples[:10], gzip=True)
         assert len(read_samples(path)) == 10
+
+    def test_gzip_bytes_ignore_the_clock(self, tmp_path, n3_samples, monkeypatch):
+        first, second = tmp_path / "a" / "ds.jsonl.gz", tmp_path / "b" / "ds.jsonl.gz"
+        first.parent.mkdir()
+        second.parent.mkdir()
+        write_samples(first, n3_samples[:10], gzip=True)
+        later = time.time() + 86400
+        monkeypatch.setattr(time, "time", lambda: later)
+        write_samples(second, n3_samples[:10], gzip=True)
+        assert first.read_bytes() == second.read_bytes()
+        assert read_samples(first) == read_samples(second) == n3_samples[:10]
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../escaped", "a/b"])
+    def test_path_like_id_is_rejected(self, tmp_path, n3_samples, bad):
+        path = tmp_path / "ds.jsonl"
+        write_samples(path, [n3_samples[0], replace(n3_samples[1], id=bad)])
+        with pytest.raises(UsageError, match="line 2"):
+            read_samples(path)
 
     def test_lines_equal_json_dumps(self, tmp_path, n3_samples):
         odd = ['say "hi"', "back\\slash", "ctl\x00\x1f\t\n\r\x7f",

@@ -119,7 +119,7 @@ class TestMockClosure:
     @pytest.mark.parametrize("mode", [MODE_STEP_BY_STEP, MODE_FEW_SHOT,
                                       MODE_BASELINE_COT])
     def test_all_metrics_perfect(self, balanced_n3, mode):
-        records = [run_pipeline(s, BackendConfig(), mode) for s in balanced_n3]
+        records = [run_pipeline(s, MockBackend(), mode) for s in balanced_n3]
         report = score(records)
         m = report.overall
         assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
@@ -130,8 +130,7 @@ class TestMockClosure:
 
     def test_story_samples_pass_through(self):
         samples = balanced_generate([3], 3, seed=2, style="story", theme="social")
-        records = [run_pipeline(s, BackendConfig(), MODE_STEP_BY_STEP)
-                   for s in samples]
+        records = [run_pipeline(s, MockBackend(), MODE_STEP_BY_STEP) for s in samples]
         assert all(r.correct for r in records)
         assert all(v.match for r in records for v in r.steps.values())
 
@@ -154,7 +153,7 @@ class TestMockClosure:
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for sample in balanced_n3:
             calls.clear()
-            record = run_pipeline(sample, BackendConfig(), mode)
+            record = run_pipeline(sample, MockBackend(), mode)
             assert record.correct and record.error is None
             assert calls.count("parse_premise") == 1
             assert calls.count("parse_hypothesis") == 1
@@ -205,15 +204,13 @@ class AlwaysYesBackend:
 class TestDegenerateBackends:
     def test_always_yes_accuracy_equals_yes_rate(self, balanced_n3):
         backend = AlwaysYesBackend()
-        records = [run_pipeline(s, BackendConfig(), MODE_BASELINE_COT, backend=backend)
-                   for s in balanced_n3]
+        records = [run_pipeline(s, backend, MODE_BASELINE_COT) for s in balanced_n3]
         report = score(records)
         assert report.overall.accuracy == 0.5  # the set is balanced
         assert report.overall.recall == 1.0
 
     def test_always_yes_step_mode_records_chain_break(self, balanced_n3):
-        record = run_pipeline(balanced_n3[0], BackendConfig(), MODE_STEP_BY_STEP,
-                              backend=AlwaysYesBackend())
+        record = run_pipeline(balanced_n3[0], AlwaysYesBackend(), MODE_STEP_BY_STEP)
         assert record.error and "step 1" in record.error
         assert not record.correct
 
@@ -222,11 +219,9 @@ class TestTranscripts:
     def test_record_then_replay_is_deterministic(self, tmp_path, balanced_n3):
         samples = balanced_n3[:4]
         recorder = RecordingBackend(MockBackend(), tmp_path / "t")
-        first = [run_pipeline(s, BackendConfig(), MODE_STEP_BY_STEP, backend=recorder)
-                 for s in samples]
+        first = [run_pipeline(s, recorder, MODE_STEP_BY_STEP) for s in samples]
         replay = ReplayBackend(tmp_path / "t")
-        second = [run_pipeline(s, BackendConfig(), MODE_STEP_BY_STEP, backend=replay)
-                  for s in samples]
+        second = [run_pipeline(s, replay, MODE_STEP_BY_STEP) for s in samples]
 
         def stable(records):
             out = []
@@ -270,8 +265,7 @@ class TestTranscripts:
             "sample_id": sample.id,
             "exchanges": [{"step": 0, "prompt_digest": "x", "response": response}],
         }))
-        record = run_pipeline(sample, BackendConfig(), MODE_FEW_SHOT,
-                              backend=ReplayBackend(tmp_path))
+        record = run_pipeline(sample, ReplayBackend(tmp_path), MODE_FEW_SHOT)
         assert all(v.match for v in record.steps.values()), {
             k: (v.match, v.error) for k, v in record.steps.items() if not v.match}
         assert record.verdict == "Yes" and record.correct
@@ -285,9 +279,8 @@ class TestTranscripts:
         # transcripts recorded in one pipeline mode refuse to serve another
         sample = balanced_n3[0]
         recorder = RecordingBackend(MockBackend(), tmp_path)
-        run_pipeline(sample, BackendConfig(), MODE_FEW_SHOT, backend=recorder)
-        record = run_pipeline(sample, BackendConfig(), MODE_STEP_BY_STEP,
-                              backend=ReplayBackend(tmp_path))
+        run_pipeline(sample, recorder, MODE_FEW_SHOT)
+        record = run_pipeline(sample, ReplayBackend(tmp_path), MODE_STEP_BY_STEP)
         assert record.error and "pipeline mode" in record.error
         assert not record.correct
 
@@ -357,8 +350,7 @@ class TestTransport:
         monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
         config = BackendConfig(endpoint=http_stub, attempts=1)
         backend = make_backend(config)
-        records = [run_pipeline(s, config, MODE_STEP_BY_STEP, backend=backend)
-                   for s in balanced_n3[:2]]
+        records = [run_pipeline(s, backend, MODE_STEP_BY_STEP) for s in balanced_n3[:2]]
         assert len(records) == 2
         for r in records:
             assert r.error and "status 200" in r.error and "not JSON" in r.error
@@ -369,8 +361,7 @@ class TestTransport:
         monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
         config = BackendConfig(endpoint=http_stub, attempts=1)
         backend = make_backend(config)
-        records = [run_pipeline(s, config, MODE_STEP_BY_STEP, backend=backend)
-                   for s in balanced_n3[:4]]
+        records = [run_pipeline(s, backend, MODE_STEP_BY_STEP) for s in balanced_n3[:4]]
         assert len(records) == 4
         assert all(r.error and r.parse_failures == 0 for r in records)
         assert score(records).parse_failure_rate == 0.0
@@ -436,7 +427,7 @@ GOLDEN_MOCK = {
 
 def mock_output_digest(samples, mode, directory) -> str:
     recorder = RecordingBackend(MockBackend(), directory)
-    records = [run_pipeline(s, BackendConfig(), mode, backend=recorder) for s in samples]
+    records = [run_pipeline(s, recorder, mode) for s in samples]
     h = hashlib.sha256()
     for path in sorted(directory.iterdir()):
         h.update(path.name.encode() + path.read_bytes())
