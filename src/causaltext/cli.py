@@ -155,6 +155,9 @@ def cmd_generate(args) -> int:
         raise UsageError("--limit must not be negative")
     if args.balanced is not None and args.balanced < 0:
         raise UsageError("--balanced must not be negative")
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"output directory {out_dir} does not exist")
     kinds = None
     if args.kinds is not None:
         valid = [k.value for k in HypothesisKind]
@@ -184,8 +187,7 @@ def cmd_generate(args) -> int:
 
     # write beside the target and move the file into place on success, so a
     # failed run leaves no partial dataset
-    tmp_dir = tempfile.mkdtemp(prefix=".generate-",
-                               dir=os.path.dirname(os.path.abspath(args.out)))
+    tmp_dir = tempfile.mkdtemp(prefix=".generate-", dir=out_dir)
     try:
         tmp = os.path.join(tmp_dir, os.path.basename(args.out))
         rows = write_samples(tmp, tallied(), gzip=args.gzip)

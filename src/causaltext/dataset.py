@@ -36,9 +36,11 @@ SCHEMA_VERSION = 1
 _SEPARATORS = tuple({"/", os.sep, os.altsep} - {None})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sample:
-    """One benchmark row: premise, claim, and its ground-truth label."""
+    """One benchmark row: premise, claim, and its ground-truth label.
+
+    A slotted record built once per row; it is neither frozen nor hashable."""
 
     id: str
     n_vars: int

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
@@ -351,10 +352,11 @@ def parse_premise(text: str) -> PremiseDoc:
 # hypotheses
 
 
-def _hypothesis_patterns(mention: str) -> list[tuple[HypothesisKind, re.Pattern]]:
+@lru_cache
+def _hypothesis_patterns(mention: str) -> tuple[tuple[HypothesisKind, re.Pattern], ...]:
     m = mention
     verbs = r"(?:affects?|causes?|influences?)"
-    return [
+    return (
         (HypothesisKind.DIRECT_CAUSE, re.compile(
             rf"^(?:does )?(?P<x>{m}) directly {verbs} (?P<y>{m})$", re.I)),
         (HypothesisKind.INDIRECT_CAUSE, re.compile(
@@ -373,7 +375,7 @@ def _hypothesis_patterns(mention: str) -> list[tuple[HypothesisKind, re.Pattern]
             rf"^(?P<x>{m}) and (?P<y>{m}) have (?:at least one |a )?common cause$", re.I)),
         (HypothesisKind.CAUSE, re.compile(
             rf"^(?:does )?(?P<x>{m}) {verbs} (?P<y>{m})$", re.I)),
-    ]
+    )
 
 
 def parse_hypothesis(text: str, vars: VariableTable) -> Hypothesis:

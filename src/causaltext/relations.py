@@ -7,7 +7,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import BoundsError, ConsistencyError
-from .graphs import Dag, _d_connected
+from .graphs import Dag, _ancestor_mask, _d_connected
 from .matrix import _bits, is_acyclic
 from .variables import VariableTable
 
@@ -133,12 +133,16 @@ def relations_from_dag(dag: Dag, table: VariableTable | None = None,
     every non-adjacent pair, so the dependencies are exactly the adjacent
     pairs.
 
-    Each pair tries the subsets of the other nodes in size order, up to
+    An adjacent pair is a dependency untested, since no set separates it.
+    Every other pair tries candidate subsets in size order, up to
     ``max_cond``; a pair no subset separates is a dependency. With
     ``minimal`` (the default) a subset that contains a separating set found
     earlier is skipped untested, since it cannot be minimal, so only the
     sets with no separating proper subset are kept, which is the terse
-    premise style; otherwise every separating set is verbalized.
+    premise style. Its candidates are drawn from the pair's ancestors
+    ``An({x, y}) \\ {x, y}`` alone, since every minimal d-separator lies
+    there (Tian, Paz & Pearl, "Finding minimal d-separators", 1998).
+    Otherwise every separating subset of the other nodes is verbalized.
     """
     table = table or VariableTable.letters(dag.n)
     n = dag.n
@@ -156,7 +160,11 @@ def relations_from_dag(dag: Dag, table: VariableTable | None = None,
     uncond = set()
     cond = set()
     for x, y in combinations(range(n), 2):
-        rest = [1 << v for v in range(n) if v != x and v != y]
+        if dag.adjacent(x, y):
+            deps.add((x, y))
+            continue
+        pool = _ancestor_mask(pa, 1 << x | 1 << y) if minimal else (1 << n) - 1
+        rest = [1 << v for v in _bits(pool) if v != x and v != y]
         found: list[int] = []
         for size in range(max_cond + 1):
             for sub in combinations(rest, size):

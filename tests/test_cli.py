@@ -87,6 +87,14 @@ class TestGenerate:
         assert code == 2
         assert out_path.read_text() == "earlier\n"
 
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        code, _, err = run_cli(capsys, "generate", "--n", "3",
+                               "-o", str(missing / "x.jsonl"))
+        assert code == 2
+        assert err.strip() == f"error: output directory {missing} does not exist"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("limit,draw", [(0, ()), (5, ()),
                                             (3, ("--balanced", "4", "--seed", "1"))])
     def test_limit(self, tmp_path, capsys, limit, draw):
@@ -171,9 +179,12 @@ class TestGenerate:
 
 
 DATASET_FORMS = {"canonical": (), "balanced": ("--balanced", "10", "--seed", "3"),
-                 "story": ("--style", "story")}
+                 "story": ("--style", "story"), "closure": ("--closure",),
+                 "max_cond_1": ("--max-cond", "1")}
 # sha256 of the dataset bytes, pinned from the output of the row-by-row
-# labelling (every claim checked in every member DAG) that class labels replaced
+# labelling (every claim checked in every member DAG) that class labels
+# replaced; the closure and max_cond_1 entries from the search over every
+# subset of the other nodes that ancestor-only candidates replaced
 GOLDEN_DATASETS = {
     ("3", "canonical"): "6a8ab95bc4f84cde17b5e3ab5332efa8743effcf903dce4cb0a8aa57946fdb6f",
     ("3", "balanced"): "e3277727ad0db838e82121814c38f63fb69cb5ad7341f1e72aa30b3f9853bb5d",
@@ -181,6 +192,8 @@ GOLDEN_DATASETS = {
     ("4", "canonical"): "e809d40e5d4864c7311d1bef25bba23840882d660086758eb921a3a87022566e",
     ("4", "balanced"): "5a704a665d427dd8aa080b18624a294d3d496d662b6d8deb6add2fea6edaf11b",
     ("4", "story"): "1315c764736779280577db76c6a5b6c9d364140b0f04cc4964f7efc50a9b2b57",
+    ("4", "closure"): "b03f5b9f2662ef61d701fa3074776a06bf4218dc533d129e6afd1dfd85a0e308",
+    ("4", "max_cond_1"): "5f19f9a13a087841f5bfd19c0364f06b5c3782e7a53dd4c9c486290bf51fc1d9",
 }
 
 

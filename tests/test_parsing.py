@@ -10,7 +10,8 @@ from causaltext.errors import (ConsistencyError, PremiseParseError,
                                ResourceError, UnknownVariableError)
 from causaltext.fixtures import FIXTURES, THREE_VAR_PREMISE, smbh_doc
 from causaltext.hypotheses import Hypothesis, HypothesisKind
-from causaltext.parsing import (PremiseDoc, parse_hypothesis, parse_premise,
+from causaltext.parsing import (PremiseDoc, _hypothesis_patterns, _mention_pattern,
+                                parse_hypothesis, parse_premise,
                                 render_hypothesis, render_premise,
                                 scan_premise, THEMES)
 from causaltext.relations import RelationSet
@@ -121,6 +122,21 @@ class TestParseHypothesis:
         h = parse_hypothesis("Eating junk food directly affects obesity.",
                              junk_food.variables)
         assert h == Hypothesis(HypothesisKind.DIRECT_CAUSE, "A", "C")
+
+    def test_patterns_built_once_per_table(self, three_var, junk_food):
+        parse_hypothesis("A directly affects C.", three_var.variables)
+        before = _hypothesis_patterns.cache_info()
+        h = parse_hypothesis("C causes A.", three_var.variables)
+        after = _hypothesis_patterns.cache_info()
+        assert h == Hypothesis(HypothesisKind.CAUSE, "C", "A")
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        mention = _mention_pattern(three_var.variables.names)
+        assert _hypothesis_patterns(mention) is _hypothesis_patterns(mention)
+        # the story table has the same labels but other mentions
+        assert parse_hypothesis("Obesity causes eating junk food.", junk_food.variables) \
+            == Hypothesis(HypothesisKind.CAUSE, "C", "A")
+        with pytest.raises(PremiseParseError):
+            parse_hypothesis("Obesity causes eating junk food.", three_var.variables)
 
     def test_indirect_forms(self, three_var):
         for text in ("A indirectly affects C", "A affects C indirectly",
