@@ -234,11 +234,10 @@ def separating_sets(dag):
             for x, y in combinations(range(n), 2)}
 
 
-def relations_oracle(dag, max_cond, minimal, all_seps=None):
+def relations_oracle(n, max_cond, minimal, all_seps):
     """Relation set kept from ``separating_sets`` up to ``max_cond``."""
-    n = dag.n
     deps, uncond, cond = set(), set(), set()
-    for (x, y), pair_seps in (all_seps or separating_sets(dag)).items():
+    for (x, y), pair_seps in all_seps.items():
         seps = [c for c in pair_seps if len(c) <= max_cond]
         if not seps:
             deps.add((x, y))
@@ -295,7 +294,7 @@ class TestStatements:
             for max_cond in range(dag.n - 1):
                 for minimal in (True, False):
                     assert relations_from_dag(dag, max_cond=max_cond, minimal=minimal) \
-                        == relations_oracle(dag, max_cond, minimal, all_seps), \
+                        == relations_oracle(dag.n, max_cond, minimal, all_seps), \
                         (dag, max_cond, minimal)
 
 
