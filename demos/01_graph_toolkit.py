@@ -47,7 +47,8 @@ print("chain class size:   ", len(mec_of_dag(chain).members))
 # A partially oriented matrix can be completed into every consistent member.
 cpdag = mec_of_dag(chain).cpdag()
 print("\nextensions of the chain's class matrix:")
-for member in dag_extensions(cpdag):
+for mask in dag_extensions(cpdag):
+    member = Dag.from_mask(cpdag.n, mask)
     print("  edges:", sorted(member.edges),
           "skeleton:", sorted(skeleton(member)),
           "colliders:", sorted(v_structures(member)))

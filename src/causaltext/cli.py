@@ -119,7 +119,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ev.add_argument("--attempts", type=int, default=3)
     ev.add_argument("--collider-filter", choices=FILTER_MODES,
                     default=FILTER_PC_CORRECT)
-    ev.add_argument("--propagate", action="store_true")
     ev.add_argument("--limit", type=int, default=None)
     ev.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -298,8 +297,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--limit must not be negative")
     if args.parallel < 1:
         raise UsageError("--parallel must be at least 1")
-    options = EngineOptions(collider_filter=args.collider_filter,
-                            propagate=args.propagate)
+    options = EngineOptions(collider_filter=args.collider_filter)
     samples = read_samples(args.dataset, limit=args.limit)
     if not samples:
         raise UsageError(f"dataset {args.dataset} holds no samples")

@@ -480,13 +480,14 @@ def mec_index(n: int) -> MecIndex:
 # PDAG extension
 
 
-def dag_extensions(matrix: AdjMatrix) -> list[Dag]:
-    """All DAGs consistent with a PDAG-encoded matrix.
+def dag_extensions(matrix: AdjMatrix) -> list[int]:
+    """All DAGs consistent with a PDAG-encoded matrix, as edge bitmasks.
 
     An extension keeps the matrix skeleton, respects every directed entry,
     is acyclic, and introduces no v-structure beyond the matrix's oriented
     colliders. Returns an empty list when no consistent orientation exists;
-    otherwise the extensions in edge-bitmask order.
+    otherwise the extensions' edge bitmasks (bit ``a * n + b`` for
+    ``a -> b``, as ``Dag.mask``) in ascending order.
 
     The undirected pairs are oriented depth first, in sorted order, and a
     branch is cut as soon as an orientation ``a -> b`` closes a directed
@@ -519,7 +520,7 @@ def dag_extensions(matrix: AdjMatrix) -> list[Dag]:
 
     orient(0, directed)
     masks.sort()
-    return [Dag.from_mask(n, m) for m in masks]
+    return masks
 
 
 def mec_of_dag(dag: Dag) -> Mec:
@@ -527,4 +528,4 @@ def mec_of_dag(dag: Dag) -> Mec:
     skel = skeleton(dag)
     vst = v_structures(dag)
     members = dag_extensions(Mec(dag.n, skel, vst, (dag,)).cpdag())
-    return Mec(dag.n, skel, vst, tuple(members))
+    return Mec(dag.n, skel, vst, tuple(Dag.from_mask(dag.n, m) for m in members))

@@ -24,7 +24,8 @@ import requests
 from .engine import (ColliderCandidates, EngineOptions, apply_conditional,
                      apply_unconditional, candidate_pairs,
                      filter_collider_pairs, initial_matrix, orient_colliders)
-from .errors import (BackendError, ConfigError, TransportError, UsageError)
+from .errors import (BackendError, ConfigError, ConsistencyError, PdagError,
+                     TransportError, UsageError)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, NO, YES, binary_answer,
                          evaluate_on_pdag)
 from .matrix import AdjMatrix
@@ -752,11 +753,11 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP,
     """Evaluate one sample against a backend and grade every step.
 
     Backend failures abort the sample, never the batch: the record keeps the
-    partial trace and an error note.
+    partial trace and an error note. So does a premise the engine cannot
+    solve: its record has no steps and a ``reference:`` error.
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown pipeline mode {mode!r}; pick one of {EVAL_MODES}")
-    refs = _reference_steps(sample, options)
     ctx = PromptContext(premise=sample.premise, hypothesis=sample.hypothesis_text)
     started = time.monotonic()
     steps: dict[str, StepResult] = {}
@@ -781,6 +782,12 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP,
                           mode, steps, verdict, correct,
                           (time.monotonic() - started) * 1000.0,
                           parse_failures, error, usage_tally or None)
+
+    try:
+        refs = _reference_steps(sample, options)
+    except (ConsistencyError, PdagError) as exc:
+        error = f"reference: {exc}"
+        return finish()
 
     if mode == MODE_STEP_BY_STEP:
         prior: dict[int, object] = {}

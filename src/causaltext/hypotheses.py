@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_
 from typing import Sequence
 
 from .errors import ConfigError, ConsistencyError
@@ -105,10 +107,11 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
                      mode: str = MODE_EXTENSION_QUANTIFIED) -> Verdict:
     """Answer a claim from a PDAG-encoded matrix.
 
-    ``rule-based`` reads orientations straight off the matrix and returns
-    Undetermined whenever a relevant edge is unoriented; it never contradicts
-    quantification. ``extension-quantified`` checks the claim in every
-    consistent extension: all hold -> Yes, none -> No, mixed -> Undetermined.
+    Both modes read one criterion, ``_holds``. ``rule-based`` reads it on the
+    directed edges (Yes), then on the directed and undirected edges
+    (Undetermined), and otherwise answers No; it never contradicts
+    quantification. ``extension-quantified`` reads it on each consistent
+    extension: all hold -> Yes, none -> No, mixed -> Undetermined.
     """
     if mode == MODE_RULE_BASED:
         return _rule_based(h, matrix)
@@ -117,88 +120,66 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
     raise ConfigError(f"unknown evaluation mode {mode!r}")
 
 
-def _extension_quantified(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
-    table = matrix.vars
-    extensions = dag_extensions(matrix)
-    if not extensions:
-        raise ConsistencyError("matrix admits no consistent extension")
-    results = [holds_in_dag(h, d, table) for d in extensions]
-    total = len(extensions)
-    if all(results):
-        witness = _common_witness(h, extensions, table)
-        witness["extensions"] = total
-        return Verdict(YES, witness)
-    if not any(results):
-        return Verdict(NO, {"counterexamples": total, "extensions": total})
-    return Verdict(UNDETERMINED,
-                   {"holds_in": sum(results), "extensions": total})
+def _holds(kind: HypothesisKind, ch: Sequence[int], s: int, o: int):
+    """Evidence for the claim when ``ch[v]`` masks the nodes ``v`` points
+    into: the edge bit, the mask of shared children, the mask of shared
+    parents, or a directed path. Falsy when the claim fails."""
+    if kind is HypothesisKind.DIRECT_CAUSE:
+        return ch[s] >> o & 1
+    if kind is HypothesisKind.COMMON_EFFECT:
+        return ch[s] & ch[o]
+    if kind is HypothesisKind.COMMON_CAUSE:
+        both = 1 << s | 1 << o
+        return sum(1 << p for p, c in enumerate(ch) if c & both == both)
+    # a path of length >= 2 for an indirect cause; a parallel edge is allowed
+    return _reach(ch, s, o, 2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
 
 
-def _common_witness(h: Hypothesis, extensions: list[Dag], table: VariableTable) -> dict:
-    s, o = h.resolve(table)
-    kind = h.kind
+def _witness(kind: HypothesisKind, evidence, table: VariableTable, s: int, o: int) -> dict:
+    """The evidence of ``_holds`` in variable labels."""
     if kind is HypothesisKind.DIRECT_CAUSE:
         return {"edge": [table.label(s), table.label(o)]}
     if kind is HypothesisKind.COMMON_EFFECT:
-        shared = set(range(len(table)))
-        for d in extensions:
-            shared &= set(_bits(d.child_mask(s) & d.child_mask(o)))
-        return {"colliders": [table.label(z) for z in sorted(shared)]}
+        return {"colliders": [table.label(z) for z in _bits(evidence)]}
     if kind is HypothesisKind.COMMON_CAUSE:
-        shared = set(range(len(table)))
-        for d in extensions:
-            shared &= set(_bits(d.parent_mask(s) & d.parent_mask(o)))
-        return {"confounders": [table.label(z) for z in sorted(shared)]}
-    # cause / indirect cause: exhibit one directed path from the first extension
-    first = extensions[0]
-    path = _reach([first.child_mask(v) for v in range(first.n)], s, o,
-                  2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
-    return {"path": [table.label(v) for v in path] if path else None}
+        return {"confounders": [table.label(z) for z in _bits(evidence)]}
+    return {"path": [table.label(v) for v in evidence]}
+
+
+def _extension_quantified(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
+    table = matrix.vars
+    s, o = h.resolve(table)
+    n = matrix.n
+    full = (1 << n) - 1
+    extensions = dag_extensions(matrix)
+    if not extensions:
+        raise ConsistencyError("matrix admits no consistent extension")
+    found = [_holds(h.kind, [m >> i * n & full for i in range(n)], s, o)
+             for m in extensions]
+    total = len(extensions)
+    holds = sum(map(bool, found))
+    if holds == total:
+        # colliders and confounders shared by every extension; the first
+        # extension's path
+        evidence = reduce(and_, found) if h.kind in SYMMETRIC_KINDS else found[0]
+        witness = _witness(h.kind, evidence, table, s, o)
+        witness["extensions"] = total
+        return Verdict(YES, witness)
+    if not holds:
+        return Verdict(NO, {"counterexamples": total, "extensions": total})
+    return Verdict(UNDETERMINED, {"holds_in": holds, "extensions": total})
 
 
 def _rule_based(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
     matrix.validate_pdag()
     table = matrix.vars
     s, o = h.resolve(table)
-    kind = h.kind
-    possible = matrix.rows  # a -> b holds in some orientation of the rest
-
-    if kind is HypothesisKind.COMMON_CAUSE:
-        pa = matrix.parent_masks()
-        und = matrix.undirected_masks()
-        certain = pa[s] & pa[o]
-        if certain:
-            return Verdict(YES, {"confounders": [table.label(z) for z in _bits(certain)]})
-        if (pa[s] | und[s]) & (pa[o] | und[o]):
-            return Verdict(UNDETERMINED)
-        return Verdict(NO, {"counterexamples": 1})
-
-    ch = matrix.child_masks()
-    if kind is HypothesisKind.DIRECT_CAUSE:
-        if (ch[s] >> o) & 1:
-            return Verdict(YES, {"edge": [table.label(s), table.label(o)]})
-        if (possible[s] >> o) & 1:  # not directed, so undirected
-            return Verdict(UNDETERMINED)
-        return Verdict(NO, {"counterexamples": 1})
-
-    if kind is HypothesisKind.COMMON_EFFECT:
-        certain = ch[s] & ch[o]
-        if certain:
-            return Verdict(YES, {"colliders": [table.label(z) for z in _bits(certain)]})
-        if possible[s] & possible[o]:
-            return Verdict(UNDETERMINED)
-        return Verdict(NO, {"counterexamples": 1})
-
-    if kind in (HypothesisKind.CAUSE, HypothesisKind.INDIRECT_CAUSE):
-        min_len = 2 if kind is HypothesisKind.INDIRECT_CAUSE else 1
-        sure = _reach(ch, s, o, min_len)
-        if sure:
-            return Verdict(YES, {"path": [table.label(v) for v in sure]})
-        if _reach(possible, s, o, min_len):
-            return Verdict(UNDETERMINED)
-        return Verdict(NO, {"counterexamples": 1})
-
-    raise ConfigError(f"unhandled hypothesis kind {kind}")
+    sure = _holds(h.kind, matrix.child_masks(), s, o)
+    if sure:
+        return Verdict(YES, _witness(h.kind, sure, table, s, o))
+    if _holds(h.kind, matrix.rows, s, o):  # some orientation of the rest
+        return Verdict(UNDETERMINED)
+    return Verdict(NO, {"counterexamples": 1})
 
 
 def _reach(ch: Sequence[int], s: int, o: int, min_len: int) -> list[int] | None:

@@ -281,6 +281,37 @@ class TestEvalAndScore:
         assert "line 2" in err and "../../escaped" in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_unsolvable_premise_is_that_sample_error(self, tmp_path, capsys):
+        # the stated colliders at B and C conflict, so the engine finds no
+        # consistent extension; the other rows must still be graded
+        path = tmp_path / "ds.jsonl"
+        code, _, _ = run_cli(capsys, "generate", "--n", "4", "--balanced", "2",
+                             "--seed", "5", "-o", str(path))
+        assert code == 0
+        rows = [json.loads(line) for line in path.read_text().splitlines()[:3]]
+        bad = dict(rows[0], id="4v-conflict", kind="direct_cause",
+                   hypothesis="B directly causes C.")
+        bad["premise"] = (
+            "Suppose that there is a closed system of 4 variables, A, B, C and D. "
+            "All statistical relations among these 4 variables are as follows: "
+            "A correlates with B. B correlates with C. C correlates with D. "
+            "A is the cause of B. D is the cause of C. However, A is independent "
+            "of C. B is independent of D. A is independent of D.")
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows + [bad]))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(path),
+                               "--backend", "mock", "--out", str(out_dir))
+        assert code == 0, err
+        records = {p.stem: json.loads(p.read_text())
+                   for p in (out_dir / "records").iterdir()}
+        assert len(records) == 4
+        failed = records.pop("4v-conflict")
+        assert failed["error"] == "reference: matrix admits no consistent extension"
+        assert failed["steps"] == {} and failed["verdict"] is None
+        assert all(r["error"] is None and r["correct"] for r in records.values())
+        assert json.loads((out_dir / "manifest.json").read_text())["n_records"] == 4
+        assert (out_dir / "metrics.json").exists()
+
     def test_score_from_records(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"
         run_cli(capsys, "eval", "--dataset", str(dataset), "--backend", "mock",

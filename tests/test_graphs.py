@@ -97,7 +97,7 @@ def assert_extensions_match_reference(matrix):
         with pytest.raises(PdagError):
             dag_extensions(matrix)
         return
-    assert dag_extensions(matrix) == expected
+    assert dag_extensions(matrix) == [d.mask for d in expected]
 
 
 class TestEnumeration:
@@ -190,8 +190,8 @@ class TestDSeparation:
         # every extension of the worked example's oriented matrix satisfies
         # the premise's largest conditional independence
         matrix = AdjMatrix.from_mapping(FIVE_VAR_STEP_8)
-        for member in dag_extensions(matrix):
-            assert d_separated(member, 2, 4, {0, 1, 3})  # C and E given A, B, D
+        for mask in dag_extensions(matrix):
+            assert d_separated(Dag.from_mask(5, mask), 2, 4, {0, 1, 3})  # C and E given A, B, D
 
     def test_bounds(self):
         g = Dag(3, [(0, 1)])
@@ -377,7 +377,8 @@ class TestExtensions:
     def test_fully_undirected(self, n):
         # every topological order of the complete graph is one extension
         cells = [[int(i != j) for j in range(n)] for i in range(n)]
-        exts = dag_extensions(AdjMatrix(VariableTable.letters(n), cells))
+        exts = [Dag.from_mask(n, m) for m in
+                dag_extensions(AdjMatrix(VariableTable.letters(n), cells))]
         assert len(exts) == factorial(n)
         assert len({d.mask for d in exts}) == len(exts)
         for d in exts:
@@ -404,7 +405,7 @@ class TestExtensions:
 
     def test_five_var_final_matrix(self):
         matrix = AdjMatrix.from_mapping(FIVE_VAR_STEP_8)
-        exts = dag_extensions(matrix)
+        exts = [Dag.from_mask(5, m) for m in dag_extensions(matrix)]
         assert len(exts) == 2
         forced = {(0, 3), (1, 3), (0, 4), (1, 4), (2, 3)}
         for d in exts:

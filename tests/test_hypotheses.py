@@ -90,6 +90,33 @@ def reference_rule_based(h, matrix):
     raise ConfigError(f"unhandled hypothesis kind {kind}")
 
 
+def reference_quantified(h, members, table, got):
+    """Extension-quantified verdict rebuilt from the class members with
+    ``holds_in_dag``. A path witness is taken from ``got``: which path is
+    shown is checked by the path-witness test."""
+    total = len(members)
+    holds = sum(holds_in_dag(h, d, table) for d in members)
+    if not holds:
+        return {"answer": NO, "witness": {"counterexamples": total, "extensions": total}}
+    if holds < total:
+        return {"answer": UNDETERMINED, "witness": {"holds_in": holds, "extensions": total}}
+    s, o = h.resolve(table)
+    if h.kind is HypothesisKind.DIRECT_CAUSE:
+        witness = {"edge": [table.label(s), table.label(o)]}
+    elif h.kind is HypothesisKind.COMMON_EFFECT:
+        shared = set.intersection(*({z for a, z in d.edges if a == s and (o, z) in d.edges}
+                                    for d in members))
+        witness = {"colliders": [table.label(z) for z in sorted(shared)]}
+    elif h.kind is HypothesisKind.COMMON_CAUSE:
+        shared = set.intersection(*({z for z, b in d.edges if b == s and (z, o) in d.edges}
+                                    for d in members))
+        witness = {"confounders": [table.label(z) for z in sorted(shared)]}
+    else:
+        witness = {"path": got["witness"]["path"]}
+    witness["extensions"] = total
+    return {"answer": YES, "witness": witness}
+
+
 def reference_reach(n, step, s, o, min_len):
     stack = [(s, [s])]
     while stack:
@@ -236,13 +263,15 @@ class TestEvaluateOnPdag:
         table = VariableTable.letters(n)
         for mec in group_mecs(list(enumerate_dags(n))):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
-            assert sorted(d.mask for d in dag_extensions(matrix)) == \
-                sorted(d.mask for d in mec.members)
+            assert sorted(dag_extensions(matrix)) == sorted(d.mask for d in mec.members)
             for kind in KINDS:
-                for i, j in combinations(range(n), 2):
+                for i, j in permutations(range(n), 2):
                     h = H(kind, table.label(i), table.label(j))
                     verdict = evaluate_on_pdag(h, matrix)
                     assert binary_answer(verdict) == label_against_mec(h, mec, table)
+                    got = verdict.as_dict()
+                    assert got == reference_quantified(h, mec.members, table, got), \
+                        (mec.digest(), h)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_path_witness_lies_in_first_extension(self, n):
@@ -253,7 +282,7 @@ class TestEvaluateOnPdag:
         checked = {HypothesisKind.CAUSE: 0, HypothesisKind.INDIRECT_CAUSE: 0}
         for mec in group_mecs(list(enumerate_dags(n))):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
-            first = dag_extensions(matrix)[0]
+            first = Dag.from_mask(n, dag_extensions(matrix)[0])
             for kind, min_len in ((HypothesisKind.CAUSE, 1),
                                   (HypothesisKind.INDIRECT_CAUSE, 2)):
                 for s, o in permutations(range(n), 2):
@@ -277,10 +306,12 @@ class TestEvaluateOnPdag:
         mecs = group_mecs(list(enumerate_dags(5)))
         for mec in random.Random(13).sample(mecs, 120):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
-            assert sorted(d.mask for d in dag_extensions(matrix)) == \
-                sorted(d.mask for d in mec.members)
+            assert sorted(dag_extensions(matrix)) == sorted(d.mask for d in mec.members)
             for kind in KINDS:
-                for i, j in combinations(range(5), 2):
+                for i, j in permutations(range(5), 2):
                     h = H(kind, table.label(i), table.label(j))
                     verdict = evaluate_on_pdag(h, matrix)
                     assert binary_answer(verdict) == label_against_mec(h, mec, table)
+                    got = verdict.as_dict()
+                    assert got == reference_quantified(h, mec.members, table, got), \
+                        (mec.digest(), h)
