@@ -117,8 +117,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ev.add_argument("--model", default="oracle")
     ev.add_argument("--auth-env", default=None)
     ev.add_argument("--attempts", type=int, default=3)
-    ev.add_argument("--collider-filter", choices=FILTER_MODES,
-                    default=FILTER_PC_CORRECT)
     ev.add_argument("--limit", type=int, default=None)
     ev.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -297,19 +295,18 @@ def cmd_eval(args) -> int:
         raise UsageError("--limit must not be negative")
     if args.parallel < 1:
         raise UsageError("--parallel must be at least 1")
-    options = EngineOptions(collider_filter=args.collider_filter)
     samples = read_samples(args.dataset, limit=args.limit)
     if not samples:
         raise UsageError(f"dataset {args.dataset} holds no samples")
     os.makedirs(args.out, exist_ok=True)
     records_dir = os.path.join(args.out, "records")
     os.makedirs(records_dir, exist_ok=True)
-    backend = make_backend(config, options)
+    backend = make_backend(config)
     if args.record:
         backend = RecordingBackend(backend, os.path.join(args.out, "transcripts"))
 
     def run(sample):
-        return run_pipeline(sample, backend, args.mode, options)
+        return run_pipeline(sample, backend, args.mode)
 
     records = []
     with ThreadPoolExecutor(max_workers=args.parallel) as pool:
@@ -360,8 +357,8 @@ def _emit_report(report: ScoreReport, fmt: str, group_by) -> None:
         print(json.dumps(report.as_dict(), indent=2))
         return
     m = report.overall
-    print(f"records: {report.n_records}   parse-failure rate: "
-          f"{report.parse_failure_rate:.4f}")
+    print(f"records: {report.n_records}   reference errors: {report.reference_errors}"
+          f"   parse-failure rate: {report.parse_failure_rate:.4f}")
     print(f"overall  acc {m.accuracy:.4f}  f1 {m.f1:.4f}  precision {m.precision:.4f}"
           f"  recall {m.recall:.4f}  (tp {m.tp} fp {m.fp} tn {m.tn} fn {m.fn})")
     if "n_vars" in group_by:

@@ -256,11 +256,13 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
     Reading stops after ``limit`` records. A premise equal to the previous
     row's is not parsed again: the row reuses that row's document. An id
     must be usable as a file name inside one directory (records and
-    transcripts are stored as ``<id>.json``), so a path-like id is rejected.
+    transcripts are stored as ``<id>.json``), so a path-like id is rejected,
+    and so is an id an earlier row already holds.
     """
     text_opener = gzip_mod.open if str(path).endswith(".gz") else open
     out: list[Sample] = []
     premise = doc = None
+    first_line: dict[str, int] = {}
     with text_opener(path, "rt", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if limit is not None and len(out) >= limit:
@@ -273,6 +275,10 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
             if sid in ("", ".", "..") or any(sep in sid for sep in _SEPARATORS):
                 raise UsageError(f"{path} line {lineno}: sample id {sid!r}"
                                  " is not a plain file name")
+            if sid in first_line:
+                raise UsageError(f"{path} line {lineno}: sample id {sid!r} repeats"
+                                 f" the id of line {first_line[sid]}")
+            first_line[sid] = lineno
             if rec["premise"] != premise:
                 premise, doc = rec["premise"], parse_premise(rec["premise"])
             h = parse_hypothesis(rec["hypothesis"], doc.variables)

@@ -15,13 +15,14 @@ import os
 import re
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import urlparse
 
 import requests
 
-from .engine import (ColliderCandidates, EngineOptions, apply_conditional,
+from .engine import (ColliderCandidates, apply_conditional,
                      apply_unconditional, candidate_pairs,
                      filter_collider_pairs, initial_matrix, orient_colliders)
 from .errors import (BackendError, ConfigError, ConsistencyError, PdagError,
@@ -44,6 +45,8 @@ MODE_STEP_BY_STEP = "step-by-step"
 MODE_FEW_SHOT = "few-shot"
 MODE_BASELINE_COT = "baseline-cot"
 EVAL_MODES = (MODE_STEP_BY_STEP, MODE_FEW_SHOT, MODE_BASELINE_COT)
+# how a record's error starts when the engine cannot solve its sample
+REFERENCE_ERROR = "reference:"
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +275,7 @@ class MockBackend:
     2 and 9 of one sample share one parse of its premise.
     """
 
-    def __init__(self, options: EngineOptions | None = None):
-        self.options = options or EngineOptions()
+    def __init__(self):
         # ((sample_id, premise text), PremiseDoc) of the last parse; one tuple,
         # read and replaced whole, so a thread never pairs a key with another
         # sample's doc
@@ -351,7 +353,7 @@ class MockBackend:
         table = VariableTable(labels)
         rels = _relations_for(table, uncond=uncond, cond=cond)
         cands = ColliderCandidates.from_mapping(cand_map, table)
-        kept = filter_collider_pairs(cands, rels, self.options.collider_filter)
+        kept = filter_collider_pairs(cands, rels)
         return "Filtered candidates:\n" + step_reply(7, kept.to_mapping())
 
     def _step_8(self, sections) -> str:
@@ -374,8 +376,8 @@ class MockBackend:
     def _solve(self, content: str) -> dict:
         """The solve report for the premise and hypothesis of a bundled prompt."""
         sections = extract_sections(content)
-        return solve_doc(parse_premise(sections["Premise"]), sections["Hypothesis"],
-                         self.options).report()
+        doc = parse_premise(sections["Premise"])
+        return solve_doc(doc, sections["Hypothesis"]).report()
 
 
 def _relations_for(table: VariableTable, uncond=(), cond=()) -> RelationSet:
@@ -389,11 +391,11 @@ def _relations_for(table: VariableTable, uncond=(), cond=()) -> RelationSet:
     )
 
 
-def make_backend(config: BackendConfig, options: EngineOptions | None = None):
+def make_backend(config: BackendConfig):
     validate_config(config)
     scheme = config.scheme()
     if scheme == "mock":
-        return MockBackend(options)
+        return MockBackend()
     if scheme == "replay":
         return ReplayBackend(_replay_directory(config.endpoint))
     return HttpBackend(config)
@@ -410,11 +412,19 @@ class ParsedStep:
 
 
 _QUOTE_KEYS_RE = re.compile(r"([{,]\s*)([A-Za-z_][A-Za-z0-9_\- ]*?)(\s*:)")
+_CELL_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*[:=]\s*([01])\b")
+# the row forms a reply may use without braces around the whole object, each
+# with the reader of one row's body: ``A: {B: 1, C = 0}`` and ``C: [A, B]``
+_ROW_FORMS = (
+    (re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*[:=]\s*\{([^{}]*)\}"),
+     lambda body: {c: int(v) for c, v in _CELL_RE.findall(body)}),
+    (re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*:\s*\[([^\[\]{}]*)\]"),
+     lambda body: [x.strip().strip("\"'") for x in body.split(",") if x.strip()]),
+)
 
 
 def _json_blocks(text: str):
-    depth = 0
-    start = 0
+    depth = start = 0
     for i, ch in enumerate(text):
         if ch == "{":
             if depth == 0:
@@ -430,37 +440,47 @@ def _tolerant_loads(block: str):
     for candidate in (block,
                       _QUOTE_KEYS_RE.sub(r'\1"\2"\3', block),
                       _QUOTE_KEYS_RE.sub(r'\1"\2"\3', block.replace("'", '"'))):
-        try:
+        with suppress(ValueError):  # json.JSONDecodeError is a ValueError
             return json.loads(candidate)
-        except (json.JSONDecodeError, ValueError):
-            continue
     return None
 
 
-def _dicts_in(text: str):
+def _objects(text: str):
+    """Every object a reply states, in the order a step looks for its value: each
+    balanced ``{...}`` block that loads and the dicts nested in it, then the
+    ``Name: {...}`` rows as one object and the ``Name: [...]`` rows as another."""
     for block in _json_blocks(text):
-        loaded = _tolerant_loads(block)
-        if isinstance(loaded, dict):
-            yield loaded
+        pending = [_tolerant_loads(block)]
+        while pending:
+            obj = pending.pop()
+            if isinstance(obj, dict):
+                yield obj
+                pending.extend(reversed(obj.values()))
+    for row_re, read_row in _ROW_FORMS:
+        rows = {name: read_row(body) for name, body in row_re.findall(text)}
+        if rows:
+            yield rows
 
 
-def _walk_dicts(obj):
-    if isinstance(obj, dict):
-        yield obj
-        for v in obj.values():
-            yield from _walk_dicts(v)
+def _count_and_names(obj) -> dict | None:
+    count = names = None
+    for key, value in obj.items():
+        low = str(key).lower()
+        if "number" in low and isinstance(value, (int, str)):
+            with suppress(ValueError):
+                count = int(value)
+        if "name" in low and isinstance(value, (list, str)):
+            names = ([str(v) for v in value] if isinstance(value, list)
+                     else [v.strip() for v in value.split(",") if v.strip()])
+    return {"count": count, "names": names} if count is not None and names else None
 
 
 def _norm_pairs(value) -> list[list[str]] | None:
-    if not isinstance(value, list):
-        return None
-    out = []
-    for entry in value:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and all(isinstance(x, str) for x in entry)):
-            return None
-        out.append(sorted(str(x) for x in entry))
-    return sorted(out)
+    if isinstance(value, list) and all(isinstance(e, list) and len(e) == 2
+                                       and all(isinstance(x, str) for x in e)
+                                       for e in value):
+        return sorted(sorted(e) for e in value)
+    return None
 
 
 def _norm_cond_entries(value):
@@ -469,81 +489,73 @@ def _norm_cond_entries(value):
     out = []
     for entry in value:
         if isinstance(entry, dict) and "pair" in entry:
-            pair = entry["pair"]
-            given = entry.get("given")
-        elif (isinstance(entry, (list, tuple)) and len(entry) == 2
-              and all(isinstance(x, (list, tuple)) for x in entry)):
-            pair, given = entry
-        elif (isinstance(entry, (list, tuple)) and len(entry) == 2
-              and all(isinstance(x, str) for x in entry)):
+            pair, given = entry["pair"], entry.get("given")
+        elif _norm_pairs([entry]):  # a bare pair, its conditioning set unread
             pair, given = entry, None
+        elif isinstance(entry, list) and len(entry) == 2 and all(
+                isinstance(x, list) for x in entry):
+            pair, given = entry
         else:
             return None
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2):
             return None
-        out.append({"pair": sorted(str(x) for x in pair),
-                    "given": sorted(str(g) for g in given) if given is not None else None})
+        out.append({"pair": sorted(map(str, pair)),
+                    "given": None if given is None else sorted(map(str, given))})
     return sorted(out, key=lambda e: (e["pair"], e["given"] or []))
 
 
-def _is_matrix(obj) -> bool:
-    if not isinstance(obj, dict) or not obj:
-        return False
-    keys = set(obj)
+def _relation_lists(obj) -> dict | None:
+    deps = uncond = cond = declared = None
+    for key, value in {str(k).lower(): v for k, v in obj.items()}.items():
+        if "unconditional" in key:
+            uncond = _norm_pairs(value)
+        elif "conditional" in key:
+            cond = _norm_cond_entries(value)
+        elif "depend" in key and "indep" not in key:
+            deps = _norm_pairs(value)
+        elif "cause" in key:
+            declared = value if isinstance(value, list) else None
+    return None if deps is None and uncond is None else {
+        "dependencies": deps or [],
+        "unconditional_independencies": uncond or [],
+        "conditional_independencies": cond or [],
+        "declared_causes": [list(map(str, e)) for e in (declared or [])]}
+
+
+def _matrix(obj) -> dict | None:
+    """``obj`` itself when it is a square 0/1 matrix keyed by variable names."""
+    keys = obj.keys()
     for row in obj.values():
-        if not isinstance(row, dict) or set(row) != keys:
-            return False
+        if not isinstance(row, dict) or row.keys() != keys:
+            return None
         for v in row.values():
             if v not in (0, 1):
-                return False
-    return True
+                return None
+    return obj if keys else None
 
 
-def _matrix_from_rows(text: str) -> dict | None:
-    rows = re.findall(r"([A-Za-z][A-Za-z0-9]*)\s*[:=]\s*\{([^{}]*)\}", text)
-    if not rows:
-        return None
-    out = {}
-    for name, inner in rows:
-        cells = re.findall(r"([A-Za-z][A-Za-z0-9]*)\s*[:=]\s*([01])\b", inner)
-        if not cells:
-            return None
-        out[name] = {c: int(v) for c, v in cells}
-    return out if _is_matrix(out) else None
-
-
-def _norm_candidates(obj) -> dict | None:
-    if not isinstance(obj, dict):
-        return None
+def _candidates(obj) -> dict | None:
     out = {}
     for key, value in obj.items():
         if not isinstance(value, list):
             return None
         if value and all(isinstance(x, str) for x in value):
-            if len(value) != 2:
-                return None
-            pairs = [sorted(value)]
-        else:
-            pairs = []
-            for entry in value:
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                    return None
-                pairs.append(sorted(str(x) for x in entry))
-        out[str(key)] = sorted(pairs)
-    return out
-
-
-def _candidates_from_rows(text: str) -> dict | None:
-    rows = re.findall(r"([A-Za-z][A-Za-z0-9]*)\s*:\s*\[([^\[\]{}]*)\]", text)
-    if not rows:
-        return None
-    out = {}
-    for name, inner in rows:
-        labels = [x.strip().strip('"\'') for x in inner.split(",") if x.strip()]
-        if len(labels) != 2:
+            value = [value]  # one flat pair
+        if any(not isinstance(e, list) or len(e) != 2 for e in value):
             return None
-        out[name] = [sorted(labels)]
+        out[str(key)] = sorted([sorted(map(str, e)) for e in value])
     return out
+
+
+def _count_and_names_in_prose(text: str) -> dict | None:
+    count_hit = re.search(r"number of random variables?\s*[:=]?\s*(\d+)", text, re.I)
+    names_hit = re.search(
+        r"names of (?:all )?(?:the )?random variables?\s*[:=]?\s*([A-Za-z0-9_,\s]+)",
+        text, re.I)
+    if count_hit and names_hit:
+        names = [v.strip() for v in names_hit.group(1).split(",") if v.strip()]
+        return {"count": int(count_hit.group(1)), "names": names}
+    return None
 
 
 _FINAL_ANSWER_RES = (
@@ -554,6 +566,26 @@ _FINAL_ANSWER_RES = (
 )
 
 
+def _final_answer(text: str) -> dict | None:
+    for pattern in _FINAL_ANSWER_RES:
+        hits = pattern.findall(text)
+        if hits:
+            return {"answer": hits[-1].capitalize()}
+    return None
+
+
+# step -> (reader of the value one object states, reader of the value the
+# reply states in prose, message when neither finds it); a reader returns
+# None when it finds nothing, and either may be absent
+_STEP_READERS = {
+    1: (_count_and_names, _count_and_names_in_prose, "no variable count/names found"),
+    2: (_relation_lists, None, "no relation lists found"),
+    **dict.fromkeys((3, 4, 5, 8), (_matrix, None, "no adjacency matrix found")),
+    **dict.fromkeys((6, 7), (_candidates, None, "no candidate map found")),
+    9: (None, _final_answer, "no final answer found"),
+}
+
+
 def parse_step_output(step: int, text: str) -> ParsedStep:
     """Pull the structured value for one step out of possibly chatty text.
 
@@ -562,92 +594,16 @@ def parse_step_output(step: int, text: str) -> ParsedStep:
     """
     if not isinstance(text, str) or not text.strip():
         return ParsedStep(None, "empty output")
+    shape, prose, missing = _STEP_READERS.get(step) or (None, None, f"unknown step {step}")
     try:
-        if step == 1:
-            return _parse_step_1(text)
-        if step == 2:
-            return _parse_step_2(text)
-        if step in (3, 4, 5, 8):
-            for obj in _dicts_in(text):
-                for inner in _walk_dicts(obj):
-                    if _is_matrix(inner):
-                        return ParsedStep(inner)
-            fallback = _matrix_from_rows(text)
-            if fallback:
-                return ParsedStep(fallback)
-            return ParsedStep(None, "no adjacency matrix found")
-        if step in (6, 7):
-            for obj in _dicts_in(text):
-                norm = _norm_candidates(obj)
-                if norm is not None:
-                    return ParsedStep(norm)
-            fallback = _candidates_from_rows(text)
-            if fallback is not None:
-                return ParsedStep(fallback)
-            if re.search(r"\{\s*\}", text):
-                return ParsedStep({})
-            return ParsedStep(None, "no candidate map found")
-        if step == 9:
-            for pattern in _FINAL_ANSWER_RES:
-                hits = pattern.findall(text)
-                if hits:
-                    return ParsedStep({"answer": hits[-1].capitalize()})
-            return ParsedStep(None, "no final answer found")
+        for obj in _objects(text) if shape else ():
+            value = shape(obj)
+            if value is not None:
+                return ParsedStep(value)
+        value = prose(text) if prose else None
     except Exception as exc:  # totality: arbitrary text must never blow up
         return ParsedStep(None, f"parse error: {exc}")
-    return ParsedStep(None, f"unknown step {step}")
-
-
-def _parse_step_1(text: str) -> ParsedStep:
-    for obj in _dicts_in(text):
-        for inner in _walk_dicts(obj):
-            count = names = None
-            for key, value in inner.items():
-                low = str(key).lower()
-                if "number" in low and isinstance(value, (int, str)):
-                    try:
-                        count = int(value)
-                    except ValueError:
-                        pass
-                if "name" in low and isinstance(value, list):
-                    names = [str(v) for v in value]
-                if "name" in low and isinstance(value, str):
-                    names = [v.strip() for v in value.split(",") if v.strip()]
-            if count is not None and names:
-                return ParsedStep({"count": count, "names": names})
-    count_hit = re.search(r"number of random variables?\s*[:=]?\s*(\d+)", text, re.I)
-    names_hit = re.search(
-        r"names of (?:all )?(?:the )?random variables?\s*[:=]?\s*([A-Za-z0-9_,\s]+)",
-        text, re.I)
-    if count_hit and names_hit:
-        names = [v.strip() for v in names_hit.group(1).split(",") if v.strip()]
-        return ParsedStep({"count": int(count_hit.group(1)), "names": names})
-    return ParsedStep(None, "no variable count/names found")
-
-
-def _parse_step_2(text: str) -> ParsedStep:
-    for obj in _dicts_in(text):
-        for inner in _walk_dicts(obj):
-            lowered = {str(k).lower(): v for k, v in inner.items()}
-            deps = uncond = cond = declared = None
-            for key, value in lowered.items():
-                if "unconditional" in key:
-                    uncond = _norm_pairs(value)
-                elif "conditional" in key:
-                    cond = _norm_cond_entries(value)
-                elif "depend" in key and "indep" not in key:
-                    deps = _norm_pairs(value)
-                elif "cause" in key:
-                    declared = value if isinstance(value, list) else None
-            if deps is None and uncond is None:
-                continue
-            return ParsedStep({
-                "dependencies": deps or [],
-                "unconditional_independencies": uncond or [],
-                "conditional_independencies": cond or [],
-                "declared_causes": [list(map(str, e)) for e in (declared or [])],
-            })
-    return ParsedStep(None, "no relation lists found")
+    return ParsedStep(value) if value is not None else ParsedStep(None, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -706,50 +662,42 @@ class EvalRecord:
         return cls(**{**data, "steps": steps})
 
 
-def _reference_steps(sample, options: EngineOptions | None) -> dict:
+def _reference_steps(sample) -> dict:
     """The engine's solve report for a sample: what every step is graded
-    against. It reads the relations and claim the sample already holds."""
+    against. It reads the relations and claim the sample already holds, and
+    filters collider candidates by the rule the step-7 prompt states."""
     doc = PremiseDoc(sample.premise, sample.relations.vars, sample.relations)
-    return solve_doc(doc, sample.hypothesis, options).report()
+    return solve_doc(doc, sample.hypothesis).report()
 
 
 def _match_step(step: int, parsed, ref) -> bool:
+    """Whether a parsed step value says what the reference says. Steps 2 to 8
+    read both sides through the step's shape reader, so the one place that
+    decides what a reply may look like also decides what it means."""
     if parsed is None:
         return False
     if step == 1:
-        return (parsed.get("count") == ref["count"]
-                and set(parsed.get("names", ())) == set(ref["names"]))
-    if step == 2:
-        if _norm_pairs(parsed["dependencies"]) != _norm_pairs(ref["dependencies"]):
-            return False
-        if (_norm_pairs(parsed["unconditional_independencies"])
-                != _norm_pairs(ref["unconditional_independencies"])):
-            return False
-        got = _norm_cond_entries(parsed["conditional_independencies"]) or []
-        want = _norm_cond_entries(ref["conditional_independencies"]) or []
-        if [e["pair"] for e in got] != [e["pair"] for e in want]:
-            return False
-        for g, w in zip(got, want):
-            if g["given"] is not None and g["given"] != w["given"]:
-                return False
-        return True
-    if step in (3, 4, 5, 8):
-        return parsed == ref
-    if step in (6, 7):
-        return _norm_candidates(parsed) == _norm_candidates(ref)
+        return parsed["count"] == ref["count"] and set(parsed["names"]) == set(ref["names"])
     if step == 9:
-        answer = parsed.get("answer") if isinstance(parsed, dict) else None
-        if answer is None:
-            return False
-        return binary_answer(answer) == binary_answer(ref["answer"])
-    return False
+        return binary_answer(parsed["answer"]) == binary_answer(ref["answer"])
+    shape = _STEP_READERS[step][0]
+    if step != 2:  # equal values read alike, so only unequal ones are read
+        return parsed == ref or shape(parsed) == shape(ref)
+    got, want = shape(parsed), shape(ref)
+    # the cause list is not graded, and a conditional independence read
+    # without its conditioning set matches any set
+    got_cond, want_cond = (x["conditional_independencies"] for x in (got, want))
+    return (got["dependencies"] == want["dependencies"]
+            and got["unconditional_independencies"] == want["unconditional_independencies"]
+            and len(got_cond) == len(want_cond)
+            and all(g["pair"] == w["pair"] and g["given"] in (None, w["given"])
+                    for g, w in zip(got_cond, want_cond)))
 
 
 _STEP_SECTION_RE = re.compile(r"^\s*(?:\*+\s*)?Step\s+(\d+)\s*:", re.M)
 
 
-def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP,
-                 options: EngineOptions | None = None) -> EvalRecord:
+def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP) -> EvalRecord:
     """Evaluate one sample against a backend and grade every step.
 
     Backend failures abort the sample, never the batch: the record keeps the
@@ -784,9 +732,9 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP,
                           parse_failures, error, usage_tally or None)
 
     try:
-        refs = _reference_steps(sample, options)
+        refs = _reference_steps(sample)
     except (ConsistencyError, PdagError) as exc:
-        error = f"reference: {exc}"
+        error = f"{REFERENCE_ERROR} {exc}"
         return finish()
 
     if mode == MODE_STEP_BY_STEP:
@@ -934,10 +882,12 @@ class ScoreReport:
     step_accuracy_by_n_vars: dict[int, dict[str, float]]
     parse_failure_rate: float
     n_records: int
+    reference_errors: int
 
     def as_dict(self) -> dict:
         return {
             "n_records": self.n_records,
+            "reference_errors": self.reference_errors,
             "overall": self.overall.as_dict(),
             "by_n_vars": {str(k): v.as_dict() for k, v in sorted(self.by_n_vars.items())},
             "step_accuracy": self.step_accuracy,
@@ -958,11 +908,15 @@ def score(records: Sequence[EvalRecord]) -> ScoreReport:
     """Aggregate binary metrics plus per-step and per-subtask accuracy.
 
     The parse-failure rate counts records with an unparseable step output;
-    a sample that failed in transport has none and is not counted.
+    a sample that failed in transport has none and is not counted. A record
+    whose error starts with ``reference:`` holds a sample the engine could
+    not solve, so nothing in it was graded: it is counted as a reference
+    error and left out of every other figure.
     """
-    records = list(records)
-    if not records:
+    everything = list(records)
+    if not everything:
         raise UsageError("no evaluation records to score")
+    records = [r for r in everything if not (r.error or "").startswith(REFERENCE_ERROR)]
     by_n: dict[int, Metrics] = {}
     step_by_n: dict[int, dict[str, float]] = {}
     for n in sorted({r.n_vars for r in records}):
@@ -986,6 +940,7 @@ def score(records: Sequence[EvalRecord]) -> ScoreReport:
         step_accuracy=steps,
         subtask_accuracy=subtasks,
         step_accuracy_by_n_vars=step_by_n,
-        parse_failure_rate=failures / len(records),
-        n_records=len(records),
+        parse_failure_rate=failures / len(records) if records else 0.0,
+        n_records=len(everything),
+        reference_errors=len(everything) - len(records),
     )

@@ -281,6 +281,21 @@ class TestEvalAndScore:
         assert "line 2" in err and "../../escaped" in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_repeated_id_exits_2_and_writes_nothing(self, tmp_path, dataset, capsys):
+        # a repeated id would overwrite the first row's record file, leaving
+        # fewer records on disk than the run reports
+        samples = read_samples(dataset)
+        bad = tmp_path / "x" / "bad.jsonl"
+        bad.parent.mkdir()
+        write_samples(bad, [*samples[:3], replace(samples[3], id=samples[1].id)])
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(bad), "--backend",
+                               "mock", "--out", str(tmp_path / "x" / "run"), "--record")
+        assert code == 2
+        assert str(bad) in err and "line 4" in err and repr(samples[1].id) in err
+        assert "line 2" in err  # the row that first held the id
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unsolvable_premise_is_that_sample_error(self, tmp_path, capsys):
         # the stated colliders at B and C conflict, so the engine finds no
         # consistent extension; the other rows must still be graded
@@ -310,7 +325,15 @@ class TestEvalAndScore:
         assert failed["steps"] == {} and failed["verdict"] is None
         assert all(r["error"] is None and r["correct"] for r in records.values())
         assert json.loads((out_dir / "manifest.json").read_text())["n_records"] == 4
-        assert (out_dir / "metrics.json").exists()
+        # the failed reference grades nothing, so the mock still scores 1.0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["n_records"] == 4 and metrics["reference_errors"] == 1
+        assert all(metrics["overall"][k] == 1.0
+                   for k in ("accuracy", "precision", "recall", "f1"))
+        assert metrics["overall"]["tp"] + metrics["overall"]["tn"] == 3
+        assert all(v == 1.0 for v in metrics["step_accuracy"].values())
+        code, out, _ = run_cli(capsys, "score", "--records", str(out_dir))
+        assert code == 0 and "reference errors: 1" in out
 
     def test_score_from_records(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"

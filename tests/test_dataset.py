@@ -219,7 +219,8 @@ class TestPersistence:
         rows = list(generate(4))
         a, b = rows[:10], rows[48:58]  # 48 rows per class
         assert len({s.premise for s in a}) == len({s.premise for s in b}) == 1
-        samples = a + b + a[:5]  # three runs of equal premises
+        # three runs of equal premises; ids must not repeat
+        samples = a + b + [replace(s, id=f"{s.id}-again") for s in a[:5]]
         path = tmp_path / "ds.jsonl"
         write_samples(path, samples)
         # the reference parses every row

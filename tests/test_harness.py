@@ -1,6 +1,8 @@
 import hashlib
 import http.server
 import json
+import random
+import re
 import sys
 import threading
 from itertools import islice
@@ -19,7 +21,9 @@ from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
                                 ReplayBackend, StepResult, make_backend,
                                 parse_step_output, run_pipeline,
                                 score, validate_config)
-from causaltext.prompts import PromptContext, few_shot_bundle, render_prompt
+from causaltext.hypotheses import binary_answer
+from causaltext.prompts import (PromptContext, few_shot_bundle, render_prompt,
+                               step_reply)
 
 from conftest import FIVE_VAR_STEP_7
 
@@ -113,6 +117,150 @@ class TestParseStepOutput:
     def test_totality(self, text):
         for step in range(1, 10):
             parse_step_output(step, text)  # must never raise
+
+
+# ---------------------------------------------------------------------------
+# replies that are oddly formatted or wrong, over every step of every report
+# of an equivalence class on two to four variables
+
+MATRIX_STEPS, CANDIDATE_STEPS = (3, 4, 5, 8), (6, 7)
+
+
+@pytest.fixture(scope="module")
+def class_reports():
+    first = {}
+    for n in (2, 3, 4):
+        for sample in generate(n):
+            first.setdefault(sample.mec_digest, sample)
+    return [harness._reference_steps(s) for s in first.values()]
+
+
+def chatty(step, entry, reply, rng):
+    head = rng.choice(["Sure! Here is the result.", "Working through it carefully:",
+                       "Output for this step follows."])
+    tail = rng.choice(["", "Hope this helps.", "That completes the step."])
+    return f"{head}\n{reply}\n{tail}"
+
+
+def single_quotes(step, entry, reply, rng):
+    return reply.replace('"', "'")
+
+
+def unquoted_keys(step, entry, reply, rng):
+    return re.sub(r'"([^"]*)"(\s*:)', r"\1\2", reply) if step != 9 else None
+
+
+def matrix_rows(sep, joiner):
+    def rewrite(step, entry, reply, rng):
+        if step not in MATRIX_STEPS:
+            return None
+        return joiner.join(
+            f"{r}{sep}{{" + ", ".join(f"{c}{sep}{v}" for c, v in row.items()) + "}"
+            for r, row in entry.items())
+    rewrite.__name__ = f"matrix_rows{sep.strip()}"
+    return rewrite
+
+
+def flat_pair_rows(step, entry, reply, rng):
+    if step not in CANDIDATE_STEPS or not entry or any(len(p) != 1 for p in entry.values()):
+        return None
+    return "\n".join(f"{r}: [{a}, {b}]" for r, [[a, b]] in entry.items())
+
+
+def wrapped(key, steps):
+    def rewrite(step, entry, reply, rng):
+        return json.dumps({key: json.loads(reply)}) if step in steps else None
+    rewrite.__name__ = f"wrapped_{key}"
+    return rewrite
+
+
+FORMAT_REWRITES = (chatty, single_quotes, unquoted_keys, matrix_rows(": ", ", "),
+                   matrix_rows(" = ", "\n"), flat_pair_rows,
+                   wrapped("result", range(1, 9)), wrapped("Candidates", CANDIDATE_STEPS))
+
+
+def flipped_cell(step, entry, rng):
+    if step not in MATRIX_STEPS:
+        return None
+    r, c = rng.sample(sorted(entry), 2)
+    return {**entry, r: {**entry[r], c: 1 - entry[r][c]}}
+
+
+def dropped_pair(step, entry, rng):
+    if step not in CANDIDATE_STEPS or not entry:
+        return None
+    key = rng.choice(sorted(entry))
+    pairs = list(entry[key])
+    del pairs[rng.randrange(len(pairs))]
+    out = {k: v for k, v in entry.items() if k != key}
+    return {**out, key: pairs} if pairs else out
+
+
+def flipped_answer(step, entry, rng):
+    if step != 9:
+        return None
+    return {"answer": "No" if binary_answer(entry["answer"]) == "Yes" else "Yes"}
+
+
+CONTENT_CHANGES = (flipped_cell, dropped_pair, flipped_answer)
+
+
+def graded(step, text, ref):
+    parsed = parse_step_output(step, text)
+    return parsed, harness._match_step(step, parsed.value, ref)
+
+
+class TestImperfectReplies:
+    @pytest.mark.parametrize("rewrite", FORMAT_REWRITES, ids=lambda f: f.__name__)
+    def test_format_rewrite_grades_as_match(self, class_reports, rewrite):
+        rng, applied, wrong = random.Random(13), 0, []
+        for report in class_reports:
+            for step in range(1, 10):
+                ref = report[f"step_{step}"]
+                text = rewrite(step, ref, step_reply(step, ref), rng)
+                if text is None:
+                    continue
+                applied += 1
+                parsed, match = graded(step, text, ref)
+                if not match:
+                    wrong.append((step, text, parsed))
+        assert applied and not wrong, wrong[:3]
+
+    @pytest.mark.parametrize("change", CONTENT_CHANGES, ids=lambda f: f.__name__)
+    def test_content_change_grades_as_mismatch(self, class_reports, change):
+        # each changed reply is sent plain and in one rewritten form
+        rng, applied, wrong = random.Random(17), 0, []
+        for report in class_reports:
+            for step in range(1, 10):
+                ref = report[f"step_{step}"]
+                changed = change(step, ref, rng)
+                if changed is None:
+                    continue
+                reply = step_reply(step, changed)
+                rewrite = rng.choice(FORMAT_REWRITES)
+                for text in (reply, rewrite(step, changed, reply, rng)):
+                    if text is None:
+                        continue
+                    applied += 1
+                    parsed, match = graded(step, text, ref)
+                    if parsed.value is None or match:
+                        wrong.append((step, text, parsed))
+        assert applied and not wrong, wrong[:3]
+
+    def test_seeded_garbage_never_raises(self, class_reports):
+        rng = random.Random(19)
+        tokens = list('{}[]:,="\' 01\n') + ["A", "B", "C", "yes", "No", "Final Answer:",
+                                             "number of random variables: 3"]
+        replies = [step_reply(k, r[f"step_{k}"]) for r in class_reports[::7]
+                   for k in range(1, 10)]
+        for step in range(1, 10):
+            for _ in range(300):
+                text = "".join(rng.choice(tokens) for _ in range(rng.randrange(60)))
+                reply = rng.choice(replies)
+                cut = rng.randrange(len(reply) + 1)
+                for junk in (text, reply[:cut] + text, text + reply[cut:]):
+                    parsed, _ = graded(step, junk, class_reports[0][f"step_{step}"])
+                    assert parsed.value is not None or parsed.error
 
 
 class TestMockClosure:
@@ -411,6 +559,18 @@ class TestMetrics:
     def test_score_requires_records(self):
         with pytest.raises(UsageError):
             score([])
+
+    def test_only_reference_errors_score_without_dividing_by_zero(self):
+        records = [EvalRecord(f"s{k}", 4, "Yes", "cause", MODE_STEP_BY_STEP, {},
+                              None, False, 1.0, 0,
+                              "reference: matrix admits no consistent extension")
+                   for k in range(2)]
+        report = score(records).as_dict()
+        assert report["n_records"] == 2 and report["reference_errors"] == 2
+        assert report["overall"]["accuracy"] == 0.0
+        assert report["overall"]["degenerate_precision"]
+        assert report["by_n_vars"] == {} and report["step_accuracy"] == {}
+        assert report["parse_failure_rate"] == 0.0
 
 
 
