@@ -23,7 +23,7 @@ from .errors import (BoundsError, CausaltextError, ConfigError,
 from .fixtures import FIXTURES
 from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
                       RecordingBackend, ScoreReport, make_backend,
-                      run_pipeline, score, validate_config, write_json_atomic)
+                      run_pipeline, score, write_json_atomic)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                          HypothesisKind)
 from .parsing import THEMES, parse_premise
@@ -290,7 +290,7 @@ def cmd_eval(args) -> int:
         endpoint = args.backend
     config = BackendConfig(endpoint=endpoint, model=args.model,
                            auth_env=args.auth_env, attempts=args.attempts)
-    validate_config(config)
+    backend = make_backend(config)
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must not be negative")
     if args.parallel < 1:
@@ -301,7 +301,6 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     records_dir = os.path.join(args.out, "records")
     os.makedirs(records_dir, exist_ok=True)
-    backend = make_backend(config)
     if args.record:
         backend = RecordingBackend(backend, os.path.join(args.out, "transcripts"))
 

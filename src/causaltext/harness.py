@@ -16,7 +16,7 @@ import re
 import threading
 import time
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 from urllib.parse import urlparse
 
@@ -32,10 +32,9 @@ from .hypotheses import (MODE_EXTENSION_QUANTIFIED, NO, YES, binary_answer,
 from .matrix import AdjMatrix
 from .parsing import PremiseDoc, parse_hypothesis, parse_premise
 from .pipeline import solve_doc
-from .prompts import (PromptContext, extract_sections, identify_step,
-                      is_cot_prompt, is_few_shot_prompt, render_cot,
-                      render_few_shot, render_prompt, split_sections,
-                      step_replies, step_reply)
+from .prompts import (PromptContext, is_cot_prompt, is_few_shot_prompt,
+                      read_prompt, render_cot, render_few_shot, render_prompt,
+                      split_sections, step_replies, step_reply)
 from .relations import RelationSet
 from .variables import VariableTable
 
@@ -51,6 +50,12 @@ REFERENCE_ERROR = "reference:"
 
 # ---------------------------------------------------------------------------
 # configuration and transport
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass's fields by name, in field order; unlike ``dataclasses.asdict``
+    it copies no value."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -76,16 +81,7 @@ class BackendConfig:
         return urlparse(self.endpoint).scheme
 
     def as_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "auth_env": self.auth_env,
-            "attempts": self.attempts,
-            "backoff": self.backoff,
-            "timeout": self.timeout,
-        }
+        return _field_dict(self)
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(self.as_dict(), sort_keys=True)
@@ -269,8 +265,8 @@ def write_json_atomic(path: str, data) -> None:
 class MockBackend:
     """In-process oracle: answers every prompt with the engine's own output.
 
-    The reply is computed from the prompt text alone (premise, matrices, and
-    lists are read back out of the rendered sections), so the full
+    The reply is computed from the prompt text alone: ``read_prompt`` reads
+    back the premise, matrices and lists its sections state, so the full
     render/transport/parse path is exercised without any network. Steps 1,
     2 and 9 of one sample share one parse of its premise.
     """
@@ -289,14 +285,23 @@ class MockBackend:
             final = self._solve(content)["step_9"]
             return ("Working through the structure of the premise step by step "
                     f"leads to the verdict {final['answer']}. " + step_reply(9, final))
-        detected = identify_step(content)
-        if detected is None:
+        read = read_prompt(content)
+        if read is None:
             raise TransportError("oracle backend cannot identify the prompt")
-        sections = extract_sections(content)
-        handler = getattr(self, f"_step_{detected}")
-        if detected in (1, 2, 9):  # the steps whose prompt holds the premise
-            return handler(sections, self._parse(sample_id, sections["Premise"]))
-        return handler(sections)
+        step, ctx, prior = read
+        if step not in (1, 2, 9):  # the steps whose prompt states the premise
+            return _MOCK_LEADS[step] + step_reply(step, _engine_step(step, prior).to_mapping())
+        doc = self._parse(sample_id, ctx.premise)
+        if step == 1:
+            entry = {"count": len(doc.variables), "names": list(doc.variables.names)}
+            return "Here is the extraction.\n" + step_reply(1, entry)
+        if step == 2:
+            return "All of Statistical Relations:\n" + step_reply(2, doc.relations.as_dict())
+        matrix = AdjMatrix.from_mapping(prior[8], vars=doc.variables)
+        h = parse_hypothesis(ctx.hypothesis, doc.variables)
+        verdict = evaluate_on_pdag(h, matrix, MODE_EXTENSION_QUANTIFIED).as_dict()
+        return (f"The evaluation over the matrix gives {verdict['answer']}. "
+                + step_reply(9, verdict))
 
     def _parse(self, sample_id, premise: str) -> PremiseDoc:
         key, doc = self._last_parse
@@ -305,90 +310,42 @@ class MockBackend:
             self._last_parse = ((sample_id, premise), doc)
         return doc
 
-    # step handlers -------------------------------------------------------
-
-    def _step_1(self, sections, doc: PremiseDoc) -> str:
-        table = doc.variables
-        return ("Here is the extraction.\n"
-                + step_reply(1, {"count": len(table), "names": list(table.names)}))
-
-    def _step_2(self, sections, doc: PremiseDoc) -> str:
-        return "All of Statistical Relations:\n" + step_reply(2, doc.relations.as_dict())
-
-    def _step_3(self, sections) -> str:
-        names = json.loads(sections["Random variables"])
-        declared = json.loads(sections["Cause-and-effect relations"])
-        table = VariableTable(names)
-        matrix = initial_matrix(
-            table, [(table.index(a), table.index(b)) for a, b in declared])
-        return "Initial adjacency matrix:\n" + step_reply(3, matrix.to_mapping())
-
-    def _step_4(self, sections) -> str:
-        matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
-        rels = _relations_for(matrix.vars,
-                              uncond=json.loads(sections["Unconditional independencies"]))
-        out = apply_unconditional(matrix, rels)
-        return "Updated adjacency matrix:\n" + step_reply(4, out.to_mapping())
-
-    def _step_5(self, sections) -> str:
-        matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
-        rels = _relations_for(matrix.vars,
-                              cond=json.loads(sections["Conditional independencies"]))
-        out = apply_conditional(matrix, rels)
-        return "Updated adjacency matrix:\n" + step_reply(5, out.to_mapping())
-
-    def _step_6(self, sections) -> str:
-        matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
-        cands = candidate_pairs(matrix)
-        return "Candidates:\n" + step_reply(6, cands.to_mapping())
-
-    def _step_7(self, sections) -> str:
-        cand_map = json.loads(sections["Candidates"])
-        uncond = json.loads(sections["Unconditional independencies"])
-        cond = json.loads(sections["Conditional independencies"])
-        labels = sorted({*cand_map,
-                         *(x for pair in uncond for x in pair),
-                         *(x for entry in cond for x in entry["pair"] + entry["given"]),
-                         *(x for pairs in cand_map.values() for p in pairs for x in p)})
-        table = VariableTable(labels)
-        rels = _relations_for(table, uncond=uncond, cond=cond)
-        cands = ColliderCandidates.from_mapping(cand_map, table)
-        kept = filter_collider_pairs(cands, rels)
-        return "Filtered candidates:\n" + step_reply(7, kept.to_mapping())
-
-    def _step_8(self, sections) -> str:
-        matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]))
-        cands = ColliderCandidates.from_mapping(json.loads(sections["Candidates"]),
-                                                matrix.vars)
-        out = orient_colliders(matrix, cands)
-        return "Final adjacency matrix:\n" + step_reply(8, out.to_mapping())
-
-    def _step_9(self, sections, doc: PremiseDoc) -> str:
-        matrix = AdjMatrix.from_mapping(json.loads(sections["Adjacency matrix"]),
-                                        vars=doc.variables)
-        h = parse_hypothesis(sections["Hypothesis"], doc.variables)
-        verdict = evaluate_on_pdag(h, matrix, MODE_EXTENSION_QUANTIFIED).as_dict()
-        return (f"The evaluation over the matrix gives {verdict['answer']}. "
-                + step_reply(9, verdict))
-
-    # bundled modes --------------------------------------------------------
-
     def _solve(self, content: str) -> dict:
         """The solve report for the premise and hypothesis of a bundled prompt."""
-        sections = extract_sections(content)
+        sections = dict(split_sections(content))
         doc = parse_premise(sections["Premise"])
         return solve_doc(doc, sections["Hypothesis"]).report()
 
 
-def _relations_for(table: VariableTable, uncond=(), cond=()) -> RelationSet:
-    return RelationSet(
-        table,
-        uncond_indep=frozenset((table.index(a), table.index(b)) for a, b in uncond),
-        cond_indep=frozenset(
-            ((table.index(e["pair"][0]), table.index(e["pair"][1])),
-             frozenset(table.index(g) for g in e["given"]))
-            for e in cond),
-    )
+_MOCK_LEADS = {3: "Initial adjacency matrix:\n", 4: "Updated adjacency matrix:\n",
+               5: "Updated adjacency matrix:\n", 6: "Candidates:\n",
+               7: "Filtered candidates:\n", 8: "Final adjacency matrix:\n"}
+
+
+def _engine_step(step: int, prior: dict):
+    """One engine call for a step from 3 to 8, on the prior outputs its prompt
+    states. It calls the engine through this module's names, so a wrapper set
+    on them sees every call."""
+    if step == 3:
+        table = VariableTable(prior[1]["names"])
+        return initial_matrix(table, RelationSet.from_dict(table, prior[2]).declared_causes)
+    if step == 7:
+        # the prompt states no variable list: the table is every label it mentions
+        rels = prior[2]
+        table = VariableTable(sorted({
+            *prior[6], *(x for pairs in prior[6].values() for p in pairs for x in p),
+            *(x for p in rels["unconditional_independencies"] for x in p),
+            *(x for e in rels["conditional_independencies"] for x in e["pair"] + e["given"])}))
+        return filter_collider_pairs(ColliderCandidates.from_mapping(prior[6], table),
+                                     RelationSet.from_dict(table, rels))
+    matrix = AdjMatrix.from_mapping(prior[5 if step == 8 else step - 1])
+    if step == 4:
+        return apply_unconditional(matrix, RelationSet.from_dict(matrix.vars, prior[2]))
+    if step == 5:
+        return apply_conditional(matrix, RelationSet.from_dict(matrix.vars, prior[2]))
+    if step == 6:
+        return candidate_pairs(matrix)
+    return orient_colliders(matrix, ColliderCandidates.from_mapping(prior[7], matrix.vars))
 
 
 def make_backend(config: BackendConfig):
@@ -618,8 +575,7 @@ class StepResult:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {"raw": self.raw, "parsed": self.parsed,
-                "match": self.match, "error": self.error}
+        return _field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -640,20 +596,8 @@ class EvalRecord:
     token_counts: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "n_vars": self.n_vars,
-            "label": self.label,
-            "kind": self.kind,
-            "mode": self.mode,
-            "steps": {k: v.as_dict() for k, v in self.steps.items()},
-            "verdict": self.verdict,
-            "correct": self.correct,
-            "elapsed_ms": self.elapsed_ms,
-            "parse_failures": self.parse_failures,
-            "error": self.error,
-            "token_counts": self.token_counts,
-        }
+        return {**_field_dict(self),
+                "steps": {k: v.as_dict() for k, v in self.steps.items()}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
@@ -684,11 +628,12 @@ def _match_step(step: int, parsed, ref) -> bool:
     if step != 2:  # equal values read alike, so only unequal ones are read
         return parsed == ref or shape(parsed) == shape(ref)
     got, want = shape(parsed), shape(ref)
-    # the cause list is not graded, and a conditional independence read
-    # without its conditioning set matches any set
+    # causes are (cause, effect) pairs in any list order, and a conditional
+    # independence read without its conditioning set matches any set
     got_cond, want_cond = (x["conditional_independencies"] for x in (got, want))
     return (got["dependencies"] == want["dependencies"]
             and got["unconditional_independencies"] == want["unconditional_independencies"]
+            and sorted(got["declared_causes"]) == sorted(want["declared_causes"])
             and len(got_cond) == len(want_cond)
             and all(g["pair"] == w["pair"] and g["given"] in (None, w["given"])
                     for g, w in zip(got_cond, want_cond)))

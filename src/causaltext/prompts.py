@@ -3,8 +3,9 @@
 The step instructions are fixed texts; rendering appends the slot sections a
 step needs (premise, matrices, independence lists, candidates, hypothesis)
 in a stable layout. The few-shot variant bundles ten fully worked examples
-ahead of the new premise. Slot sections use one canonical JSON shape so both
-the in-process oracle backend and the output parser can read them back.
+ahead of the new premise. Slot sections use one canonical JSON shape, and
+``read_prompt`` reads a rendered step prompt back into its step, context and
+prior outputs.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ _SECTION_RE = re.compile(
 
 @dataclass(frozen=True)
 class PromptContext:
-    premise: str
+    premise: str | None = None
     hypothesis: str | None = None
 
 
@@ -169,17 +170,29 @@ def split_sections(text: str, marker: re.Pattern = _SECTION_RE) -> Iterator[tupl
         yield hit.group(1), text[hit.end():stop].strip()
 
 
-def extract_sections(text: str) -> dict[str, str]:
-    """Recover the slot sections of a rendered prompt (used by the oracle backend)."""
-    return dict(split_sections(text))
-
-
-def identify_step(text: str) -> int | None:
-    """Which step instruction a rendered prompt begins with, if any."""
-    for step, instruction in STEP_INSTRUCTIONS.items():
-        if text.startswith(instruction[:60]):
-            return step
-    return None
+def read_prompt(text: str) -> tuple[int, PromptContext, dict[int, object]] | None:
+    """Inverse of :func:`render_prompt`: the step whose instruction begins
+    ``text``, its context and the prior outputs its sections state, or None
+    for text that no step renders. A prior output the prompt shows only in
+    part holds just the entries it shows."""
+    step = next((k for k, instruction in STEP_INSTRUCTIONS.items()
+                 if text.startswith(instruction)), None)
+    if step is None:
+        return None
+    sections = dict(split_sections(text))
+    fields: dict[str, str] = {}
+    prior: dict[int, object] = {}
+    try:
+        for section, prior_step, key in _STEP_SLOTS[step]:
+            if prior_step is None:
+                fields[key] = sections[section]
+            elif key is None:
+                prior[prior_step] = json.loads(sections[section])
+            else:
+                prior.setdefault(prior_step, {})[key] = json.loads(sections[section])
+    except (KeyError, ValueError):  # json.JSONDecodeError is a ValueError
+        return None
+    return step, PromptContext(**fields), prior
 
 
 def is_few_shot_prompt(text: str) -> bool:

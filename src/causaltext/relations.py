@@ -123,6 +123,20 @@ class RelationSet:
             "declared_causes": [[lab(a), lab(b)] for a, b in sorted(self.declared_causes)],
         }
 
+    @classmethod
+    def from_dict(cls, table: VariableTable, data: dict) -> "RelationSet":
+        """Inverse of :meth:`as_dict`; an absent list reads as empty."""
+        idx = table.index
+
+        def pairs(key):
+            return frozenset((idx(a), idx(b)) for a, b in data.get(key, ()))
+
+        return cls(table, pairs("dependencies"), pairs("unconditional_independencies"),
+                   frozenset(((idx(e["pair"][0]), idx(e["pair"][1])),
+                              frozenset(map(idx, e["given"])))
+                             for e in data.get("conditional_independencies", ())),
+                   pairs("declared_causes"))
+
 
 def relations_from_dag(dag: Dag, table: VariableTable | None = None,
                        max_cond: int | None = None,

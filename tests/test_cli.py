@@ -445,6 +445,20 @@ class TestEvalAndScore:
         assert code == 2
         assert "MISSING_TOKEN" in err
 
+    def test_missing_replay_directory_exits_2_before_reading(self, tmp_path, dataset,
+                                                             capsys, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_samples", unread)
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset),
+                               "--replay", str(tmp_path / "no" / "such"),
+                               "--out", str(out_dir))
+        assert code == 2
+        assert "transcript directory not found" in err
+        assert not out_dir.exists()
+
     def test_backend_and_replay_mutually_exclusive(self, tmp_path, dataset,
                                                    capsys):
         with pytest.raises(SystemExit) as err:

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from causaltext import harness, pipeline
 from causaltext.dataset import balanced_generate, generate
+from causaltext.engine import (ColliderCandidates, apply_conditional,
+                               apply_unconditional, candidate_pairs,
+                               orient_colliders)
 from causaltext.errors import (BackendError, ConfigError, TemplateError,
                                TransportError, UsageError)
 from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
@@ -22,8 +25,10 @@ from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
                                 parse_step_output, run_pipeline,
                                 score, validate_config)
 from causaltext.hypotheses import binary_answer
-from causaltext.prompts import (PromptContext, few_shot_bundle, render_prompt,
-                               step_reply)
+from causaltext.matrix import AdjMatrix
+from causaltext.parsing import parse_premise
+from causaltext.prompts import (PromptContext, few_shot_bundle, read_prompt,
+                               render_prompt, step_reply)
 
 from conftest import FIVE_VAR_STEP_7
 
@@ -127,12 +132,17 @@ MATRIX_STEPS, CANDIDATE_STEPS = (3, 4, 5, 8), (6, 7)
 
 
 @pytest.fixture(scope="module")
-def class_reports():
+def class_samples():
     first = {}
     for n in (2, 3, 4):
         for sample in generate(n):
             first.setdefault(sample.mec_digest, sample)
-    return [harness._reference_steps(s) for s in first.values()]
+    return list(first.values())
+
+
+@pytest.fixture(scope="module")
+def class_reports(class_samples):
+    return [harness._reference_steps(s) for s in class_samples]
 
 
 def chatty(step, entry, reply, rng):
@@ -202,7 +212,17 @@ def flipped_answer(step, entry, rng):
     return {"answer": "No" if binary_answer(entry["answer"]) == "Yes" else "Yes"}
 
 
-CONTENT_CHANGES = (flipped_cell, dropped_pair, flipped_answer)
+def invented_cause(step, entry, rng):
+    if step != 2:
+        return None
+    fresh = [p for d in entry["dependencies"] for p in (d, d[::-1])
+             if p not in entry["declared_causes"]]
+    if not fresh:
+        return None
+    return {**entry, "declared_causes": [*entry["declared_causes"], rng.choice(fresh)]}
+
+
+CONTENT_CHANGES = (flipped_cell, dropped_pair, flipped_answer, invented_cause)
 
 
 def graded(step, text, ref):
@@ -261,6 +281,100 @@ class TestImperfectReplies:
                 for junk in (text, reply[:cut] + text, text + reply[cut:]):
                     parsed, _ = graded(step, junk, class_reports[0][f"step_{step}"])
                     assert parsed.value is not None or parsed.error
+
+
+# what each step's prompt states: a context field, a whole prior output, or
+# one entry of a prior output as (step, key)
+STATED = {
+    1: ("premise",),
+    2: ("premise", (1, "names")),
+    3: ((1, "names"), (2, "declared_causes")),
+    4: (3, (2, "unconditional_independencies")),
+    5: (4, (2, "conditional_independencies")),
+    6: (5,),
+    7: (6, (2, "unconditional_independencies"), (2, "conditional_independencies")),
+    8: (5, 7),
+    9: ("premise", 8, "hypothesis"),
+}
+
+
+def ask_mock(step, ctx, prior, sample_id):
+    prompt = [{"role": "user", "content": render_prompt(step, ctx, prior)}]
+    return parse_step_output(step, MockBackend().complete(prompt, sample_id=sample_id)).value
+
+
+class TestPromptReader:
+    def test_inverts_render_prompt(self, class_samples, class_reports):
+        for sample, report in zip(class_samples, class_reports):
+            ctx = PromptContext(sample.premise, sample.hypothesis_text)
+            prior = {k: report[f"step_{k}"] for k in range(1, 9)}
+            for step, stated in STATED.items():
+                want_ctx = PromptContext(**{f: getattr(ctx, f) for f in stated
+                                            if isinstance(f, str)})
+                want_prior = {k: prior[k] for k in stated if isinstance(k, int)}
+                for k, key in (e for e in stated if isinstance(e, tuple)):
+                    want_prior.setdefault(k, {})[key] = prior[k][key]
+                got = read_prompt(render_prompt(step, ctx, prior))
+                assert got == (step, want_ctx, want_prior)
+
+    def test_text_no_step_renders_reads_as_none(self, class_reports):
+        prior = {k: class_reports[-1][f"step_{k}"] for k in range(1, 9)}
+        prompt = render_prompt(8, PromptContext(), prior)
+        assert read_prompt(prompt) is not None
+        for text in ("", "Hello.", prompt[:prompt.index("Candidates:")],
+                     prompt.replace('"A"', "A"), few_shot_bundle()):
+            assert read_prompt(text) is None
+
+    def test_mock_answers_the_prompt_not_the_sample(self, class_samples, class_reports):
+        # the prior matrix and candidates come from another class on the same
+        # variables; the reply must be the engine step on those inputs
+        by_n = {}
+        for sample, report in zip(class_samples, class_reports):
+            by_n.setdefault(sample.n_vars, []).append((sample, report))
+        cases = 0
+        for group in by_n.values():
+            for j, (sample, mine) in enumerate(group):
+                other = group[(j + 1) % len(group)][1]
+                matrix = AdjMatrix.from_mapping(other["step_5"])
+                cands = ColliderCandidates.from_mapping(other["step_7"], matrix.vars)
+                ctx = PromptContext(sample.premise, sample.hypothesis_text)
+                want = {4: apply_unconditional(matrix, sample.relations),
+                        5: apply_conditional(matrix, sample.relations),
+                        6: candidate_pairs(matrix),
+                        8: orient_colliders(matrix, cands)}
+                prior = {2: mine["step_2"], 3: other["step_5"], 4: other["step_5"],
+                         5: other["step_5"], 7: other["step_7"]}
+                for step, out in want.items():
+                    assert ask_mock(step, ctx, prior, sample.id) == out.to_mapping()
+                    cases += 1
+        assert cases == 4 * len(class_samples)
+
+
+class TestDeclaredCauses:
+    PREMISE = ("Suppose there is a closed system of 3 variables, A, B and C. "
+               "All the statistical relations among these 3 variables are as "
+               "follows: A correlates with B. B correlates with C. "
+               "A correlates with C. A is the cause of C.")
+
+    @pytest.fixture(scope="class")
+    def ref(self):
+        return pipeline.solve_doc(parse_premise(self.PREMISE), "A causes C.").report()["step_2"]
+
+    def test_stated_cause_matches(self, ref):
+        assert ref["declared_causes"] == [["A", "C"]]
+        assert graded(2, step_reply(2, ref), ref)[1]
+
+    @pytest.mark.parametrize("causes", [[], [["C", "A"]]], ids=["dropped", "reversed"])
+    def test_dropped_or_reversed_cause_mismatches(self, ref, causes):
+        parsed, match = graded(2, step_reply(2, {**ref, "declared_causes": causes}), ref)
+        assert parsed.value is not None and not match
+
+    def test_reply_without_the_key_matches_no_cause(self, class_reports):
+        for report in class_reports:
+            ref = report["step_2"]
+            reply = json.loads(step_reply(2, ref))
+            del reply["Cause-and-Effect Relations"]
+            assert graded(2, json.dumps(reply), ref)[1]
 
 
 class TestMockClosure:
