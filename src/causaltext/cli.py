@@ -23,7 +23,7 @@ from .errors import (BoundsError, CausaltextError, ConfigError,
 from .fixtures import FIXTURES
 from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
                       RecordingBackend, ScoreReport, make_backend,
-                      run_pipeline, score, write_json_atomic)
+                      run_pipeline, score, write_text_atomic)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                          HypothesisKind)
 from .parsing import THEMES, parse_premise
@@ -332,7 +332,9 @@ def cmd_eval(args) -> int:
 
 
 def _write_record(records_dir: str, rec: EvalRecord) -> None:
-    write_json_atomic(os.path.join(records_dir, f"{rec.sample_id}.json"), rec.as_dict())
+    # one compact line: without indent json runs its C encoder
+    write_text_atomic(os.path.join(records_dir, f"{rec.sample_id}.json"),
+                      json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
 
 
 def _read_records(records_dir: str) -> list[EvalRecord]:

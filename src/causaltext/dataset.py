@@ -23,12 +23,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, ConfigError, UsageError
-from .graphs import Dag, _ancestor_mask, mec_digest, mec_index
+from .graphs import _closure, _union_table, mec_digest, mec_index
 from .hypotheses import NO, SYMMETRIC_KINDS, YES, Hypothesis, HypothesisKind
-from .matrix import _bits
 from .parsing import (PremiseDoc, _story_names, parse_hypothesis, parse_premise,
                       render_hypothesis, render_premise)
-from .relations import RelationSet, relations_from_dag
+from .relations import TABLE_BLOCK, RelationSet, relation_set, relation_table
 from .variables import VariableTable
 
 SCHEMA_VERSION = 1
@@ -84,41 +83,44 @@ def _style_tag(style: str, theme: str | None) -> str:
     return f"story:{theme or 'health'}"
 
 
-def class_labels(n: int, masks: Iterable[int]) -> dict[HypothesisKind, list[int]]:
-    """Which claims hold in every member of a class, as row bitmasks.
+LABEL_KINDS = (HypothesisKind.DIRECT_CAUSE, HypothesisKind.INDIRECT_CAUSE,
+               HypothesisKind.CAUSE, HypothesisKind.COMMON_EFFECT,
+               HypothesisKind.COMMON_CAUSE)
 
-    ``masks`` are the members' edge bitmasks (edge ``i -> j`` at bit
-    ``i*n + j``). Bit ``j`` of ``holds[kind][i]`` is set iff the claim
-    ``(kind, i, j)`` holds in every member, so it equals
-    ``label_against_mec`` on the class for every claim at once.
+
+def label_table(n: int, masks: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Which claims hold in every member of each class, as row bitmasks.
+
+    ``masks[starts[g]:starts[g + 1]]`` are the edge bitmasks of the members
+    of class ``g``. Bit ``j`` of entry ``[g, k, i]`` of the returned
+    ``(len(starts) - 1, 5, n)`` int64 table is set iff the claim
+    ``(LABEL_KINDS[k], i, j)`` holds in every member, so it equals
+    ``label_against_mec`` on the class for every claim at once. Per member
+    it takes the child masks, the masks reached through a child
+    (``indirect_cause``), their union (``cause``) and the common-child and
+    common-parent masks, then ANDs them over each class's members.
     """
-    full = (1 << n) - 1
-    nodes = range(n)
-    direct, indirect, cause = [full] * n, [full] * n, [full] * n
-    effect, common = [full] * n, [full] * n
-    for m in masks:
-        ch = [m >> i * n & full for i in nodes]
-        pa = [0] * n
-        for i in nodes:
-            for c in _bits(ch[i]):
-                pa[c] |= 1 << i
-        for i in nodes:
-            grandchildren = co_parents = siblings = 0
-            for c in _bits(ch[i]):
-                grandchildren |= ch[c]
-                co_parents |= pa[c]
-            for p in _bits(pa[i]):
-                siblings |= ch[p]
-            # reached through a child: the ends of directed paths of length >= 2
-            through = _ancestor_mask(ch, grandchildren)
-            direct[i] &= ch[i]
-            indirect[i] &= through
-            cause[i] &= ch[i] | through
-            effect[i] &= co_parents & ~(1 << i)
-            common[i] &= siblings & ~(1 << i)
-    return {HypothesisKind.DIRECT_CAUSE: direct, HypothesisKind.INDIRECT_CAUSE: indirect,
-            HypothesisKind.CAUSE: cause, HypothesisKind.COMMON_EFFECT: effect,
-            HypothesisKind.COMMON_CAUSE: common}
+    table = _union_table(n, masks)
+    flat = table.ravel()
+    rows = np.arange(len(masks))[:, None] << n
+    nodes = np.int64(1) << np.arange(n)
+    pa, ch = table[:, nodes] & 255, table[:, nodes] >> 8
+    of_children = flat[rows + ch]
+    # every node reached from a set by directed paths, the set included
+    reached = _closure(n, np.arange(1 << n) | table >> 8).ravel()
+    holds = np.stack([ch, reached[rows + (of_children >> 8)], reached[rows + ch],
+                      of_children & 255 & ~nodes, flat[rows + pa] >> 8 & ~nodes], axis=1)
+    return np.bitwise_and.reduceat(holds, starts[:-1], axis=0)
+
+
+def _chunks(order: np.ndarray) -> Iterator[np.ndarray]:
+    """``order`` in consecutive chunks: 16 at first, doubling up to one
+    block of ``relation_table``."""
+    lo, size = 0, 16
+    while lo < len(order):
+        yield order[lo:lo + size]
+        lo += size
+        size = min(2 * size, TABLE_BLOCK)
 
 
 def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
@@ -130,8 +132,10 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     ``order="canonical"`` walks classes and claims deterministically;
     ``order="shuffled"`` visits them in a seeded random order, which lets a
     consumer draw a balanced subset without labeling the whole universe.
-    Each class is labelled once (``class_labels``) and each claim's sentence
-    is rendered once per call, so a row costs a bit test and a string join.
+    The separating sets and labels are built for a chunk of the visit order
+    at a time (``relation_table``, ``label_table``), so a shuffled draw pays
+    only for the chunks it reads. Each claim's sentence is rendered once per
+    call, so a row costs a bit test and a string join.
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
@@ -142,7 +146,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     kinds = tuple(dict.fromkeys(kinds or HypothesisKind))
     table = VariableTable.letters(n)
     idx = mec_index(n)
-    group_order: Iterable[int] = range(idx.group_count)
+    group_order = np.arange(idx.group_count)
     rng = None
     if order == "shuffled":
         group_order = np.random.default_rng(seed).permutation(idx.group_count)
@@ -157,26 +161,27 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     claims = []
     for kind, i, j in _hypothesis_slots(n, kinds):
         h = Hypothesis(kind, table.label(i), table.label(j))
-        claims.append((kind, kind.value, i, j, h, render_hypothesis(h, table, names),
+        claims.append((LABEL_KINDS.index(kind), kind.value, i, j, h,
+                       render_hypothesis(h, table, names),
                        f"{kind.value}-{h.subject}{h.object}-{tag}"))
-    for g in group_order:
-        g = int(g)
-        masks = idx.member_masks(g).tolist()
-        holds = class_labels(n, masks)
-        rels = relations_from_dag(Dag.from_mask(n, masks[0]), table,
-                                  max_cond=max_cond, minimal=minimal)
-        premise = render_premise(PremiseDoc("", table, rels), style, theme=theme,
-                                 names=names)
-        digest = mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g))
-        prefix = f"{n}v-{digest[:10]}-"
-        slots = claims
-        if rng is not None:
-            slots = list(claims)
-            rng.shuffle(slots)
-        for kind, kind_name, i, j, h, text, suffix in slots:
-            label = YES if holds[kind][i] >> j & 1 else NO
-            yield Sample(prefix + suffix, n, premise, rels, h, text, label,
-                         kind_name, digest, tag)
+    for groups in _chunks(group_order):
+        masks, starts = idx.members(groups)
+        seps = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
+        labels = label_table(n, masks, starts).tolist()
+        for g, row, holds in zip(groups.tolist(), seps, labels):
+            rels = relation_set(row, table)
+            premise = render_premise(PremiseDoc("", table, rels), style, theme=theme,
+                                     names=names)
+            digest = mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g))
+            prefix = f"{n}v-{digest[:10]}-"
+            slots = claims
+            if rng is not None:
+                slots = list(claims)
+                rng.shuffle(slots)
+            for k, kind_name, i, j, h, text, suffix in slots:
+                label = YES if holds[k][i] >> j & 1 else NO
+                yield Sample(prefix + suffix, n, premise, rels, h, text, label,
+                             kind_name, digest, tag)
 
 
 def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,

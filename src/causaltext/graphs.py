@@ -131,47 +131,62 @@ def _ancestor_mask(pa: Sequence[int], seed: int) -> int:
     return anc
 
 
-def _d_connected(pa: Sequence[int], ch: Sequence[int], x: int, y: int, zmask: int) -> bool:
-    """Reachability along active trails from ``x`` given evidence ``zmask``.
+def _union_table(n: int, masks: np.ndarray) -> np.ndarray:
+    """Parents and children of every node set, per graph of ``masks``.
 
-    Standard two-direction search: a trail may pass through a non-collider
-    only when it is unobserved, and through a collider only when the collider
-    or one of its descendants is observed.
+    Entry ``[r, s]`` holds the union of the parent masks of the nodes in
+    ``s`` in its low byte, and the union of their child masks in the byte
+    above, for the graph with edge bitmask ``masks[r]``.
     """
-    anc_z = _ancestor_mask(pa, zmask)
-    ybit = 1 << y
-    up_seen = 1 << x
-    down_seen = 0
-    up_frontier = up_seen
-    down_frontier = 0
-    while up_frontier or down_frontier:
-        new_up = 0
-        new_down = 0
-        m = up_frontier
-        while m:
-            lsb = m & -m
-            i = lsb.bit_length() - 1
-            m ^= lsb
-            if not (zmask >> i) & 1:
-                new_up |= pa[i]
-                new_down |= ch[i]
-        m = down_frontier
-        while m:
-            lsb = m & -m
-            i = lsb.bit_length() - 1
-            m ^= lsb
-            if not (zmask >> i) & 1:
-                new_down |= ch[i]
-            if (anc_z >> i) & 1:
-                new_up |= pa[i]
-        new_up &= ~up_seen
-        new_down &= ~down_seen
-        if (new_up | new_down) & ybit:
-            return True
-        up_seen |= new_up
-        down_seen |= new_down
-        up_frontier, down_frontier = new_up, new_down
-    return False
+    # edge[r, i, j] is 1 iff i -> j in graph r
+    edge = (masks[:, None] >> np.arange(n * n) & 1).reshape(-1, n, n)
+    bits = np.int64(1) << np.arange(n)
+    node = bits @ edge | (edge @ bits) << 8
+    table = np.zeros((len(masks), 1 << n), dtype=np.int64)
+    for v in range(n):
+        np.bitwise_or(table[:, :1 << v], node[:, v:v + 1], out=table[:, 1 << v:2 << v])
+    return table
+
+
+def _closure(n: int, step: np.ndarray) -> np.ndarray:
+    """Everything reached from each node set by repeated steps.
+
+    ``step[r, s]`` is ``s`` together with the nodes one step from it in
+    graph ``r``. A step distributes over union, so squaring the table
+    ``k`` times reaches ``2**k`` steps; ``n - 1`` steps reach every node.
+    """
+    rows = np.arange(len(step))[:, None] << n
+    for _ in range((n - 2).bit_length()):
+        step = step.ravel()[rows + step]
+    return step
+
+
+def _separated(n: int, masks: np.ndarray, ends: np.ndarray, z) -> np.ndarray:
+    """Whether node set ``z`` d-separates node ``ends[0]`` from node
+    ``ends[1]``, in every graph of ``masks`` and for every query at once.
+
+    ``ends[0]``, ``ends[1]`` and ``z`` are node masks that broadcast to one
+    query shape ``K``; the result is a boolean array of shape
+    ``(len(masks), *K)``. Every trail is blocked iff ``z`` separates the two
+    nodes in the moral graph of the ancestral set ``An(ends | z)``
+    (Lauritzen et al. 1990). That graph is searched from both ends
+    together, each for ``n // 2`` steps, which covers a path through all
+    ``n`` nodes.
+    """
+    table = _union_table(n, masks)
+    flat = table.ravel()
+    query = ends[0] | ends[1] | z
+    rows = (np.arange(len(masks)) << n).reshape((-1,) + (1,) * np.ndim(query))
+    ancestral = _closure(n, np.arange(1 << n) | table & 255).ravel()[rows + query]
+    free = ancestral & ~z
+    reach = ends[:, None]
+    for _ in range(n // 2):
+        near = flat[rows + reach]
+        children = near >> 8
+        # moral neighbours: parents, children, and the other parents of
+        # every child inside the ancestral set
+        reach = reach | (near | children | flat[rows + (children & ancestral)]) & free
+    return (reach[0] & reach[1]) == 0
 
 
 def d_separated(dag: Dag, x: int, y: int, cond: Iterable[int] = ()) -> bool:
@@ -190,10 +205,8 @@ def d_separated(dag: Dag, x: int, y: int, cond: Iterable[int] = ()) -> bool:
         raise BoundsError("x and y must be distinct")
     if x in cond or y in cond:
         raise BoundsError("x and y may not appear in the conditioning set")
-    zmask = 0
-    for i in cond:
-        zmask |= 1 << i
-    return not _d_connected(dag._pa, dag._ch, x, y, zmask)
+    zmask = sum(1 << i for i in cond)
+    return bool(_separated(n, np.array([dag.mask]), np.array([1 << x, 1 << y]), zmask)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +476,16 @@ class MecIndex:
 
     def member_masks(self, g: int) -> np.ndarray:
         return self._masks[self._starts[g]:self._starts[g + 1]]
+
+    def members(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The member masks of ``groups``, one group after another, and
+        where each group's members start, with their count appended."""
+        first = self._starts[groups]
+        sizes = self._starts[groups + 1] - first
+        starts = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        index = np.repeat(first - starts[:-1], sizes) + np.arange(starts[-1])
+        return self._masks[index], starts
 
     def skeleton_set(self, g: int) -> frozenset[tuple[int, int]]:
         return frozenset(self._pairs[i] for i in _bits(int(self._skel[g])))

@@ -246,17 +246,17 @@ class RecordingBackend:
             }
             with self._lock:
                 self._exchanges.setdefault(sample_id, []).append(entry)
-                write_json_atomic(os.path.join(self.directory, f"{sample_id}.json"),
-                                  {"sample_id": sample_id,
-                                   "exchanges": self._exchanges[sample_id]})
+                write_text_atomic(os.path.join(self.directory, f"{sample_id}.json"),
+                                  json.dumps({"sample_id": sample_id,
+                                              "exchanges": self._exchanges[sample_id]},
+                                             indent=1))
         return response
 
 
-def write_json_atomic(path: str, data) -> None:
-    """Write ``data`` as JSON beside ``path`` and move it into place, so a
-    crash never leaves a partial file."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` beside ``path`` and move it into place, so a crash
+    never leaves a partial file."""
     tmp = path + ".tmp"
-    text = json.dumps(data, indent=1)  # one write, not one per token
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)

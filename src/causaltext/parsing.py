@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
                      UnknownVariableError)
@@ -168,7 +167,8 @@ class _Scan:
         return tuple(sorted((a, b)))  # type: ignore[return-value]
 
 
-def _mention_pattern(mentions: Iterable[str]) -> str:
+@lru_cache
+def _mention_pattern(mentions: tuple[str, ...]) -> str:
     """Alternation of every label and alias in ``mentions``, longest first."""
     ordered = sorted(mentions, key=len, reverse=True)
     return "(?:" + "|".join(re.escape(m) for m in ordered) + ")"
@@ -179,11 +179,12 @@ _CORR_BETWEEN = re.compile(
 _CORR_SPLIT = re.compile(r",?\s+and between\s+", re.I)
 
 
-def _statement_patterns(mention: str) -> tuple[list[tuple[str, re.Pattern]], re.Pattern]:
+@lru_cache
+def _statement_patterns(mention: str) -> tuple[tuple[tuple[str, re.Pattern], ...], re.Pattern]:
     """The six statement patterns over one mention alternation, and the pair
     pattern that splits the body of a ``corr_between`` statement."""
     m = mention
-    patterns = [
+    patterns = (
         ("corr_with", re.compile(
             rf"^(?P<x>{m}) (?:correlates|is correlated) with (?P<y>{m})$", re.I)),
         ("corr_between", _CORR_BETWEEN),
@@ -197,7 +198,7 @@ def _statement_patterns(mention: str) -> tuple[list[tuple[str, re.Pattern]], re.
             rf"^(?P<x>{m}) is independent (?:of|from) (?P<y>{m})$", re.I)),
         ("cause_of", re.compile(
             rf"^(?P<x>{m}) is the cause of (?P<y>{m})$", re.I)),
-    ]
+    )
     return patterns, re.compile(rf"^(?P<x>{m}) and (?P<y>{m})$", re.I)
 
 
@@ -311,7 +312,7 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
     # every declaration is in, so the mentions are fixed from here on
     patterns = _FREE_PATTERNS
     if scan.declared_header:
-        mention = _mention_pattern([*scan.labels, *scan.aliases.values()])
+        mention = _mention_pattern((*scan.labels, *scan.aliases.values()))
         patterns = _statement_patterns(mention)
     for start, end, body in pending:
         try:
@@ -383,7 +384,7 @@ def parse_hypothesis(text: str, vars: VariableTable) -> Hypothesis:
     body = text.strip().rstrip(".?!").strip()
     if not body:
         raise PremiseParseError([(0, 0, "empty hypothesis")])
-    mention = _mention_pattern([*vars.names, *vars.aliases.values()])
+    mention = _mention_pattern((*vars.names, *vars.aliases.values()))
     for kind, pat in _hypothesis_patterns(mention):
         hit = pat.match(body)
         if hit:

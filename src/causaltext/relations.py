@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BoundsError, ConsistencyError
-from .graphs import Dag, _ancestor_mask, _d_connected
+from .graphs import Dag, _separated
 from .matrix import _bits, is_acyclic
 from .variables import VariableTable
 
@@ -138,6 +141,79 @@ class RelationSet:
                    pairs("declared_causes"))
 
 
+TABLE_BLOCK = 256  # graphs tested together by relation_table
+
+
+@lru_cache(maxsize=None)
+def _candidates(n: int, max_cond: int):
+    """Queries of the relation table on ``n`` nodes, up to ``max_cond``.
+
+    Returns the pair ends as ``(2, P, 1)`` node masks, one row per pair of
+    ``combinations(range(n), 2)``; the candidate conditioning sets ``z``,
+    ``(P, C)`` node masks drawn from each pair's other nodes; the table bits
+    ``1 << z``; and ``inside``, where ``inside[c, d]`` says that candidate
+    ``d`` is a proper subset of candidate ``c``. Candidate ``c`` of every
+    pair picks the same positions among its other nodes, so one ``inside``
+    serves all pairs.
+    """
+    picks = [s for s in range(1 << n - 2) if s.bit_count() <= max_cond]
+    pairs = list(combinations(range(n), 2))
+    ends = np.array([[[1 << a] for a, _ in pairs], [[1 << b] for _, b in pairs]])
+    z = np.array([[sum(1 << others[k] for k in _bits(s)) for s in picks]
+                  for others in ([v for v in range(n) if v not in pair] for pair in pairs)])
+    inside = np.array([[d != c and d & c == d for d in picks] for c in picks])
+    return ends, z, np.int64(1) << z, inside
+
+
+def relation_table(n: int, masks: np.ndarray, max_cond: int | None = None,
+                   minimal: bool = True) -> np.ndarray:
+    """Separating sets of every pair, for every graph in ``masks``.
+
+    ``masks`` is an int64 array of edge bitmasks on ``n`` nodes. Entry
+    ``[r, p]`` of the returned ``(len(masks), P)`` int64 table has bit ``z``
+    set iff node set ``z`` is a kept separating set of pair
+    ``combinations(range(n), 2)[p]`` in graph ``r``: a set of at most
+    ``max_cond`` (default ``n - 2``) nodes that d-separates the pair. An
+    entry of 0 makes the pair a dependency, as it does every adjacent
+    pair. With ``minimal`` a set is kept only when no proper subset of it
+    separates the pair, so the table holds the minimal separators, which
+    all lie in ``An({x, y})`` (Tian, Paz & Pearl, "Finding minimal
+    d-separators", 1998); otherwise it holds every separating set.
+
+    Every pair and candidate of up to ``TABLE_BLOCK`` graphs is tested at
+    once (``_separated``), so the cost per graph falls with the number of
+    graphs in a call while the temporaries stay a few MB.
+    """
+    if n < 2:
+        return np.zeros((len(masks), 0), dtype=np.int64)
+    if max_cond is None:
+        max_cond = n - 2
+    if not 0 <= max_cond <= n - 2:
+        raise BoundsError(f"max_cond must be between 0 and n-2={n - 2}, got {max_cond}")
+    ends, z, bit, inside = _candidates(n, max_cond)
+    blocks = []
+    for lo in range(0, max(len(masks), 1), TABLE_BLOCK):
+        seps = _separated(n, masks[lo:lo + TABLE_BLOCK], ends, z)
+        if minimal:
+            seps &= ~(seps @ inside.T)
+        blocks.append((seps * bit).sum(axis=-1))
+    return np.concatenate(blocks)
+
+
+def relation_set(row: Sequence[int], table: VariableTable) -> RelationSet:
+    """The relation set of one row of :func:`relation_table`."""
+    deps, uncond, cond = [], [], []
+    for pair, seps in zip(combinations(range(len(table)), 2), row):
+        if not seps:
+            deps.append(pair)
+            continue
+        if seps & 1:
+            uncond.append(pair)
+        for z in _bits(seps & ~1):
+            cond.append((pair, frozenset(_bits(z))))
+    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond))
+
+
 def relations_from_dag(dag: Dag, table: VariableTable | None = None,
                        max_cond: int | None = None,
                        minimal: bool = True) -> RelationSet:
@@ -145,53 +221,15 @@ def relations_from_dag(dag: Dag, table: VariableTable | None = None,
 
     ``max_cond`` defaults to ``n - 2``, which is always enough to separate
     every non-adjacent pair, so the dependencies are exactly the adjacent
-    pairs.
-
-    An adjacent pair is a dependency untested, since no set separates it.
-    Every other pair tries candidate subsets in size order, up to
-    ``max_cond``; a pair no subset separates is a dependency. With
-    ``minimal`` (the default) a subset that contains a separating set found
-    earlier is skipped untested, since it cannot be minimal, so only the
-    sets with no separating proper subset are kept, which is the terse
-    premise style. Its candidates are drawn from the pair's ancestors
-    ``An({x, y}) \\ {x, y}`` alone, since every minimal d-separator lies
-    there (Tian, Paz & Pearl, "Finding minimal d-separators", 1998).
-    Otherwise every separating subset of the other nodes is verbalized.
+    pairs. A pair no set of at most ``max_cond`` nodes separates is a
+    dependency; every other pair is stated independent given each of its
+    minimal separating sets (the terse premise style), or with
+    ``minimal=False`` given every separating set. This is the one-row case
+    of :func:`relation_table`.
     """
     table = table or VariableTable.letters(dag.n)
     n = dag.n
     if len(table) != n:
         raise BoundsError("variable table size must match the graph")
-    if n < 2:
-        return RelationSet(table)
-    if max_cond is None:
-        max_cond = n - 2
-    if not 0 <= max_cond <= n - 2:
-        raise BoundsError(f"max_cond must be between 0 and n-2={n - 2}, got {max_cond}")
-    pa = [dag.parent_mask(i) for i in range(n)]
-    ch = [dag.child_mask(i) for i in range(n)]
-    deps = set()
-    uncond = set()
-    cond = set()
-    for x, y in combinations(range(n), 2):
-        if dag.adjacent(x, y):
-            deps.add((x, y))
-            continue
-        pool = _ancestor_mask(pa, 1 << x | 1 << y) if minimal else (1 << n) - 1
-        rest = [1 << v for v in _bits(pool) if v != x and v != y]
-        found: list[int] = []
-        for size in range(max_cond + 1):
-            for sub in combinations(rest, size):
-                z = sum(sub)
-                if minimal and any(f & z == f for f in found):
-                    continue
-                if not _d_connected(pa, ch, x, y, z):
-                    found.append(z)
-        if not found:
-            deps.add((x, y))
-        for z in found:
-            if z:
-                cond.add(((x, y), frozenset(_bits(z))))
-            else:
-                uncond.add((x, y))
-    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond))
+    seps = relation_table(n, np.array([dag.mask]), max_cond, minimal)
+    return relation_set(seps[0].tolist(), table)

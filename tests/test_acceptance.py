@@ -9,6 +9,8 @@ import json
 import pathlib
 import time
 
+import numpy as np
+
 from causaltext.cli import main as cli_main
 from causaltext.dataset import balanced_generate, generate
 from causaltext.engine import run_c2p
@@ -17,7 +19,7 @@ from causaltext.graphs import (dag_count, enumerate_dags, group_mecs,
 from causaltext.harness import Metrics
 from causaltext.hypotheses import binary_answer, evaluate_on_pdag
 from causaltext.parsing import parse_hypothesis, parse_premise
-from causaltext.relations import relations_from_dag
+from causaltext.relations import relation_set, relation_table
 from causaltext.variables import VariableTable
 
 from conftest import (FIVE_VAR_STEP_3, FIVE_VAR_STEP_4, FIVE_VAR_STEP_5,
@@ -83,9 +85,12 @@ def test_criterion_3_oracle_equivalence_all_dags():
     total = 0
     for n in range(1, 6):
         table = VariableTable.letters(n)
-        for dag in enumerate_dags(n):
+        dags = list(enumerate_dags(n))
+        # one relation-table call per node count, one row per DAG
+        rows = relation_table(n, np.array([dag.mask for dag in dags])).tolist()
+        for dag, row in zip(dags, rows):
             total += 1
-            final = run_c2p(relations_from_dag(dag, table)).final
+            final = run_c2p(relation_set(row, table)).final
             if (final.skeleton_pairs() != skeleton(dag)
                     or final.oriented_colliders() != v_structures(dag)):
                 failures += 1

@@ -335,6 +335,20 @@ class TestEvalAndScore:
         code, out, _ = run_cli(capsys, "score", "--records", str(out_dir))
         assert code == 0 and "reference errors: 1" in out
 
+    def test_records_are_compact_lines_that_score_reads(self, tmp_path, dataset, capsys):
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(capsys, "eval", "--dataset", str(dataset), "--backend",
+                               "mock", "--out", str(out_dir), "--format", "json")
+        assert code == 0
+        paths = sorted((out_dir / "records").iterdir())
+        assert len(paths) == 8
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        code, scored, _ = run_cli(capsys, "score", "--records", str(out_dir),
+                                  "--format", "json")
+        assert code == 0 and json.loads(scored) == json.loads(out)
+
     def test_score_from_records(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"
         run_cli(capsys, "eval", "--dataset", str(dataset), "--backend", "mock",

@@ -4,11 +4,13 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from causaltext import dataset
-from causaltext.dataset import (Sample, balanced_generate, class_labels,
-                                generate, read_samples, write_samples)
+from causaltext.dataset import (LABEL_KINDS, Sample, balanced_generate,
+                                generate, label_table, read_samples,
+                                write_samples)
 from causaltext.errors import (BoundsError, CapacityError, ConfigError,
                                ResourceError, UsageError)
 from causaltext.fixtures import THREE_VAR_PREMISE
@@ -55,6 +57,15 @@ class TestGenerate:
                    if s.kind == "direct_cause" and s.hypothesis_text.startswith("A ")]
         # the one-edge class has two members with opposite orientations
         assert samples and all(s.label == NO for s in samples)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_shuffled_yields_the_canonical_rows(self, n, tmp_path):
+        canonical, shuffled = tmp_path / "canonical.jsonl", tmp_path / "shuffled.jsonl"
+        write_samples(canonical, generate(n))
+        write_samples(shuffled, generate(n, order="shuffled", seed=11))
+        lines = canonical.read_text().splitlines()
+        assert len(set(lines)) == len(lines)
+        assert sorted(shuffled.read_text().splitlines()) == sorted(lines)
 
     def test_deterministic(self):
         a = [(s.id, s.premise, s.label) for s in generate(3)]
@@ -131,20 +142,31 @@ class TestClassLabels:
         # every (kind, i, j), symmetric kinds in both orders, against the oracle
         idx = mec_index(n)
         table = VariableTable.letters(n)
-        for g in range(0, idx.group_count, every):
+        groups = np.arange(0, idx.group_count, every)
+        labels = label_table(n, *idx.members(groups)).tolist()
+        for g, holds in zip(groups.tolist(), labels):
             masks = idx.member_masks(g).tolist()
             mec = Mec(n, idx.skeleton_set(g), idx.vstruct_set(g),
                       tuple(Dag.from_mask(n, m) for m in masks))
-            holds = class_labels(n, masks)
-            for kind in HypothesisKind:
+            for k, kind in enumerate(LABEL_KINDS):
                 for i in range(n):
-                    assert not holds[kind][i] >> i & 1
+                    assert not holds[k][i] >> i & 1
                     for j in range(n):
                         if i == j:
                             continue
                         h = Hypothesis(kind, table.label(i), table.label(j))
-                        got = YES if holds[kind][i] >> j & 1 else NO
+                        got = YES if holds[k][i] >> j & 1 else NO
                         assert got == label_against_mec(h, mec, table), (g, h)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_concatenate(self, block):
+        # a table over one block of classes equals the tables over smaller blocks
+        idx = mec_index(5)
+        groups = np.arange(3, idx.group_count, 37)
+        whole = label_table(5, *idx.members(groups))
+        parts = [label_table(5, *idx.members(groups[lo:lo + block]))
+                 for lo in range(0, len(groups), block)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestBalancedGenerate:

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from causaltext.graphs import (Dag, MecIndex, _dag_masks, d_separated,
                                group_mecs, mec_index, mec_of_dag, skeleton,
                                v_structures)
 from causaltext.matrix import AdjMatrix, is_acyclic
-from causaltext.relations import RelationSet, relations_from_dag
+from causaltext.relations import RelationSet, relation_table, relations_from_dag
 from causaltext.variables import VariableTable
 
 from conftest import FIVE_VAR_STEP_8, pdag_encoding
@@ -224,28 +226,87 @@ class TestDSeparation:
                             dsep_path_oracle(dag, x, y, sub)
 
 
+@lru_cache(maxsize=None)
+def _set_families(n):
+    """Bitsets over the node sets on ``n`` nodes (bit ``z`` for node set
+    ``z``): per node, the sets that hold it; per size k, the sets of at most
+    k nodes; per node set, its proper supersets."""
+    sets = range(1 << n)
+    holding = [sum(1 << z for z in sets if z >> v & 1) for v in range(n)]
+    small = [sum(1 << z for z in sets if z.bit_count() <= k) for k in range(n + 1)]
+    above = [sum(1 << w for w in sets if w != z and w & z == z) for z in sets]
+    return holding, small, above
+
+
+def _bits_of(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def separating_sets(dag):
-    """Every set that separates each pair, read off the public
-    ``d_separated``, subset by subset of the other nodes."""
+    """Per pair of ``combinations(range(n), 2)``, every node set that
+    separates it, as a bitset over node sets.
+
+    A two-direction search for active trails, run for every conditioning
+    set at once: a trail passes a node outside the set, and turns back up
+    at a collider that is in the set or has a descendant in it. Block ``x``
+    of ``width`` bits follows the trails from node ``x``, so one search
+    serves every start. Independent of the package's d-separation."""
     n = dag.n
-    return {(x, y): [frozenset(sub) for size in range(n - 1)
-                     for sub in combinations([v for v in range(n) if v not in (x, y)], size)
-                     if d_separated(dag, x, y, sub)]
-            for x, y in combinations(range(n), 2)}
+    width = 1 << n
+    every = (1 << width) - 1
+    alone = _set_families(n)[0]
+    copies = sum(1 << x * width for x in range(n))
+    holding = [h * copies for h in alone]
+    pa = [_bits_of(dag.parent_mask(v)) for v in range(n)]
+    ch = [_bits_of(dag.child_mask(v)) for v in range(n)]
+    opens = list(holding)
+    for v in range(n):
+        for d in dag.descendants(v):
+            opens[v] |= holding[d]
+    # the sets under which a trail enters v from a child (up[v]) or from a
+    # parent (down[v])
+    up = [every << v * width for v in range(n)]
+    down = [0] * n
+    work = list(range(n))
+    while work:
+        v = work.pop()
+        passing = (up[v] | down[v]) & ~holding[v]
+        to_parents = up[v] & ~holding[v] | down[v] & opens[v]
+        for p in pa[v]:
+            if to_parents & ~up[p]:
+                up[p] |= to_parents
+                work.append(p)
+        for c in ch[v]:
+            if passing & ~down[c]:
+                down[c] |= passing
+                work.append(c)
+    return [every & ~((up[y] | down[y]) >> x * width) & ~alone[x] & ~alone[y]
+            for x, y in combinations(range(n), 2)]
 
 
-def relations_oracle(n, max_cond, minimal, all_seps):
-    """Relation set kept from ``separating_sets`` up to ``max_cond``."""
+def kept_sets(n, seps, max_cond, minimal):
+    """The relation-table row that ``seps`` (from ``separating_sets``)
+    implies: the sets of at most ``max_cond`` nodes, and with ``minimal``
+    only those without a separating proper subset."""
+    _, small, above = _set_families(n)
+    row = []
+    for family in seps:
+        if minimal:
+            for z in _bits_of(family):
+                family &= ~above[z]
+        row.append(family & small[max_cond])
+    return row
+
+
+def relations_oracle(n, row):
+    """Relation set of a ``kept_sets`` row."""
     deps, uncond, cond = set(), set(), set()
-    for (x, y), pair_seps in all_seps.items():
-        seps = [c for c in pair_seps if len(c) <= max_cond]
-        if not seps:
+    for (x, y), family in zip(combinations(range(n), 2), row):
+        if not family:
             deps.add((x, y))
-        for c in seps:
-            if minimal and any(o < c for o in seps):
-                continue  # a separating proper subset exists
-            if c:
-                cond.add(((x, y), c))
+        for z in _bits_of(family):
+            if z:
+                cond.add(((x, y), frozenset(_bits_of(z))))
             else:
                 uncond.add((x, y))
     return RelationSet(VariableTable.letters(n), deps, uncond, cond)
@@ -285,17 +346,46 @@ class TestStatements:
         assert relations_from_dag(Dag(1), max_cond=5).is_empty()
 
     def test_matches_subset_oracle(self):
-        dags = [d for n in range(2, 5) for d in enumerate_dags(n)]
-        idx = mec_index(5)
-        dags += [Dag.from_mask(5, int(idx.member_masks(g)[0]))
-                 for g in range(0, idx.group_count, 4)]
-        for dag in dags:
-            all_seps = separating_sets(dag)
-            for max_cond in range(dag.n - 1):
+        # the table of every class on up to five nodes, one call per setting
+        for n in range(2, 6):
+            idx = mec_index(n)
+            reps = idx._masks[idx._starts[:-1]]
+            seps = [separating_sets(Dag.from_mask(n, m)) for m in reps.tolist()]
+            for max_cond in range(n - 1):
                 for minimal in (True, False):
-                    assert relations_from_dag(dag, max_cond=max_cond, minimal=minimal) \
-                        == relations_oracle(dag.n, max_cond, minimal, all_seps), \
-                        (dag, max_cond, minimal)
+                    got = relation_table(n, reps, max_cond, minimal).tolist()
+                    for g, (row, dag_seps) in enumerate(zip(got, seps)):
+                        assert row == kept_sets(n, dag_seps, max_cond, minimal), \
+                            (n, g, max_cond, minimal)
+
+    def test_matches_subset_oracle_sampled_n6(self):
+        idx = mec_index(6)
+        reps = idx._masks[idx._starts[:-1:100]]
+        seps = [separating_sets(Dag.from_mask(6, m)) for m in reps.tolist()]
+        for minimal in (True, False):
+            got = relation_table(6, reps, minimal=minimal).tolist()
+            for g, (row, dag_seps) in enumerate(zip(got, seps)):
+                assert row == kept_sets(6, dag_seps, 4, minimal), (100 * g, minimal)
+
+    def test_one_row_matches_oracle_on_every_dag(self):
+        for n in range(2, 5):
+            for dag in enumerate_dags(n):
+                seps = separating_sets(dag)
+                for max_cond in range(n - 1):
+                    for minimal in (True, False):
+                        assert relations_from_dag(dag, max_cond=max_cond, minimal=minimal) \
+                            == relations_oracle(n, kept_sets(n, seps, max_cond, minimal)), \
+                            (dag, max_cond, minimal)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_concatenate(self, block):
+        # a table over one block of graphs equals the tables over smaller blocks
+        masks = _dag_masks(5)[5::211]
+        for minimal in (True, False):
+            whole = relation_table(5, masks, minimal=minimal)
+            parts = [relation_table(5, masks[lo:lo + block], minimal=minimal)
+                     for lo in range(0, len(masks), block)]
+            assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestEquivalence:

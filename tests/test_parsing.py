@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from causaltext.dataset import generate
 from causaltext.errors import (ConsistencyError, PremiseParseError,
                                ResourceError, UnknownVariableError)
-from causaltext.fixtures import FIXTURES, THREE_VAR_PREMISE, smbh_doc
+from causaltext.fixtures import (FIVE_VAR_HYPOTHESIS, FIVE_VAR_PREMISE, FIXTURES,
+                                 THREE_VAR_PREMISE, smbh_doc)
 from causaltext.hypotheses import Hypothesis, HypothesisKind
 from causaltext.parsing import (PremiseDoc, _hypothesis_patterns, _mention_pattern,
+                                _statement_patterns,
                                 parse_hypothesis, parse_premise,
                                 render_hypothesis, render_premise,
                                 scan_premise, THEMES)
@@ -122,6 +124,20 @@ class TestParseHypothesis:
         h = parse_hypothesis("Eating junk food directly affects obesity.",
                              junk_food.variables)
         assert h == Hypothesis(HypothesisKind.DIRECT_CAUSE, "A", "C")
+
+    def test_premise_patterns_built_once_per_mentions(self, five_var):
+        parse_premise(FIVE_VAR_PREMISE)
+        parse_hypothesis(FIVE_VAR_HYPOTHESIS, five_var.variables)
+        before = (_mention_pattern.cache_info(), _statement_patterns.cache_info())
+        assert parse_premise(FIVE_VAR_PREMISE).relations == five_var.relations
+        parse_hypothesis(FIVE_VAR_HYPOTHESIS, five_var.variables)
+        after = (_mention_pattern.cache_info(), _statement_patterns.cache_info())
+        # the premise and the claim each escape their mentions from the cache,
+        # and the premise's statement patterns come from it too
+        assert (after[0].hits, after[0].misses) == (before[0].hits + 2, before[0].misses)
+        assert (after[1].hits, after[1].misses) == (before[1].hits + 1, before[1].misses)
+        mention = _mention_pattern(five_var.variables.names)
+        assert _statement_patterns(mention) is _statement_patterns(mention)
 
     def test_patterns_built_once_per_table(self, three_var, junk_food):
         parse_hypothesis("A directly affects C.", three_var.variables)
