@@ -15,7 +15,7 @@ from causaltext.graphs import (Dag, MecIndex, _dag_masks, d_separated,
                                dag_count, dag_extensions, enumerate_dags,
                                group_mecs, mec_index, mec_of_dag, skeleton,
                                v_structures)
-from causaltext.matrix import AdjMatrix, is_acyclic
+from causaltext.matrix import AdjMatrix, _bits, is_acyclic
 from causaltext.relations import RelationSet, relation_table, relations_from_dag
 from causaltext.variables import VariableTable
 
@@ -238,10 +238,6 @@ def _set_families(n):
     return holding, small, above
 
 
-def _bits_of(mask):
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
 def separating_sets(dag):
     """Per pair of ``combinations(range(n), 2)``, every node set that
     separates it, as a bitset over node sets.
@@ -257,8 +253,8 @@ def separating_sets(dag):
     alone = _set_families(n)[0]
     copies = sum(1 << x * width for x in range(n))
     holding = [h * copies for h in alone]
-    pa = [_bits_of(dag.parent_mask(v)) for v in range(n)]
-    ch = [_bits_of(dag.child_mask(v)) for v in range(n)]
+    pa = [list(_bits(dag.parent_mask(v))) for v in range(n)]
+    ch = [list(_bits(dag.child_mask(v))) for v in range(n)]
     opens = list(holding)
     for v in range(n):
         for d in dag.descendants(v):
@@ -292,7 +288,7 @@ def kept_sets(n, seps, max_cond, minimal):
     row = []
     for family in seps:
         if minimal:
-            for z in _bits_of(family):
+            for z in _bits(family):
                 family &= ~above[z]
         row.append(family & small[max_cond])
     return row
@@ -304,9 +300,9 @@ def relations_oracle(n, row):
     for (x, y), family in zip(combinations(range(n), 2), row):
         if not family:
             deps.add((x, y))
-        for z in _bits_of(family):
+        for z in _bits(family):
             if z:
-                cond.add(((x, y), frozenset(_bits_of(z))))
+                cond.add(((x, y), frozenset(_bits(z))))
             else:
                 uncond.add((x, y))
     return RelationSet(VariableTable.letters(n), deps, uncond, cond)
@@ -362,10 +358,14 @@ class TestStatements:
         idx = mec_index(6)
         reps = idx._masks[idx._starts[:-1:100]]
         seps = [separating_sets(Dag.from_mask(6, m)) for m in reps.tolist()]
-        for minimal in (True, False):
-            got = relation_table(6, reps, minimal=minimal).tolist()
-            for g, (row, dag_seps) in enumerate(zip(got, seps)):
-                assert row == kept_sets(6, dag_seps, 4, minimal), (100 * g, minimal)
+        for max_cond in range(5):
+            # every 100th class at the default bound, every 1000th below it
+            step = 1 if max_cond == 4 else 10
+            for minimal in (True, False):
+                got = relation_table(6, reps[::step], max_cond, minimal).tolist()
+                for k, row in enumerate(got):
+                    assert row == kept_sets(6, seps[k * step], max_cond, minimal), \
+                        (100 * step * k, max_cond, minimal)
 
     def test_one_row_matches_oracle_on_every_dag(self):
         for n in range(2, 5):
