@@ -9,7 +9,7 @@ against those datasets with exact per-step grading.
 
 from .dataset import (Sample, balanced_generate, generate, read_samples,
                       write_samples)
-from .engine import (ColliderCandidates, EngineOptions, EngineTrace,
+from .engine import (ColliderCandidates, EngineTrace,
                      apply_conditional, apply_unconditional, candidate_pairs,
                      filter_collider_pairs, initial_matrix, orient_colliders,
                      propagate_orientations, run_c2p)
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjMatrix", "BackendConfig", "BackendError", "BoundsError",
     "CapacityError", "CausaltextError", "ColliderCandidates", "ConfigError",
-    "ConsistencyError", "CycleError", "Dag", "EngineOptions", "EngineTrace",
+    "ConsistencyError", "CycleError", "Dag", "EngineTrace",
     "EvalRecord", "Hypothesis", "HypothesisKind", "Mec", "Metrics",
     "MockBackend", "PdagError", "PremiseDoc", "PremiseParseError",
     "PromptContext", "RelationSet", "ResourceError", "Sample", "ScoreReport",

@@ -16,7 +16,6 @@ from itertools import islice
 
 from .dataset import (balanced_generate, dataset_digest, generate,
                       read_samples, write_samples)
-from .engine import EngineOptions, FILTER_MODES, FILTER_PC_CORRECT
 from .errors import (BoundsError, CausaltextError, ConfigError,
                      ConsistencyError, CycleError, PremiseParseError,
                      ResourceError, UnknownVariableError, UsageError)
@@ -95,8 +94,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     src.add_argument("--premise", help="premise file, or - for stdin")
     src.add_argument("--fixture", choices=sorted(FIXTURES))
     sol.add_argument("--hypothesis", help="claim to evaluate")
-    sol.add_argument("--collider-filter", choices=FILTER_MODES,
-                     default=FILTER_PC_CORRECT)
     sol.add_argument("--propagate", action="store_true")
     sol.add_argument("--eval-mode",
                      choices=(MODE_RULE_BASED, MODE_EXTENSION_QUANTIFIED),
@@ -239,10 +236,8 @@ def _print_matrix(mapping: dict) -> None:
 
 def cmd_solve(args) -> int:
     source, hypothesis = _read_premise_input(args)
-    options = EngineOptions(collider_filter=args.collider_filter,
-                            propagate=args.propagate)
     doc = source if not isinstance(source, str) else parse_premise(source)
-    result = solve_doc(doc, hypothesis, options, args.eval_mode)
+    result = solve_doc(doc, hypothesis, args.propagate, args.eval_mode)
     report = result.report()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:

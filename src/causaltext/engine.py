@@ -20,30 +20,6 @@ from .matrix import AdjMatrix, _bits
 from .relations import Pair, RelationSet
 from .variables import VariableTable
 
-FILTER_PC_CORRECT = "pc-correct"
-FILTER_PAPER_LITERAL = "paper-literal"
-FILTER_MODES = (FILTER_PC_CORRECT, FILTER_PAPER_LITERAL)
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """Pipeline switches.
-
-    ``collider_filter`` selects how candidate pairs are screened:
-    ``pc-correct`` accepts a pair when some stated independence for it has a
-    conditioning set avoiding the candidate collider, ``paper-literal``
-    accepts only unconditionally independent pairs. Propagation is off by
-    default; switching it on orients chains after the collider pass.
-    """
-
-    collider_filter: str = FILTER_PC_CORRECT
-    propagate: bool = False
-
-    def __post_init__(self):
-        if self.collider_filter not in FILTER_MODES:
-            raise ConfigError(
-                f"unknown collider filter {self.collider_filter!r}; pick one of {FILTER_MODES}")
-
 
 @dataclass(frozen=True)
 class ColliderCandidates:
@@ -64,9 +40,6 @@ class ColliderCandidates:
         idx = vars.index
         return cls(vars, {idx(r): tuple((idx(a), idx(b)) for a, b in pairs)
                           for r, pairs in mapping.items()})
-
-    def is_empty(self) -> bool:
-        return not self.rows
 
 
 def initial_matrix(vars: VariableTable, declared: Iterable[Pair] = ()) -> AdjMatrix:
@@ -113,30 +86,20 @@ def candidate_pairs(matrix: AdjMatrix) -> ColliderCandidates:
     return ColliderCandidates(matrix.vars, rows)
 
 
-def filter_collider_pairs(cands: ColliderCandidates, rels: RelationSet,
-                          mode: str = FILTER_PC_CORRECT) -> ColliderCandidates:
+def filter_collider_pairs(cands: ColliderCandidates,
+                          rels: RelationSet) -> ColliderCandidates:
     """Keep only the column pairs whose independence certifies a collider.
 
-    ``paper-literal``: a pair survives iff it is listed unconditionally
-    independent. ``pc-correct``: a pair survives iff some stated
-    independence for it conditions on a set that excludes the row variable,
-    which is exactly the criterion under which the row is an orientable
-    collider.
+    A pair survives iff some stated independence for it conditions on a set
+    that excludes the row variable, which is exactly the criterion under
+    which the row is an orientable collider.
     """
-    if mode not in FILTER_MODES:
-        raise ConfigError(f"unknown collider filter {mode!r}; pick one of {FILTER_MODES}")
     kept: dict[int, tuple[Pair, ...]] = {}
     for r, pairs in cands.rows.items():
-        survivors = []
-        for pair in pairs:
-            if mode == FILTER_PAPER_LITERAL:
-                ok = tuple(sorted(pair)) in rels.uncond_indep
-            else:
-                ok = any(r not in cond for cond in rels.independence_conds(pair))
-            if ok:
-                survivors.append(pair)
+        survivors = tuple(pair for pair in pairs
+                          if any(r not in cond for cond in rels.independence_conds(pair)))
         if survivors:
-            kept[r] = tuple(survivors)
+            kept[r] = survivors
     return ColliderCandidates(cands.vars, kept)
 
 
@@ -216,16 +179,15 @@ class EngineTrace:
         }
 
 
-def run_c2p(rels: RelationSet, options: EngineOptions | None = None) -> EngineTrace:
+def run_c2p(rels: RelationSet, propagate: bool = False) -> EngineTrace:
     """Compose the full matrix pipeline and keep every intermediate step."""
-    options = options or EngineOptions()
     m3 = initial_matrix(rels.vars, rels.declared_causes)
     m4 = apply_unconditional(m3, rels)
     m5 = apply_conditional(m4, rels)
     cands = candidate_pairs(m5)
-    kept = filter_collider_pairs(cands, rels, options.collider_filter)
+    kept = filter_collider_pairs(cands, rels)
     m8 = orient_colliders(m5, kept)
-    m9 = propagate_orientations(m8) if options.propagate else m8
+    m9 = propagate_orientations(m8) if propagate else m8
     return EngineTrace(m3, m4, m5, cands, kept, m8, m9)
 
 

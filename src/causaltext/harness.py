@@ -609,7 +609,8 @@ class EvalRecord:
 def _reference_steps(sample) -> dict:
     """The engine's solve report for a sample: what every step is graded
     against. It reads the relations and claim the sample already holds, and
-    filters collider candidates by the rule the step-7 prompt states."""
+    step 7 keeps the collider pairs that some stated independence certifies,
+    as the step-7 prompt tells the model to."""
     doc = PremiseDoc(sample.premise, sample.relations.vars, sample.relations)
     return solve_doc(doc, sample.hypothesis).report()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import EngineOptions, EngineTrace, run_c2p
+from .engine import EngineTrace, run_c2p
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, Hypothesis, Verdict,
                          evaluate_on_pdag)
 from .parsing import PremiseDoc, parse_hypothesis, parse_premise
@@ -43,13 +43,13 @@ class SolveResult:
 
 
 def solve_doc(doc: PremiseDoc, hypothesis: Hypothesis | str | None = None,
-              options: EngineOptions | None = None,
+              propagate: bool = False,
               eval_mode: str = MODE_EXTENSION_QUANTIFIED) -> SolveResult:
     """Run the matrix pipeline on a parsed premise and answer a claim."""
     h = hypothesis
     if isinstance(h, str):
         h = parse_hypothesis(h, doc.variables)
-    trace = run_c2p(doc.relations, options)
+    trace = run_c2p(doc.relations, propagate)
     verdict = None
     if h is not None:
         verdict = evaluate_on_pdag(h, trace.final, eval_mode)
@@ -57,7 +57,8 @@ def solve_doc(doc: PremiseDoc, hypothesis: Hypothesis | str | None = None,
 
 
 def solve_text(premise: str, hypothesis: str | None = None,
-               options: EngineOptions | None = None,
+               propagate: bool = False,
                eval_mode: str = MODE_EXTENSION_QUANTIFIED) -> SolveResult:
-    """Parse premise text, then solve. Convenience wrapper for the CLI."""
-    return solve_doc(parse_premise(premise), hypothesis, options, eval_mode)
+    """Parse premise text, then solve it with :func:`solve_doc`: the entry
+    point for library code, the demos and the benchmark, which hold text."""
+    return solve_doc(parse_premise(premise), hypothesis, propagate, eval_mode)

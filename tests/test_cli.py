@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A -> C <- B and C -> D: only the chain rule orients C - D.
+PROPAGATION_PREMISE = (
+    "Suppose that there is a closed system of 4 variables, A, B, C and D. "
+    "All statistical relations among these 4 variables are as follows: "
+    "A correlates with C. B correlates with C. C correlates with D. "
+    "A correlates with D. B correlates with D. However, A is independent of B. "
+    "A and D are independent given C. B and D are independent given C.")
+
+
 class TestSolve:
     def test_fixture_five_var(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--fixture", "five-var")
@@ -54,6 +63,35 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--premise", str(path))
         assert code == 2
         assert "unrecognized" in err
+
+    @pytest.mark.parametrize("how, answer, d_to_c", [
+        ("off", "Undetermined", 1), ("flag", "Yes", 0), ("config", "Yes", 0)])
+    def test_propagate_orients_the_chain(self, tmp_path, capsys, how, answer,
+                                         d_to_c):
+        path = tmp_path / "chain.txt"
+        path.write_text(f"Premise: {PROPAGATION_PREMISE}\n"
+                        f"Hypothesis: C directly affects D.")
+        argv = ["solve", "--premise", str(path), "--eval-mode", "rule-based",
+                "--format", "json"]
+        if how == "flag":
+            argv.append("--propagate")
+        if how == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"version": 1,
+                                       "defaults": {"propagate": True}}))
+            argv = ["--config", str(cfg), *argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        final = json.loads(out)["step_9"]
+        assert final["answer"] == answer
+        assert final["matrix"]["D"]["C"] == d_to_c
+
+    def test_collider_filter_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--fixture", "three-var",
+                  "--collider-filter", "pc-correct"])
+        assert err.value.code == 2
+        assert "--collider-filter" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--premise", "/no/such/file")
@@ -525,12 +563,14 @@ class TestConfigFile:
         assert f"config file {cfg}" in err
 
     def test_unknown_default_key_exits_2(self, tmp_path, capsys):
+        # a misspelt key, and the key of the deleted --collider-filter flag
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, "defaults": {"fromat": "json"}}))
-        code, out, err = run_cli(capsys, "--config", str(cfg), "solve",
-                                 "--fixture", "junk-food")
-        assert code == 2
-        assert "'fromat'" in err and not out
+        for key, value in (("fromat", "json"), ("collider-filter", "pc-correct")):
+            cfg.write_text(json.dumps({"version": 1, "defaults": {key: value}}))
+            code, out, err = run_cli(capsys, "--config", str(cfg), "solve",
+                                     "--fixture", "junk-food")
+            assert code == 2
+            assert repr(key.replace("-", "_")) in err and not out
 
     def test_key_of_another_command_is_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltext.engine import (ColliderCandidates, EngineOptions,
-                               FILTER_PAPER_LITERAL, FILTER_PC_CORRECT,
-                               apply_conditional, apply_unconditional,
-                               candidate_pairs, filter_collider_pairs,
-                               initial_matrix, orient_colliders,
-                               propagate_orientations, run_c2p)
-from causaltext.errors import ConfigError, PdagError
-from causaltext.graphs import (Dag, enumerate_dags, skeleton, v_structures)
+from causaltext.engine import (ColliderCandidates, apply_conditional,
+                               apply_unconditional, candidate_pairs,
+                               filter_collider_pairs, initial_matrix,
+                               orient_colliders, propagate_orientations,
+                               run_c2p)
+from causaltext.errors import PdagError
+from causaltext.graphs import enumerate_dags, skeleton, v_structures
 from causaltext.matrix import AdjMatrix
 from causaltext.relations import RelationSet, relations_from_dag
 from causaltext.variables import VariableTable
@@ -98,7 +97,7 @@ class TestSteps:
     def test_candidates_zero_matrix(self):
         table = VariableTable.letters(3)
         m = AdjMatrix(table, [[0] * 3 for _ in range(3)])
-        assert candidate_pairs(m).is_empty()
+        assert candidate_pairs(m).rows == {}
 
     def test_candidates_one_row(self):
         table = VariableTable.letters(3)
@@ -108,21 +107,8 @@ class TestSteps:
     def test_filter_five_var_both_modes(self, five_var):
         m5 = AdjMatrix.from_mapping(FIVE_VAR_STEP_5, five_var.variables)
         cands = candidate_pairs(m5)
-        literal = filter_collider_pairs(cands, five_var.relations, FILTER_PAPER_LITERAL)
-        correct = filter_collider_pairs(cands, five_var.relations, FILTER_PC_CORRECT)
-        assert literal.to_mapping() == FIVE_VAR_STEP_7
-        assert correct.to_mapping() == FIVE_VAR_STEP_7
-
-    def test_filter_modes_can_differ(self):
-        # collider pair certified only by a conditional statement: the
-        # literal reading misses it
-        dag = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        table = VariableTable.letters(4)
-        rels = relations_from_dag(dag, table)
-        trace_correct = run_c2p(rels, EngineOptions(collider_filter=FILTER_PC_CORRECT))
-        trace_literal = run_c2p(rels, EngineOptions(collider_filter=FILTER_PAPER_LITERAL))
-        assert trace_correct.final.oriented_colliders() == v_structures(dag)
-        assert trace_literal.final.oriented_colliders() != v_structures(dag)
+        kept = filter_collider_pairs(cands, five_var.relations)
+        assert kept.to_mapping() == FIVE_VAR_STEP_7
 
     def test_candidates_from_mapping_inverts_to_mapping(self, five_var):
         trace = run_c2p(five_var.relations)
@@ -130,11 +116,6 @@ class TestSteps:
             mapping = cands.to_mapping()
             back = ColliderCandidates.from_mapping(mapping, five_var.variables)
             assert back == cands and back.to_mapping() == mapping
-
-    def test_filter_unknown_mode(self, five_var):
-        cands = candidate_pairs(initial_matrix(five_var.variables))
-        with pytest.raises(ConfigError):
-            filter_collider_pairs(cands, five_var.relations, "nonsense")
 
     def test_orient_five_var(self, five_var):
         m5 = AdjMatrix.from_mapping(FIVE_VAR_STEP_5, five_var.variables)
