@@ -9,7 +9,6 @@ import os
 import shutil
 import sys
 import tempfile
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 from itertools import islice
@@ -23,7 +22,7 @@ from .fixtures import FIXTURES
 from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
                       RecordingBackend, ScoreReport, make_backend,
                       run_pipeline, score, write_text_atomic)
-from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
+from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED, NO, YES,
                          HypothesisKind)
 from .parsing import THEMES, parse_premise
 from .pipeline import solve_doc
@@ -172,19 +171,12 @@ def cmd_generate(args) -> int:
     else:
         samples = generate(args.n, kinds=kinds, style=args.style, theme=args.theme,
                            max_cond=args.max_cond, minimal=not args.closure)
-    labels: Counter[str] = Counter()
-
-    def tallied():
-        for s in islice(samples, args.limit):
-            labels[s.label] += 1
-            yield s
-
     # write beside the target and move the file into place on success, so a
     # failed run leaves no partial dataset
     tmp_dir = tempfile.mkdtemp(prefix=".generate-", dir=out_dir)
     try:
         tmp = os.path.join(tmp_dir, os.path.basename(args.out))
-        rows = write_samples(tmp, tallied(), gzip=args.gzip)
+        labels = write_samples(tmp, islice(samples, args.limit), gzip=args.gzip)
         os.replace(tmp, args.out)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -193,9 +185,9 @@ def cmd_generate(args) -> int:
         "n_vars": args.n,
         "dags": idx.dag_count,
         "mecs": idx.group_count,
-        "rows": rows,
-        "yes": labels["Yes"],
-        "no": labels["No"],
+        "rows": labels.total(),
+        "yes": labels[YES],
+        "no": labels[NO],
         "digest": dataset_digest(args.out),
     }
     if args.format == "json":
@@ -203,8 +195,8 @@ def cmd_generate(args) -> int:
     else:
         print(f"{summary['dags']} DAGs on {args.n} variables, "
               f"{summary['mecs']} equivalence classes")
-        print(f"wrote {rows} samples ({summary['yes']} Yes / {summary['no']} No), "
-              f"digest {summary['digest']}")
+        print(f"wrote {summary['rows']} samples ({summary['yes']} Yes / "
+              f"{summary['no']} No), digest {summary['digest']}")
     return 0
 
 

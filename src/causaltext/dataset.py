@@ -16,6 +16,7 @@ import io
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence
@@ -134,8 +135,10 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     consumer draw a balanced subset without labeling the whole universe.
     The separating sets and labels are built for a chunk of the visit order
     at a time (``relation_table``, ``label_table``), so a shuffled draw pays
-    only for the chunks it reads. Each claim's sentence is rendered once per
-    call, so a row costs a bit test and a string join.
+    only for the chunks it reads. Each claim's sentence and id suffix are
+    built once per call, and one numpy gather reads the label bit of every
+    claim of every class in the chunk, so a row costs a tuple index, a
+    string join and its ``Sample``.
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
@@ -158,29 +161,31 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     elif style != "symbolic":
         raise ConfigError(f"unknown style {style!r}")
 
+    slots = _hypothesis_slots(n, kinds)
     claims = []
-    for kind, i, j in _hypothesis_slots(n, kinds):
+    for kind, i, j in slots:
         h = Hypothesis(kind, table.label(i), table.label(j))
-        claims.append((LABEL_KINDS.index(kind), kind.value, i, j, h,
-                       render_hypothesis(h, table, names),
+        claims.append((kind.value, h, render_hypothesis(h, table, names),
                        f"{kind.value}-{h.subject}{h.object}-{tag}"))
+    # entry [g, k, i] bit j of label_table answers claim (LABEL_KINDS[k], i, j)
+    k_at, i_at, j_at = np.array([(LABEL_KINDS.index(kind), i, j) for kind, i, j in slots]).T
+    labels = (NO, YES)
     for groups in _chunks(group_order):
         masks, starts = idx.members(groups)
         seps = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
-        labels = label_table(n, masks, starts).tolist()
-        for g, row, holds in zip(groups.tolist(), seps, labels):
+        bits = (label_table(n, masks, starts)[:, k_at, i_at] >> j_at & 1).tolist()
+        for g, row, held in zip(groups.tolist(), seps, bits):
             rels = relation_set(row, table)
             premise = render_premise(PremiseDoc("", table, rels), style, theme=theme,
                                      names=names)
             digest = mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g))
             prefix = f"{n}v-{digest[:10]}-"
-            slots = claims
+            rows = zip(claims, held)
             if rng is not None:
-                slots = list(claims)
-                rng.shuffle(slots)
-            for k, kind_name, i, j, h, text, suffix in slots:
-                label = YES if holds[k][i] >> j & 1 else NO
-                yield Sample(prefix + suffix, n, premise, rels, h, text, label,
+                rows = list(rows)
+                rng.shuffle(rows)
+            for (kind_name, h, text, suffix), bit in rows:
+                yield Sample(prefix + suffix, n, premise, rels, h, text, labels[bit],
                              kind_name, digest, tag)
 
 
@@ -226,33 +231,58 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
 # persistence (line-delimited records)
 
 
-def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> int:
-    """Write one JSON record per line; returns the number of rows.
+def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> Counter[str]:
+    """Write one JSON record per line; returns the number of rows per label.
 
-    Each line is ``json.dumps(s.record())`` byte for byte, joined from the
-    fields' encodings; a premise shared with the previous row is reused,
-    not encoded again. A gzip stream carries no timestamp, so equal rows
+    Each line is ``json.dumps(s.record())`` byte for byte, joined from
+    encoded fragments: the id per row, the ``n_vars`` and premise head once
+    per run of rows that share them, the ``mec_digest``, style and version
+    tail once per run of rows that share those, and each distinct
+    (hypothesis, label, kind) fragment once per call. That memo holds one
+    entry per distinct claim fragment, not per row: for a ``generate``
+    stream, at most two per claim of a class. A run of rows that share a
+    head (a class block of a ``generate`` stream) is written with one
+    ``"".join``, and the labels are counted per block from the claim
+    fragments it uses. A gzip stream carries no timestamp, so equal rows
     give equal bytes.
     """
     if gzip:
         fh = io.TextIOWrapper(gzip_mod.GzipFile(path, "wb", mtime=0), encoding="utf-8")
     else:
         fh = open(path, "w", encoding="utf-8")
-    count = 0
-    premise = premise_json = None
+    claims: dict[tuple[str, str, str], str] = {}
+    uses: Counter[str] = Counter()  # rows per claim fragment
+    block: list[str] = []  # five fragments per row, the claim fourth
+
+    def flush():
+        fh.write("".join(block))
+        uses.update(block[3::5])
+        block.clear()
+
+    n_vars = premise = digest = style = version = None
+    head = tail = ""
     with fh:
         for s in samples:
-            if s.premise != premise:
-                premise, premise_json = s.premise, _json_str(s.premise)
-            fh.write(f'{{"id": {_json_str(s.id)}, "n_vars": {s.n_vars}, '
-                     f'"premise": {premise_json}, '
-                     f'"hypothesis": {_json_str(s.hypothesis_text)}, '
-                     f'"label": {_json_str(s.label)}, "kind": {_json_str(s.kind)}, '
-                     f'"mec_digest": {_json_str(s.mec_digest)}, '
-                     f'"style": {_json_str(s.style)}, '
-                     f'"schema_version": {s.schema_version}}}\n')
-            count += 1
-    return count
+            if s.premise != premise or s.n_vars != n_vars:
+                flush()
+                n_vars, premise = s.n_vars, s.premise
+                head = f', "n_vars": {n_vars}, "premise": {_json_str(premise)}, '
+            if s.mec_digest != digest or s.style != style or s.schema_version != version:
+                digest, style, version = s.mec_digest, s.style, s.schema_version
+                tail = (f', "mec_digest": {_json_str(digest)}, '
+                        f'"style": {_json_str(style)}, "schema_version": {version}}}\n')
+            key = (s.hypothesis_text, s.label, s.kind)
+            claim = claims.get(key)
+            if claim is None:
+                claim = claims[key] = (f'"hypothesis": {_json_str(key[0])}, '
+                                       f'"label": {_json_str(key[1])}, '
+                                       f'"kind": {_json_str(key[2])}')
+            block += ('{"id": ', _json_str(s.id), head, claim, tail)
+        flush()
+    labels: Counter[str] = Counter()
+    for (_, label, _), claim in claims.items():
+        labels[label] += uses[claim]
+    return labels
 
 
 def read_samples(path, limit: int | None = None) -> list[Sample]:

@@ -144,6 +144,19 @@ class TestGenerate:
         assert summary["rows"] == summary["yes"] + summary["no"] == limit
         assert len(out_path.read_text().splitlines()) == limit
 
+    @pytest.mark.parametrize("draw", [("--limit", "1000"),
+                                      ("--balanced", "5", "--seed", "7")])
+    def test_summary_counts_match_the_file(self, tmp_path, capsys, draw):
+        out_path = tmp_path / "ds.jsonl"
+        code, out, _ = run_cli(capsys, "generate", "--n", "4", *draw,
+                               "-o", str(out_path), "--format", "json")
+        assert code == 0
+        summary = json.loads(out)
+        labels = [json.loads(line)["label"] for line in out_path.read_text().splitlines()]
+        assert summary["rows"] == len(labels)
+        assert summary["yes"] == labels.count("Yes") > 0
+        assert summary["no"] == labels.count("No") > 0
+
     def test_balanced_keeps_max_cond(self, tmp_path, capsys):
         out_path = tmp_path / "ds.jsonl"
         code, _, _ = run_cli(capsys, "generate", "--n", "4", "--balanced", "3",
@@ -235,6 +248,15 @@ GOLDEN_DATASETS = {
 }
 
 
+# sha256 of the compressed bytes of ``generate --n N --gzip -o ds.jsonl.gz``
+# (the gzip header carries the file name), pinned from the row-by-row writer
+# that the per-class block writer replaced
+GOLDEN_GZIP = {
+    "3": "7f4e83a69a2beae11208741ae671fe02dd030ab9683d32562669fdabf5377882",
+    "4": "8415c9168669c1ade26039fc0cbbe1c6e9ef646e9db1687e707ed34b0a56457b",
+}
+
+
 class TestGoldenDatasets:
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
     @pytest.mark.parametrize("n,form", list(GOLDEN_DATASETS))
@@ -247,6 +269,13 @@ class TestGoldenDatasets:
         if compress:  # the goldens pin the uncompressed bytes
             data = gzip.decompress(data)
         assert hashlib.sha256(data).hexdigest() == GOLDEN_DATASETS[n, form]
+
+    @pytest.mark.parametrize("n", list(GOLDEN_GZIP))
+    def test_generate_gzip_bytes(self, tmp_path, capsys, n):
+        out_path = tmp_path / "ds.jsonl.gz"
+        code, _, _ = run_cli(capsys, "generate", "--n", n, "--gzip", "-o", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_GZIP[n]
 
 
 class TestEvalAndScore:

@@ -1,7 +1,9 @@
+import gzip
 import itertools
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -231,7 +233,7 @@ class TestPersistence:
     def test_roundtrip(self, tmp_path, n3_samples):
         subset = n3_samples[:25]
         path = tmp_path / "ds.jsonl"
-        assert write_samples(path, subset) == 25
+        assert write_samples(path, subset).total() == 25
         back = read_samples(path)
         assert [s.id for s in back] == [s.id for s in subset]
         assert [s.label for s in back] == [s.label for s in subset]
@@ -313,9 +315,34 @@ class TestPersistence:
                                   text, k))
             samples.append(replace(samples[-1], premise=text + "!"))
         path = tmp_path / "ds.jsonl"
-        assert write_samples(path, samples) == len(samples)
+        assert write_samples(path, samples).total() == len(samples)
         assert path.read_bytes() == "".join(
             json.dumps(s.record()) + "\n" for s in samples).encode("utf-8")
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_fragments_never_leak_between_rows(self, tmp_path, n3_samples, compress):
+        base = n3_samples[0]
+        premise = base.premise + " Caf\u00e9 \u2192 A."
+        claim = base.hypothesis_text + " \u00bfS\u00ed?"
+        rows = [replace(base, premise=premise, hypothesis_text=claim)]
+        # each row changes one field of the row before it
+        for k, change in enumerate([
+                {"n_vars": 4},  # the same premise object
+                {"premise": "".join(list(premise))},  # equal, not identical
+                {"label": NO if base.label == YES else YES},
+                {"kind": "common_cause"},
+                {"mec_digest": "0" * 64},
+                {"style": "story:health"},
+                {"schema_version": 2},
+                {"label": base.label},
+                {"kind": base.kind}]):
+            rows.append(replace(rows[-1], id=f"{base.id}-{k}", **change))
+        rows += n3_samples[30:90]
+        path = tmp_path / ("ds.jsonl.gz" if compress else "ds.jsonl")
+        labels = write_samples(path, rows, gzip=compress)
+        data = gzip.decompress(path.read_bytes()) if compress else path.read_bytes()
+        assert data == "".join(json.dumps(s.record()) + "\n" for s in rows).encode("utf-8")
+        assert labels == Counter(s.label for s in rows)
 
     def test_record_field_order(self, tmp_path, n3_samples):
         path = tmp_path / "ds.jsonl"
