@@ -176,7 +176,8 @@ def cmd_generate(args) -> int:
     tmp_dir = tempfile.mkdtemp(prefix=".generate-", dir=out_dir)
     try:
         tmp = os.path.join(tmp_dir, os.path.basename(args.out))
-        labels = write_samples(tmp, islice(samples, args.limit), gzip=args.gzip)
+        labels, digest = write_samples(tmp, islice(samples, args.limit),
+                                       gzip=args.gzip)
         os.replace(tmp, args.out)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -188,7 +189,7 @@ def cmd_generate(args) -> int:
         "rows": labels.total(),
         "yes": labels[YES],
         "no": labels[NO],
-        "digest": dataset_digest(args.out),
+        "digest": digest,
     }
     if args.format == "json":
         print(json.dumps(summary, indent=2))

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import gzip as gzip_mod
 import hashlib
-import io
 import json
 import os
+import queue
 import random
+import threading
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence
@@ -231,8 +233,88 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
 # persistence (line-delimited records)
 
 
-def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> Counter[str]:
-    """Write one JSON record per line; returns the number of rows per label.
+WRITE_ROWS = 10_000  # rows per batch handed to the writer thread: a few MB
+
+
+class _Sink:
+    """The bytes of one dataset file, written and hashed on a writer thread.
+
+    ``put`` hands a batch of rows, encoded, to the thread through a queue of
+    depth one. The thread writes it to the file, or to a ``GzipFile`` over
+    it, and runs sha256 over exactly the bytes that reach the file. File
+    writes, compression and hashing release the GIL on large buffers, so
+    they overlap the caller's row building on the other core. Batches are
+    a few MB because the thread may wait a switch interval (5 ms) for the
+    GIL before each one. Leaving the ``with`` block ends and joins the
+    thread, also when the caller raises, and then re-raises the first error
+    the thread met.
+    """
+
+    def __init__(self, path, gzip: bool):
+        self._file = open(path, "wb")
+        self._sha = hashlib.sha256()
+        self._out = self
+        if gzip:
+            self._out = gzip_mod.GzipFile(path, "wb", mtime=0, fileobj=self)
+        self._batches: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
+        self._error: Exception | None = None
+        # a daemon, so an interrupt that lands before the end marker is queued
+        # cannot keep the interpreter from exiting
+        self._thread = threading.Thread(target=self._drain, name="write_samples",
+                                        daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        try:
+            self._batches.put(None)
+            self._thread.join()
+        finally:
+            self._file.close()
+        if self._error is not None and exc[0] is None:
+            raise self._error
+
+    def put(self, text: str) -> None:
+        if self._error is not None:
+            raise self._error
+        self._batches.put(text.encode("utf-8"))
+
+    def digest(self) -> str:
+        """``dataset_digest`` of the file, once the ``with`` block is left."""
+        return self._sha.hexdigest()[:16]
+
+    # the file side, called on the writer thread (GzipFile writes here too)
+    def write(self, data: bytes) -> int:
+        self._sha.update(data)
+        return self._file.write(data)
+
+    def flush(self) -> None:
+        self._file.flush()
+
+    def _drain(self):
+        try:
+            while (data := self._batches.get()) is not None:
+                self._out.write(data)
+            # under gzip, this is the sync-flush block the stream has always
+            # ended with, before the final block and trailer that close writes
+            self._out.flush()
+            if self._out is not self:
+                self._out.close()
+        except Exception as exc:  # raised in the caller by put or __exit__
+            self._error = exc
+            if self._out is not self:
+                with suppress(Exception):  # the stream is lost; only release it
+                    self._out.close()
+            while self._batches.get() is not None:  # so that put never blocks
+                pass
+
+
+def write_samples(path, samples: Iterable[Sample],
+                  gzip: bool = False) -> tuple[Counter[str], str]:
+    """Write one JSON record per line; returns the number of rows per label
+    and the file's ``dataset_digest``.
 
     Each line is ``json.dumps(s.record())`` byte for byte, joined from
     encoded fragments: the id per row, the ``n_vars`` and premise head once
@@ -240,31 +322,30 @@ def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> Counte
     tail once per run of rows that share those, and each distinct
     (hypothesis, label, kind) fragment once per call. That memo holds one
     entry per distinct claim fragment, not per row: for a ``generate``
-    stream, at most two per claim of a class. A run of rows that share a
-    head (a class block of a ``generate`` stream) is written with one
-    ``"".join``, and the labels are counted per block from the claim
-    fragments it uses. A gzip stream carries no timestamp, so equal rows
-    give equal bytes.
+    stream, at most two per claim of a class. ``samples`` is consumed on
+    the calling thread. Once ``WRITE_ROWS`` rows are pending, the next
+    change of premise cuts them into a batch: one ``"".join``, handed to a
+    writer thread, whose labels are counted from the claim fragments it
+    uses. That thread writes the batch and hashes the bytes it stores (the
+    compressed bytes under ``gzip``), so the digest needs no second read.
+    A gzip stream carries no timestamp, so equal rows give equal bytes.
     """
-    if gzip:
-        fh = io.TextIOWrapper(gzip_mod.GzipFile(path, "wb", mtime=0), encoding="utf-8")
-    else:
-        fh = open(path, "w", encoding="utf-8")
     claims: dict[tuple[str, str, str], str] = {}
     uses: Counter[str] = Counter()  # rows per claim fragment
     block: list[str] = []  # five fragments per row, the claim fourth
 
-    def flush():
-        fh.write("".join(block))
-        uses.update(block[3::5])
-        block.clear()
+    with _Sink(path, gzip) as sink:
+        def flush():
+            sink.put("".join(block))
+            uses.update(block[3::5])
+            block.clear()
 
-    n_vars = premise = digest = style = version = None
-    head = tail = ""
-    with fh:
+        n_vars = premise = digest = style = version = None
+        head = tail = ""
         for s in samples:
             if s.premise != premise or s.n_vars != n_vars:
-                flush()
+                if len(block) >= 5 * WRITE_ROWS:
+                    flush()
                 n_vars, premise = s.n_vars, s.premise
                 head = f', "n_vars": {n_vars}, "premise": {_json_str(premise)}, '
             if s.mec_digest != digest or s.style != style or s.schema_version != version:
@@ -282,7 +363,7 @@ def write_samples(path, samples: Iterable[Sample], gzip: bool = False) -> Counte
     labels: Counter[str] = Counter()
     for (_, label, _), claim in claims.items():
         labels[label] += uses[claim]
-    return labels
+    return labels, sink.digest()
 
 
 def read_samples(path, limit: int | None = None) -> list[Sample]:

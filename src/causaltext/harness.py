@@ -370,6 +370,7 @@ class ParsedStep:
 
 _QUOTE_KEYS_RE = re.compile(r"([{,]\s*)([A-Za-z_][A-Za-z0-9_\- ]*?)(\s*:)")
 _CELL_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*[:=]\s*([01])\b")
+_BRACE_RE = re.compile(r"[{}]")
 # the row forms a reply may use without braces around the whole object, each
 # with the reader of one row's body: ``A: {B: 1, C = 0}`` and ``C: [A, B]``
 _ROW_FORMS = (
@@ -382,12 +383,13 @@ _ROW_FORMS = (
 
 def _json_blocks(text: str):
     depth = start = 0
-    for i, ch in enumerate(text):
-        if ch == "{":
+    for brace in _BRACE_RE.finditer(text):
+        i = brace.start()
+        if brace[0] == "{":
             if depth == 0:
                 start = i
             depth += 1
-        elif ch == "}" and depth:
+        elif depth:
             depth -= 1
             if depth == 0:
                 yield text[start:i + 1]

@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 from itertools import combinations, product
 
@@ -83,6 +85,25 @@ def junk_food():
 @pytest.fixture(scope="session")
 def three_var():
     return three_var_doc()
+
+
+class FullDisk:
+    """A binary file opened for writing that fails as a full disk does once
+    it holds 4 KiB; stands in for ``open`` in ``causaltext.dataset``."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+
+    def write(self, data):
+        if self._fh.tell() + len(data) > 4096:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def flush(self):
+        self._fh.flush()
+
+    def close(self):
+        self._fh.close()
 
 
 def pdag_cells(n, states):

@@ -1,16 +1,18 @@
 import gzip
 import hashlib
 import json
+import threading
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from causaltext import cli, dataset
 from causaltext.cli import main
-from causaltext.dataset import generate, read_samples, write_samples
+from causaltext.dataset import dataset_digest, generate, read_samples, write_samples
 
 from conftest import (FIVE_VAR_PREMISE, FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8,
-                      THREE_VAR_PREMISE)
+                      THREE_VAR_PREMISE, FullDisk)
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +158,39 @@ class TestGenerate:
         assert summary["rows"] == len(labels)
         assert summary["yes"] == labels.count("Yes") > 0
         assert summary["no"] == labels.count("No") > 0
+
+    @pytest.mark.parametrize("draw", [(), ("--gzip",), ("--limit", "0"),
+                                      ("--limit", "1000"),
+                                      ("--balanced", "5", "--seed", "7")])
+    def test_summary_digest_is_the_file_digest(self, tmp_path, capsys, draw):
+        out_path = tmp_path / "ds.jsonl"
+        code, out, _ = run_cli(capsys, "generate", "--n", "4", *draw,
+                               "-o", str(out_path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["digest"] == dataset_digest(out_path)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, OSError],
+                             ids=["stream", "interrupt", "full-disk"])
+    def test_failed_write_leaves_no_file_and_no_thread(self, tmp_path, capsys,
+                                                       monkeypatch, error):
+        monkeypatch.setattr(dataset, "WRITE_ROWS", 1)
+        if error is OSError:
+            monkeypatch.setattr(dataset, "open", FullDisk, raising=False)
+        else:
+            def failing(*args, **kwargs):
+                yield from islice(generate(*args, **kwargs), 500)
+                raise error("the stream broke")
+            monkeypatch.setattr(cli, "generate", failing)
+        before = threading.enumerate()
+        argv = ["generate", "--n", "4", "-o", str(tmp_path / "ds.jsonl")]
+        if error is OSError:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1 and "No space left on device" in err
+        else:
+            with pytest.raises(error, match="the stream broke"):
+                main(argv)
+        assert list(tmp_path.iterdir()) == []
+        assert threading.enumerate() == before
 
     def test_balanced_keeps_max_cond(self, tmp_path, capsys):
         out_path = tmp_path / "ds.jsonl"

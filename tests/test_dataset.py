@@ -1,7 +1,9 @@
+import errno
 import gzip
 import itertools
 import json
 import random
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -11,8 +13,8 @@ import pytest
 
 from causaltext import dataset
 from causaltext.dataset import (LABEL_KINDS, Sample, balanced_generate,
-                                generate, label_table, read_samples,
-                                write_samples)
+                                dataset_digest, generate, label_table,
+                                read_samples, write_samples)
 from causaltext.errors import (BoundsError, CapacityError, ConfigError,
                                ResourceError, UsageError)
 from causaltext.fixtures import THREE_VAR_PREMISE
@@ -21,6 +23,8 @@ from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
                                    holds_in_dag, label_against_mec)
 from causaltext.parsing import parse_hypothesis, parse_premise
 from causaltext.variables import VariableTable
+
+from conftest import FullDisk
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +237,7 @@ class TestPersistence:
     def test_roundtrip(self, tmp_path, n3_samples):
         subset = n3_samples[:25]
         path = tmp_path / "ds.jsonl"
-        assert write_samples(path, subset).total() == 25
+        assert write_samples(path, subset)[0].total() == 25
         back = read_samples(path)
         assert [s.id for s in back] == [s.id for s in subset]
         assert [s.label for s in back] == [s.label for s in subset]
@@ -315,7 +319,7 @@ class TestPersistence:
                                   text, k))
             samples.append(replace(samples[-1], premise=text + "!"))
         path = tmp_path / "ds.jsonl"
-        assert write_samples(path, samples).total() == len(samples)
+        assert write_samples(path, samples)[0].total() == len(samples)
         assert path.read_bytes() == "".join(
             json.dumps(s.record()) + "\n" for s in samples).encode("utf-8")
 
@@ -339,10 +343,50 @@ class TestPersistence:
             rows.append(replace(rows[-1], id=f"{base.id}-{k}", **change))
         rows += n3_samples[30:90]
         path = tmp_path / ("ds.jsonl.gz" if compress else "ds.jsonl")
-        labels = write_samples(path, rows, gzip=compress)
+        labels, _ = write_samples(path, rows, gzip=compress)
         data = gzip.decompress(path.read_bytes()) if compress else path.read_bytes()
         assert data == "".join(json.dumps(s.record()) + "\n" for s in rows).encode("utf-8")
         assert labels == Counter(s.label for s in rows)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_batches_keep_the_bytes_and_hash_them(self, tmp_path, monkeypatch, compress):
+        rows = list(generate(4))
+        name = "ds.jsonl.gz" if compress else "ds.jsonl"
+        files = []
+        # one batch, a few, and one per class (a batch is cut at a premise change)
+        for batch_rows in (dataset.WRITE_ROWS, 1000, 1):
+            monkeypatch.setattr(dataset, "WRITE_ROWS", batch_rows)
+            path = tmp_path / str(batch_rows) / name
+            path.parent.mkdir()
+            labels, digest = write_samples(path, rows, gzip=compress)
+            assert digest == dataset_digest(path)
+            assert labels == Counter(s.label for s in rows)
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
+        data = gzip.decompress(files[0]) if compress else files[0]
+        assert data == "".join(json.dumps(s.record()) + "\n" for s in rows).encode("utf-8")
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("batch_rows", [1, 10_000], ids=["per-class", "one-batch"])
+    def test_failed_write_is_raised_in_the_caller(self, tmp_path, monkeypatch,
+                                                  batch_rows, compress):
+        monkeypatch.setattr(dataset, "WRITE_ROWS", batch_rows)
+        monkeypatch.setattr(dataset, "open", FullDisk, raising=False)
+        total, drawn = 185 * 48, []  # rows of generate(4)
+
+        def rows():
+            for s in generate(4):
+                drawn.append(s)
+                yield s
+
+        before = threading.enumerate()
+        with pytest.raises(OSError) as failed:
+            write_samples(tmp_path / "ds.jsonl", rows(), gzip=compress)
+        assert failed.value.errno == errno.ENOSPC
+        assert threading.enumerate() == before
+        # a batch per class: the stream stops soon after the failure; one
+        # batch: the failure arrives after the last row
+        assert len(drawn) < total if batch_rows == 1 else len(drawn) == total
 
     def test_record_field_order(self, tmp_path, n3_samples):
         path = tmp_path / "ds.jsonl"

@@ -225,6 +225,38 @@ def invented_cause(step, entry, rng):
 CONTENT_CHANGES = (flipped_cell, dropped_pair, flipped_answer, invented_cause)
 
 
+def seeded_garbage(class_reports):
+    """``(step, text)``: per step, 300 strings of random tokens, each alone and
+    spliced into a reference reply."""
+    rng = random.Random(19)
+    tokens = list('{}[]:,="\' 01\n') + ["A", "B", "C", "yes", "No", "Final Answer:",
+                                         "number of random variables: 3"]
+    replies = [step_reply(k, r[f"step_{k}"]) for r in class_reports[::7]
+               for k in range(1, 10)]
+    for step in range(1, 10):
+        for _ in range(300):
+            text = "".join(rng.choice(tokens) for _ in range(rng.randrange(60)))
+            reply = rng.choice(replies)
+            cut = rng.randrange(len(reply) + 1)
+            for junk in (text, reply[:cut] + text, text + reply[cut:]):
+                yield step, junk
+
+
+def json_blocks_by_character(text):
+    """The reference for ``harness._json_blocks``: every balanced ``{...}``
+    block, found by visiting each character."""
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == "}" and depth:
+            depth -= 1
+            if depth == 0:
+                yield text[start:i + 1]
+
+
 def graded(step, text, ref):
     parsed = parse_step_output(step, text)
     return parsed, harness._match_step(step, parsed.value, ref)
@@ -268,19 +300,26 @@ class TestImperfectReplies:
         assert applied and not wrong, wrong[:3]
 
     def test_seeded_garbage_never_raises(self, class_reports):
-        rng = random.Random(19)
-        tokens = list('{}[]:,="\' 01\n') + ["A", "B", "C", "yes", "No", "Final Answer:",
-                                             "number of random variables: 3"]
-        replies = [step_reply(k, r[f"step_{k}"]) for r in class_reports[::7]
-                   for k in range(1, 10)]
-        for step in range(1, 10):
-            for _ in range(300):
-                text = "".join(rng.choice(tokens) for _ in range(rng.randrange(60)))
-                reply = rng.choice(replies)
-                cut = rng.randrange(len(reply) + 1)
-                for junk in (text, reply[:cut] + text, text + reply[cut:]):
-                    parsed, _ = graded(step, junk, class_reports[0][f"step_{step}"])
-                    assert parsed.value is not None or parsed.error
+        for step, junk in seeded_garbage(class_reports):
+            parsed, _ = graded(step, junk, class_reports[0][f"step_{step}"])
+            assert parsed.value is not None or parsed.error
+
+    def test_json_blocks_match_the_character_loop(self, class_reports):
+        rng, texts = random.Random(23), []
+        for report in class_reports:
+            for step in range(1, 10):
+                ref = report[f"step_{step}"]
+                for entry in (ref, *(change(step, ref, rng) for change in CONTENT_CHANGES)):
+                    if entry is None:
+                        continue
+                    reply = step_reply(step, entry)
+                    texts += [reply, *(rewrite(step, entry, reply, rng)
+                                       for rewrite in FORMAT_REWRITES)]
+        texts += [junk for _, junk in seeded_garbage(class_reports)]
+        texts = [t for t in texts if t is not None]
+        assert sum("{" in t for t in texts) > 10000
+        for text in texts:
+            assert list(harness._json_blocks(text)) == list(json_blocks_by_character(text))
 
 
 # what each step's prompt states: a context field, a whole prior output, or
