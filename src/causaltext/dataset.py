@@ -233,7 +233,7 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
 # persistence (line-delimited records)
 
 
-WRITE_ROWS = 10_000  # rows per batch handed to the writer thread: a few MB
+WRITE_ROWS = 4_000  # rows per batch handed to the writer thread: about 2.5 MB
 
 
 class _Sink:
@@ -244,10 +244,12 @@ class _Sink:
     it, and runs sha256 over exactly the bytes that reach the file. File
     writes, compression and hashing release the GIL on large buffers, so
     they overlap the caller's row building on the other core. Batches are
-    a few MB because the thread may wait a switch interval (5 ms) for the
-    GIL before each one. Leaving the ``with`` block ends and joins the
-    thread, also when the caller raises, and then re-raises the first error
-    the thread met.
+    megabytes, not hundreds of kB, because the thread may wait a switch
+    interval (5 ms) for the GIL before each one; up to four are alive at
+    once (one being written, one queued, the text and bytes of the next).
+    Leaving the ``with`` block ends and joins the thread, also when the
+    caller raises or the thread fails after taking the end marker, and then
+    re-raises the first error the thread met.
     """
 
     def __init__(self, path, gzip: bool):
@@ -294,6 +296,7 @@ class _Sink:
         self._file.flush()
 
     def _drain(self):
+        data = b""
         try:
             while (data := self._batches.get()) is not None:
                 self._out.write(data)
@@ -307,8 +310,11 @@ class _Sink:
             if self._out is not self:
                 with suppress(Exception):  # the stream is lost; only release it
                     self._out.close()
-            while self._batches.get() is not None:  # so that put never blocks
-                pass
+            # unless the end marker is already taken, take the batches up to
+            # it, so that put never blocks
+            if data is not None:
+                while self._batches.get() is not None:
+                    pass
 
 
 def write_samples(path, samples: Iterable[Sample],

@@ -88,22 +88,35 @@ def three_var():
 
 
 class FullDisk:
-    """A binary file opened for writing that fails as a full disk does once
-    it holds 4 KiB; stands in for ``open`` in ``causaltext.dataset``."""
+    """A binary file opened for writing that fails as a full disk does;
+    stands in for ``open`` in ``causaltext.dataset``.
 
-    def __init__(self, path, mode):
+    ``fails_at`` names the call that meets the full disk: ``write`` once the
+    file would hold more than 4 KiB, or the first ``flush`` or the ``close``,
+    where a small buffered stream first reaches the disk. A ``close`` that
+    fails still releases the file.
+    """
+
+    def __init__(self, path, mode, fails_at="write"):
         self._fh = open(path, mode)
+        self._fails_at = fails_at
+
+    def _full(self, call):
+        if call == self._fails_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def write(self, data):
         if self._fh.tell() + len(data) > 4096:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self._full("write")
         return self._fh.write(data)
 
     def flush(self):
+        self._full("flush")
         self._fh.flush()
 
     def close(self):
         self._fh.close()
+        self._full("close")
 
 
 def pdag_cells(n, states):

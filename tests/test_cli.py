@@ -3,6 +3,7 @@ import hashlib
 import json
 import threading
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -169,21 +170,26 @@ class TestGenerate:
         assert code == 0
         assert json.loads(out)["digest"] == dataset_digest(out_path)
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, OSError],
-                             ids=["stream", "interrupt", "full-disk"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, "write",
+                                       "flush", "close"],
+                             ids=["stream", "interrupt", "full-disk", "full-at-flush",
+                                  "full-at-close"])
     def test_failed_write_leaves_no_file_and_no_thread(self, tmp_path, capsys,
                                                        monkeypatch, error):
         monkeypatch.setattr(dataset, "WRITE_ROWS", 1)
-        if error is OSError:
-            monkeypatch.setattr(dataset, "open", FullDisk, raising=False)
+        argv = ["generate", "--n", "4", "-o", str(tmp_path / "ds.jsonl")]
+        if isinstance(error, str):
+            monkeypatch.setattr(dataset, "open", partial(FullDisk, fails_at=error),
+                                raising=False)
+            if error != "write":  # a few rows, so the disk is met only at the end
+                argv += ["--limit", "3"]
         else:
             def failing(*args, **kwargs):
                 yield from islice(generate(*args, **kwargs), 500)
                 raise error("the stream broke")
             monkeypatch.setattr(cli, "generate", failing)
         before = threading.enumerate()
-        argv = ["generate", "--n", "4", "-o", str(tmp_path / "ds.jsonl")]
-        if error is OSError:
+        if isinstance(error, str):
             code, _, err = run_cli(capsys, *argv)
             assert code == 1 and "No space left on device" in err
         else:

@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -354,9 +355,9 @@ class TestPersistence:
         name = "ds.jsonl.gz" if compress else "ds.jsonl"
         files = []
         # one batch, a few, and one per class (a batch is cut at a premise change)
-        for batch_rows in (dataset.WRITE_ROWS, 1000, 1):
+        for k, batch_rows in enumerate((len(rows), 100, 1)):
             monkeypatch.setattr(dataset, "WRITE_ROWS", batch_rows)
-            path = tmp_path / str(batch_rows) / name
+            path = tmp_path / str(k) / name
             path.parent.mkdir()
             labels, digest = write_samples(path, rows, gzip=compress)
             assert digest == dataset_digest(path)
@@ -387,6 +388,19 @@ class TestPersistence:
         # a batch per class: the stream stops soon after the failure; one
         # batch: the failure arrives after the last row
         assert len(drawn) < total if batch_rows == 1 else len(drawn) == total
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("fails_at", ["flush", "close"])
+    def test_failed_final_flush_is_raised_in_the_caller(self, tmp_path, monkeypatch,
+                                                        n3_samples, fails_at, compress):
+        # a small stream reaches the disk only when it is flushed or closed
+        monkeypatch.setattr(dataset, "open", partial(FullDisk, fails_at=fails_at),
+                            raising=False)
+        before = threading.enumerate()
+        with pytest.raises(OSError) as failed:
+            write_samples(tmp_path / "ds.jsonl", n3_samples[:3], gzip=compress)
+        assert failed.value.errno == errno.ENOSPC
+        assert threading.enumerate() == before
 
     def test_record_field_order(self, tmp_path, n3_samples):
         path = tmp_path / "ds.jsonl"
