@@ -14,10 +14,9 @@ import gzip as gzip_mod
 import hashlib
 import json
 import os
-import queue
 import random
-import threading
-from collections import Counter
+from collections import Counter, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -116,16 +115,6 @@ def label_table(n: int, masks: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.bitwise_and.reduceat(holds, starts[:-1], axis=0)
 
 
-def _chunks(order: np.ndarray) -> Iterator[np.ndarray]:
-    """``order`` in consecutive chunks: 16 at first, doubling up to one
-    block of ``relation_table``."""
-    lo, size = 0, 16
-    while lo < len(order):
-        yield order[lo:lo + size]
-        lo += size
-        size = min(2 * size, TABLE_BLOCK)
-
-
 def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
              style: str = "symbolic", theme: str | None = None,
              max_cond: int | None = None, minimal: bool = True,
@@ -135,12 +124,12 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     ``order="canonical"`` walks classes and claims deterministically;
     ``order="shuffled"`` visits them in a seeded random order, which lets a
     consumer draw a balanced subset without labeling the whole universe.
-    The separating sets and labels are built for a chunk of the visit order
-    at a time (``relation_table``, ``label_table``), so a shuffled draw pays
-    only for the chunks it reads. Each claim's sentence and id suffix are
-    built once per call, and one numpy gather reads the label bit of every
-    claim of every class in the chunk, so a row costs a tuple index, a
-    string join and its ``Sample``.
+    The separating sets and labels are built for a chunk of ``TABLE_BLOCK``
+    classes of the visit order at a time (``relation_table``,
+    ``label_table``), so a shuffled draw pays only for the chunks it reads.
+    Each claim's sentence and id suffix are built once per call, and one
+    numpy gather reads the label bit of every claim of every class in the
+    chunk, so a row costs a tuple index, a string join and its ``Sample``.
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
@@ -172,7 +161,8 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     # entry [g, k, i] bit j of label_table answers claim (LABEL_KINDS[k], i, j)
     k_at, i_at, j_at = np.array([(LABEL_KINDS.index(kind), i, j) for kind, i, j in slots]).T
     labels = (NO, YES)
-    for groups in _chunks(group_order):
+    for lo in range(0, len(group_order), TABLE_BLOCK):
+        groups = group_order[lo:lo + TABLE_BLOCK]
         masks, starts = idx.members(groups)
         seps = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
         bits = (label_table(n, masks, starts)[:, k_at, i_at] >> j_at & 1).tolist()
@@ -236,85 +226,19 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
 WRITE_ROWS = 4_000  # rows per batch handed to the writer thread: about 2.5 MB
 
 
-class _Sink:
-    """The bytes of one dataset file, written and hashed on a writer thread.
+class _Hashed:
+    """A binary file that runs sha256 over the bytes written to it."""
 
-    ``put`` hands a batch of rows, encoded, to the thread through a queue of
-    depth one. The thread writes it to the file, or to a ``GzipFile`` over
-    it, and runs sha256 over exactly the bytes that reach the file. File
-    writes, compression and hashing release the GIL on large buffers, so
-    they overlap the caller's row building on the other core. Batches are
-    megabytes, not hundreds of kB, because the thread may wait a switch
-    interval (5 ms) for the GIL before each one; up to four are alive at
-    once (one being written, one queued, the text and bytes of the next).
-    Leaving the ``with`` block ends and joins the thread, also when the
-    caller raises or the thread fails after taking the end marker, and then
-    re-raises the first error the thread met.
-    """
+    def __init__(self, file):
+        self.file = file
+        self.sha = hashlib.sha256()
 
-    def __init__(self, path, gzip: bool):
-        self._file = open(path, "wb")
-        self._sha = hashlib.sha256()
-        self._out = self
-        if gzip:
-            self._out = gzip_mod.GzipFile(path, "wb", mtime=0, fileobj=self)
-        self._batches: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
-        self._error: Exception | None = None
-        # a daemon, so an interrupt that lands before the end marker is queued
-        # cannot keep the interpreter from exiting
-        self._thread = threading.Thread(target=self._drain, name="write_samples",
-                                        daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            self._batches.put(None)
-            self._thread.join()
-        finally:
-            self._file.close()
-        if self._error is not None and exc[0] is None:
-            raise self._error
-
-    def put(self, text: str) -> None:
-        if self._error is not None:
-            raise self._error
-        self._batches.put(text.encode("utf-8"))
-
-    def digest(self) -> str:
-        """``dataset_digest`` of the file, once the ``with`` block is left."""
-        return self._sha.hexdigest()[:16]
-
-    # the file side, called on the writer thread (GzipFile writes here too)
     def write(self, data: bytes) -> int:
-        self._sha.update(data)
-        return self._file.write(data)
+        self.sha.update(data)
+        return self.file.write(data)
 
     def flush(self) -> None:
-        self._file.flush()
-
-    def _drain(self):
-        data = b""
-        try:
-            while (data := self._batches.get()) is not None:
-                self._out.write(data)
-            # under gzip, this is the sync-flush block the stream has always
-            # ended with, before the final block and trailer that close writes
-            self._out.flush()
-            if self._out is not self:
-                self._out.close()
-        except Exception as exc:  # raised in the caller by put or __exit__
-            self._error = exc
-            if self._out is not self:
-                with suppress(Exception):  # the stream is lost; only release it
-                    self._out.close()
-            # unless the end marker is already taken, take the batches up to
-            # it, so that put never blocks
-            if data is not None:
-                while self._batches.get() is not None:
-                    pass
+        self.file.flush()
 
 
 def write_samples(path, samples: Iterable[Sample],
@@ -330,46 +254,77 @@ def write_samples(path, samples: Iterable[Sample],
     entry per distinct claim fragment, not per row: for a ``generate``
     stream, at most two per claim of a class. ``samples`` is consumed on
     the calling thread. Once ``WRITE_ROWS`` rows are pending, the next
-    change of premise cuts them into a batch: one ``"".join``, handed to a
-    writer thread, whose labels are counted from the claim fragments it
-    uses. That thread writes the batch and hashes the bytes it stores (the
-    compressed bytes under ``gzip``), so the digest needs no second read.
-    A gzip stream carries no timestamp, so equal rows give equal bytes.
+    change of premise cuts them into a batch: one ``"".join``, whose labels
+    are counted from the claim fragments it uses, encoded and submitted to
+    a one-worker executor. The worker writes it, through a ``GzipFile``
+    under ``gzip``, and the digest is sha256 over the bytes that reach the
+    file (the compressed bytes under ``gzip``), so it needs no second read.
+    File writes, compression and hashing release the GIL on large buffers,
+    so they overlap the row building; batches are megabytes because the
+    worker may wait a switch interval (5 ms) for the GIL before each one.
+    At most two batches are submitted and not yet written, and a failed
+    write is raised at the next batch or at the end. A gzip stream carries
+    no timestamp, so equal rows give equal bytes.
     """
     claims: dict[tuple[str, str, str], str] = {}
     uses: Counter[str] = Counter()  # rows per claim fragment
     block: list[str] = []  # five fragments per row, the claim fourth
+    pending: deque[Future] = deque()
 
-    with _Sink(path, gzip) as sink:
-        def flush():
-            sink.put("".join(block))
-            uses.update(block[3::5])
-            block.clear()
+    # closed in the finally below, not by a with block, so that a stand-in
+    # for open need not be a context manager
+    file = open(path, "wb")
+    out = sink = _Hashed(file)
+    try:
+        if gzip:
+            out = gzip_mod.GzipFile(path, "wb", mtime=0, fileobj=sink)
+        with ThreadPoolExecutor(max_workers=1) as writer:
+            def flush():
+                if len(pending) == 2:
+                    pending.popleft().result()
+                pending.append(writer.submit(out.write, "".join(block).encode("utf-8")))
+                uses.update(block[3::5])
+                block.clear()
 
-        n_vars = premise = digest = style = version = None
-        head = tail = ""
-        for s in samples:
-            if s.premise != premise or s.n_vars != n_vars:
-                if len(block) >= 5 * WRITE_ROWS:
-                    flush()
-                n_vars, premise = s.n_vars, s.premise
-                head = f', "n_vars": {n_vars}, "premise": {_json_str(premise)}, '
-            if s.mec_digest != digest or s.style != style or s.schema_version != version:
-                digest, style, version = s.mec_digest, s.style, s.schema_version
-                tail = (f', "mec_digest": {_json_str(digest)}, '
-                        f'"style": {_json_str(style)}, "schema_version": {version}}}\n')
-            key = (s.hypothesis_text, s.label, s.kind)
-            claim = claims.get(key)
-            if claim is None:
-                claim = claims[key] = (f'"hypothesis": {_json_str(key[0])}, '
-                                       f'"label": {_json_str(key[1])}, '
-                                       f'"kind": {_json_str(key[2])}')
-            block += ('{"id": ', _json_str(s.id), head, claim, tail)
-        flush()
+            n_vars = premise = digest = style = version = None
+            head = tail = ""
+            for s in samples:
+                if s.premise != premise or s.n_vars != n_vars:
+                    if len(block) >= 5 * WRITE_ROWS:
+                        flush()
+                    n_vars, premise = s.n_vars, s.premise
+                    head = f', "n_vars": {n_vars}, "premise": {_json_str(premise)}, '
+                if s.mec_digest != digest or s.style != style or s.schema_version != version:
+                    digest, style, version = s.mec_digest, s.style, s.schema_version
+                    tail = (f', "mec_digest": {_json_str(digest)}, '
+                            f'"style": {_json_str(style)}, "schema_version": {version}}}\n')
+                key = (s.hypothesis_text, s.label, s.kind)
+                claim = claims.get(key)
+                if claim is None:
+                    claim = claims[key] = (f'"hypothesis": {_json_str(key[0])}, '
+                                           f'"label": {_json_str(key[1])}, '
+                                           f'"kind": {_json_str(key[2])}')
+                block += ('{"id": ', _json_str(s.id), head, claim, tail)
+            flush()
+            while pending:
+                pending.popleft().result()
+        # under gzip, this is the sync-flush block the stream has always ended
+        # with, before the final block and trailer that close writes
+        out.flush()
+        if out is not sink:
+            out.close()
+    except BaseException:
+        # the caller's error wins: the stream is lost, so only release it
+        if out is not sink:
+            with suppress(Exception):
+                out.close()
+        raise
+    finally:
+        file.close()
     labels: Counter[str] = Counter()
     for (_, label, _), claim in claims.items():
         labels[label] += uses[claim]
-    return labels, sink.digest()
+    return labels, sink.sha.hexdigest()[:16]
 
 
 def read_samples(path, limit: int | None = None) -> list[Sample]:

@@ -222,14 +222,18 @@ class ReplayBackend:
 
 
 class RecordingBackend:
-    """Wraps another backend and stores every exchange, one file per sample."""
+    """Wraps another backend and stores every exchange, one file per sample.
+
+    A sample runs wholly inside one ``run_pipeline`` call on one thread, so
+    each thread holds the exchanges of its current sample only and rewrites
+    that sample's file after each of them.
+    """
 
     def __init__(self, inner, directory):
         self.inner = inner
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._exchanges: dict[str, list[dict]] = {}
-        self._lock = threading.Lock()
+        self._local = threading.local()
 
     def pop_usage(self):
         inner_pop = getattr(self.inner, "pop_usage", None)
@@ -239,17 +243,17 @@ class RecordingBackend:
         response = self.inner.complete(messages, sample_id=sample_id, step=step)
         if sample_id is not None:
             prompt = messages[-1]["content"] if messages else ""
-            entry = {
+            current = self._local
+            if getattr(current, "sample_id", None) != sample_id:
+                current.sample_id, current.exchanges = sample_id, []
+            current.exchanges.append({
                 "step": step,
                 "prompt_digest": hashlib.sha256(prompt.encode()).hexdigest()[:12],
                 "response": response,
-            }
-            with self._lock:
-                self._exchanges.setdefault(sample_id, []).append(entry)
-                write_text_atomic(os.path.join(self.directory, f"{sample_id}.json"),
-                                  json.dumps({"sample_id": sample_id,
-                                              "exchanges": self._exchanges[sample_id]},
-                                             indent=1))
+            })
+            write_text_atomic(os.path.join(self.directory, f"{sample_id}.json"),
+                              json.dumps({"sample_id": sample_id,
+                                          "exchanges": current.exchanges}, indent=1))
         return response
 
 
@@ -660,13 +664,22 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP) -> EvalRecord:
     error = None
     usage_tally: dict[str, int] = {}
 
-    def track_usage():
+    def ask(prompt: str, step: int) -> str:
+        raw = backend.complete([{"role": "user", "content": prompt}],
+                               sample_id=sample.id, step=step)
         pop = getattr(backend, "pop_usage", None)
         reported = pop() if pop else None
         if isinstance(reported, dict):
             for key, value in reported.items():
                 if isinstance(value, int):
                     usage_tally[key] = usage_tally.get(key, 0) + value
+        return raw
+
+    def graded(step: int, raw: str):
+        parsed = parse_step_output(step, raw)
+        match = _match_step(step, parsed.value, refs[f"step_{step}"])
+        steps[f"step_{step}"] = StepResult(raw, parsed.value, match, parsed.error)
+        return parsed.value
 
     def finish():
         final = steps.get("step_9")
@@ -694,48 +707,31 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP) -> EvalRecord:
                 error = f"step {step}: {exc}"
                 break
             try:
-                raw = backend.complete([{"role": "user", "content": prompt}],
-                                       sample_id=sample.id, step=step)
+                raw = ask(prompt, step)
             except (TransportError, BackendError) as exc:
                 error = f"step {step}: {exc}"
                 break
-            track_usage()
-            parsed = parse_step_output(step, raw)
-            match = _match_step(step, parsed.value, refs[f"step_{step}"])
-            steps[f"step_{step}"] = StepResult(raw, parsed.value, match, parsed.error)
-            prior[step] = parsed.value
-            if parsed.value is None and step < 9:
+            prior[step] = graded(step, raw)
+            if prior[step] is None and step < 9:
                 error = f"step {step}: unparseable output ends the chain"
                 break
         return finish()
 
-    if mode == MODE_FEW_SHOT:
-        prompt = render_few_shot(ctx)
-    else:
-        prompt = render_cot(ctx)
     try:
-        raw = backend.complete([{"role": "user", "content": prompt}],
-                               sample_id=sample.id, step=0)
+        raw = ask(render_few_shot(ctx) if mode == MODE_FEW_SHOT else render_cot(ctx), 0)
     except (TransportError, BackendError) as exc:
         error = str(exc)
         return finish()
-    track_usage()
     if mode == MODE_BASELINE_COT:
-        parsed = parse_step_output(9, raw)
-        match = _match_step(9, parsed.value, refs["step_9"])
-        steps["step_9"] = StepResult(raw, parsed.value, match, parsed.error)
+        graded(9, raw)
         return finish()
     sections = {int(k): chunk for k, chunk in split_sections(raw, _STEP_SECTION_RE)}
+    sections.setdefault(9, raw)  # final answer may sit outside an explicit section
     for step in range(1, 10):
-        chunk = sections.get(step)
-        if chunk is None and step == 9:
-            chunk = raw  # final answer may sit outside an explicit section
-        if chunk is None:
+        if step in sections:
+            graded(step, sections[step])
+        else:
             steps[f"step_{step}"] = StepResult(None, None, False, "section missing")
-            continue
-        parsed = parse_step_output(step, chunk)
-        match = _match_step(step, parsed.value, refs[f"step_{step}"])
-        steps[f"step_{step}"] = StepResult(chunk, parsed.value, match, parsed.error)
     return finish()
 
 

@@ -402,6 +402,30 @@ class TestPersistence:
         assert failed.value.errno == errno.ENOSPC
         assert threading.enumerate() == before
 
+    @pytest.mark.parametrize("failure", ["full-disk", "stream"])
+    def test_failed_gzip_stream_is_closed_in_the_caller(self, tmp_path, monkeypatch,
+                                                        n3_samples, failure):
+        # a GzipFile left open would write its trailer into the closed file
+        # when it is collected
+        streams = []
+
+        class Tracked(gzip.GzipFile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+        def rows():
+            yield from n3_samples * 20
+            if failure == "stream":
+                raise RuntimeError("the stream broke")
+
+        monkeypatch.setattr(dataset.gzip_mod, "GzipFile", Tracked)
+        if failure == "full-disk":
+            monkeypatch.setattr(dataset, "open", FullDisk, raising=False)
+        with pytest.raises(OSError if failure == "full-disk" else RuntimeError):
+            write_samples(tmp_path / "ds.jsonl.gz", rows(), gzip=True)
+        assert len(streams) == 1 and streams[0].closed
+
     def test_record_field_order(self, tmp_path, n3_samples):
         path = tmp_path / "ds.jsonl"
         write_samples(path, n3_samples[:1])

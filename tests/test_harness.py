@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import pytest
@@ -22,8 +23,8 @@ from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
                                 MockBackend, MODE_BASELINE_COT, MODE_FEW_SHOT,
                                 MODE_STEP_BY_STEP, RecordingBackend,
                                 ReplayBackend, StepResult, make_backend,
-                                parse_step_output, run_pipeline,
-                                score, validate_config)
+                                metrics_from_records, parse_step_output,
+                                run_pipeline, score, validate_config)
 from causaltext.hypotheses import binary_answer
 from causaltext.matrix import AdjMatrix
 from causaltext.parsing import parse_premise
@@ -585,18 +586,50 @@ class TestTranscripts:
         assert record.error and "pipeline mode" in record.error
         assert not record.correct
 
+    def test_recorder_holds_only_the_current_sample(self, tmp_path, balanced_n3):
+        serial = RecordingBackend(MockBackend(), tmp_path / "serial")
+        for s in balanced_n3:
+            run_pipeline(s, serial, MODE_STEP_BY_STEP)
+            # one sample's nine exchanges, however many samples came before
+            held = vars(serial._local)
+            assert held["sample_id"] == s.id and len(held["exchanges"]) == 9
+        # threads sharing one recorder write the transcripts one thread writes
+        parallel = RecordingBackend(MockBackend(), tmp_path / "parallel")
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            list(pool.map(lambda s: run_pipeline(s, parallel, MODE_STEP_BY_STEP),
+                          balanced_n3))
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(f"{s.id}.json" for s in balanced_n3)
+        for name in names:
+            assert ((tmp_path / "parallel" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     status = 200
     payload = {"choices": [{"message": {"content": 'Final Answer: "Yes"'}}]}
     body = None  # raw bytes served instead of the JSON payload when set
+    # when set, the reply is this backend's answer to the request's messages,
+    # served with a usage object that is also appended to ``served``
+    oracle = None
+    served = None
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        request = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        payload = self.payload
+        if self.oracle is not None:
+            messages = json.loads(request)["messages"]
+            reply = self.oracle.complete(messages)
+            usage = {"prompt_tokens": len(messages[-1]["content"]),
+                     "completion_tokens": len(reply),
+                     "total_tokens": len(messages[-1]["content"]) + len(reply),
+                     "prompt_tokens_details": {"cached_tokens": 0}}
+            self.served.append(usage)
+            payload = {"choices": [{"message": {"content": reply}}], "usage": usage}
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
-        self.wfile.write(self.body or json.dumps(self.payload).encode())
+        self.wfile.write(self.body or json.dumps(payload).encode())
 
     def log_message(self, *args):
         pass
@@ -691,6 +724,27 @@ class TestTransport:
         config = BackendConfig(endpoint="http://example.com", auth_env="TOKEN_VAR")
         assert "super-secret" not in json.dumps(config.as_dict())
 
+    def test_record_sums_the_reported_token_usage(self, http_stub, balanced_n3,
+                                                  monkeypatch, tmp_path):
+        served = []
+        monkeypatch.setattr(_StubHandler, "oracle", MockBackend())
+        monkeypatch.setattr(_StubHandler, "served", served)
+        inner = make_backend(BackendConfig(endpoint=http_stub, attempts=1))
+        sample = balanced_n3[0]
+        # directly, and through the recorder's pop_usage
+        for backend in (inner, RecordingBackend(inner, tmp_path)):
+            served.clear()
+            record = run_pipeline(sample, backend, MODE_STEP_BY_STEP)
+            assert record.error is None and record.correct and len(record.steps) == 9
+            assert len(served) == 9
+            # integer counts are summed over the nine calls; nested objects are not
+            assert record.token_counts == {
+                key: sum(usage[key] for usage in served)
+                for key in ("prompt_tokens", "completion_tokens", "total_tokens")}
+            assert inner.pop_usage() is None
+        exchanges = json.loads((tmp_path / f"{sample.id}.json").read_text())["exchanges"]
+        assert [e["step"] for e in exchanges] == list(range(1, 10))
+
 
 class TestMetrics:
     def test_count_arithmetic(self):
@@ -708,6 +762,29 @@ class TestMetrics:
         m = Metrics(tp=0, fp=0, tn=3, fn=1)
         assert m.precision == 0.0 and m.degenerate_precision
         assert not m.degenerate_recall
+
+    def test_every_verdict_and_label_is_counted(self):
+        # (n_vars, verdict, label, the count the record adds to); an
+        # unanswered record counts against the run
+        table = [(3, "Yes", "Yes", "tp"), (3, "No", "Yes", "fn"), (3, None, "No", "fp"),
+                 (4, "Yes", "No", "fp"), (4, "No", "No", "tn"),
+                 (4, "Undetermined", "No", "tn"), (4, "Undetermined", "Yes", "fn"),
+                 (4, None, "Yes", "fn")]
+        records = [EvalRecord(f"s{k}", n, label, "cause", MODE_STEP_BY_STEP, {},
+                              verdict, verdict is not None and binary_answer(verdict) == label,
+                              1.0, 0)
+                   for k, (n, verdict, label, _) in enumerate(table)]
+        for record, (_, _, _, count) in zip(records, table):
+            assert metrics_from_records([record]) == Metrics(
+                **{c: int(c == count) for c in ("tp", "fp", "tn", "fn")})
+        report = score(records)
+        assert metrics_from_records(records) == report.overall == Metrics(tp=1, fp=2, tn=2, fn=3)
+        assert report.by_n_vars == {3: Metrics(tp=1, fp=1, tn=0, fn=1),
+                                    4: Metrics(tp=0, fp=1, tn=2, fn=2)}
+        m = report.overall
+        assert (m.precision, m.recall, m.f1) == pytest.approx((1 / 3, 1 / 4, 2 / 7))
+        assert report.by_n_vars[3].recall == pytest.approx(1 / 2)
+        assert report.by_n_vars[4].recall == 0.0 and not report.by_n_vars[4].degenerate_recall
 
     def test_score_requires_records(self):
         with pytest.raises(UsageError):
