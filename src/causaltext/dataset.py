@@ -35,6 +35,9 @@ from .variables import VariableTable
 SCHEMA_VERSION = 1
 
 _SEPARATORS = tuple({"/", os.sep, os.altsep} - {None})
+# what a dataset row must hold; ``schema_version`` defaults to SCHEMA_VERSION
+_RECORD_FIELDS = ("id", "n_vars", "premise", "hypothesis", "label", "kind",
+                  "mec_digest", "style")
 
 
 @dataclass(slots=True)
@@ -264,7 +267,7 @@ def write_samples(path, samples: Iterable[Sample],
     worker may wait a switch interval (5 ms) for the GIL before each one.
     At most two batches are submitted and not yet written, and a failed
     write is raised at the next batch or at the end. A gzip stream carries
-    no timestamp, so equal rows give equal bytes.
+    neither a timestamp nor a file name, so equal rows give equal bytes.
     """
     claims: dict[tuple[str, str, str], str] = {}
     uses: Counter[str] = Counter()  # rows per claim fragment
@@ -277,7 +280,7 @@ def write_samples(path, samples: Iterable[Sample],
     out = sink = _Hashed(file)
     try:
         if gzip:
-            out = gzip_mod.GzipFile(path, "wb", mtime=0, fileobj=sink)
+            out = gzip_mod.GzipFile(filename="", mode="wb", mtime=0, fileobj=sink)
         with ThreadPoolExecutor(max_workers=1) as writer:
             def flush():
                 if len(pending) == 2:
@@ -330,13 +333,16 @@ def write_samples(path, samples: Iterable[Sample],
 def read_samples(path, limit: int | None = None) -> list[Sample]:
     """Load records, re-deriving relations and hypotheses from their text.
 
-    Reading stops after ``limit`` records. A premise equal to the previous
-    row's is not parsed again: the row reuses that row's document. An id
-    must be usable as a file name inside one directory (records and
+    A file that starts with the gzip magic bytes is read as gzip, whatever
+    its name. Reading stops after ``limit`` records. A premise equal to the
+    previous row's is not parsed again: the row reuses that row's document.
+    A line that is not a JSON object with every record field is rejected.
+    An id must be usable as a file name inside one directory (records and
     transcripts are stored as ``<id>.json``), so a path-like id is rejected,
     and so is an id an earlier row already holds.
     """
-    text_opener = gzip_mod.open if str(path).endswith(".gz") else open
+    with open(path, "rb") as fh:
+        text_opener = gzip_mod.open if fh.read(2) == b"\x1f\x8b" else open
     out: list[Sample] = []
     premise = doc = None
     first_line: dict[str, int] = {}
@@ -347,7 +353,16 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise UsageError(f"{path} line {lineno}: not JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise UsageError(f"{path} line {lineno}: not a JSON object")
+            missing = [key for key in _RECORD_FIELDS if key not in rec]
+            if missing:
+                raise UsageError(f"{path} line {lineno}: no field "
+                                 + ", ".join(map(repr, missing)))
             sid = str(rec["id"])
             if sid in ("", ".", "..") or any(sep in sid for sep in _SEPARATORS):
                 raise UsageError(f"{path} line {lineno}: sample id {sid!r}"

@@ -9,18 +9,19 @@ reproducible audits of recorded runs.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from typing import Sequence
 from urllib.parse import urlparse
-
-import requests
 
 from .engine import (ColliderCandidates, apply_conditional,
                      apply_unconditional, candidate_pairs,
@@ -134,34 +135,45 @@ class HttpBackend:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        body = json.dumps(payload)
+        body = json.dumps(payload).encode()
         log.debug("request %s digest=%s", self.config.endpoint,
-                  hashlib.sha256(body.encode()).hexdigest()[:12])
+                  hashlib.sha256(body).hexdigest()[:12])
         last_exc: Exception | None = None
         for attempt in range(self.config.attempts):
             if attempt:
                 # back off between attempts only: none follows the last
                 time.sleep(self.config.backoff * (2 ** (attempt - 1)))
+            # a fresh Request per attempt: urlopen rewrites one it sends via a proxy
+            request = urllib.request.Request(self.config.endpoint, data=body,
+                                             headers={"Content-Type": "application/json"})
+            if self._token:
+                # sent to the endpoint only, never on to a redirect's target
+                request.add_unredirected_header("Authorization", f"Bearer {self._token}")
             try:
-                resp = requests.post(self.config.endpoint, data=body,
-                                     headers=headers, timeout=self.config.timeout)
-            except requests.RequestException as exc:
+                try:
+                    resp = urllib.request.urlopen(request, timeout=self.config.timeout)
+                except urllib.error.HTTPError as err:
+                    # a status of 400 or more (or a redirect a POST does not
+                    # follow) is a reply to read, not a transport failure
+                    resp = err
+                with resp:
+                    status, content = resp.status, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                # HTTPException: a garbled status line or a short body
                 last_exc = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_exc = BackendError(resp.status_code, resp.text[:200])
-                continue
-            if resp.status_code != 200:
-                raise BackendError(resp.status_code, resp.text[:200])
+            if status != 200:
+                error = BackendError(status, content.decode("utf-8", "replace")[:200])
+                if status == 429 or status >= 500:
+                    last_exc = error
+                    continue
+                raise error
             try:
-                data = resp.json()
-            except requests.JSONDecodeError:
-                raise BackendError(200, f"body is not JSON: {resp.text[:120]}") from None
-            log.debug("response digest=%s",
-                      hashlib.sha256(resp.content).hexdigest()[:12])
+                data = json.loads(content)
+            except ValueError:  # JSONDecodeError, or bytes that are not text
+                raise BackendError(200, "body is not JSON: "
+                                   + content.decode("utf-8", "replace")[:120]) from None
+            log.debug("response digest=%s", hashlib.sha256(content).hexdigest()[:12])
             if isinstance(data, dict) and isinstance(data.get("usage"), dict):
                 self._local.usage = data["usage"]
             return _extract_assistant_text(data)
@@ -184,41 +196,41 @@ def _extract_assistant_text(data) -> str:
 
 
 class ReplayBackend:
-    """Replays recorded transcripts; one file per sample, exchanges in order."""
+    """Replays recorded transcripts; one file per sample, exchanges in order.
+
+    A sample runs wholly inside one ``run_pipeline`` call on one thread, so
+    each thread holds the transcript of its current sample only, with the
+    cursor of the next exchange to serve.
+    """
 
     def __init__(self, directory):
         self.directory = str(directory)
         if not os.path.isdir(self.directory):
             raise ConfigError(f"transcript directory not found: {self.directory}")
-        self._cursors: dict[str, int] = {}
-        self._cache: dict[str, list[dict]] = {}
-        self._lock = threading.Lock()
-
-    def _exchanges(self, sample_id: str) -> list[dict]:
-        if sample_id not in self._cache:
-            path = os.path.join(self.directory, f"{sample_id}.json")
-            if not os.path.exists(path):
-                raise TransportError(f"no transcript for sample {sample_id!r}")
-            with open(path, encoding="utf-8") as fh:
-                self._cache[sample_id] = json.load(fh)["exchanges"]
-        return self._cache[sample_id]
+        self._local = threading.local()
 
     def complete(self, messages, *, sample_id=None, step=None) -> str:
         if sample_id is None:
             raise TransportError("replay needs a sample id")
-        with self._lock:
-            exchanges = self._exchanges(sample_id)
-            cursor = self._cursors.get(sample_id, 0)
-            if cursor >= len(exchanges):
-                raise TransportError(f"transcript for {sample_id!r} is exhausted")
-            recorded = exchanges[cursor].get("step")
-            if recorded is not None and step is not None and recorded != step:
-                raise TransportError(
-                    f"transcript for {sample_id!r} was recorded for step "
-                    f"{recorded}, not step {step}; replay with the original "
-                    f"pipeline mode")
-            self._cursors[sample_id] = cursor + 1
-        return exchanges[cursor]["response"]
+        current = self._local
+        if getattr(current, "sample_id", None) != sample_id:
+            path = os.path.join(self.directory, f"{sample_id}.json")
+            if not os.path.exists(path):
+                raise TransportError(f"no transcript for sample {sample_id!r}")
+            with open(path, encoding="utf-8") as fh:
+                exchanges = json.load(fh)["exchanges"]
+            current.sample_id, current.exchanges, current.cursor = sample_id, exchanges, 0
+        if current.cursor >= len(current.exchanges):
+            raise TransportError(f"transcript for {sample_id!r} is exhausted")
+        exchange = current.exchanges[current.cursor]
+        recorded = exchange.get("step")
+        if recorded is not None and step is not None and recorded != step:
+            raise TransportError(
+                f"transcript for {sample_id!r} was recorded for step "
+                f"{recorded}, not step {step}; replay with the original "
+                f"pipeline mode")
+        current.cursor += 1
+        return exchange["response"]
 
 
 class RecordingBackend:

@@ -289,12 +289,13 @@ GOLDEN_DATASETS = {
 }
 
 
-# sha256 of the compressed bytes of ``generate --n N --gzip -o ds.jsonl.gz``
-# (the gzip header carries the file name), pinned from the row-by-row writer
-# that the per-class block writer replaced
+# sha256 of the compressed bytes of ``generate --n N --gzip``, whatever the
+# -o name: the gzip header carries no file name and no timestamp. Re-pinned
+# when the header stopped carrying the name; the stream after it is the one
+# the row-by-row writer wrote
 GOLDEN_GZIP = {
-    "3": "7f4e83a69a2beae11208741ae671fe02dd030ab9683d32562669fdabf5377882",
-    "4": "8415c9168669c1ade26039fc0cbbe1c6e9ef646e9db1687e707ed34b0a56457b",
+    "3": "0654a16cd1fc0b16ab29421110b8a8328b0c2aa4f434783136f50fa610507f14",
+    "4": "0b18fc42af3970a41108ebe5b5a17eff71051d13b3151fa10b9006f3687e90dd",
 }
 
 
@@ -317,6 +318,13 @@ class TestGoldenDatasets:
         code, _, _ = run_cli(capsys, "generate", "--n", n, "--gzip", "-o", str(out_path))
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_GZIP[n]
+
+    def test_gzip_bytes_do_not_depend_on_the_name(self, tmp_path, capsys):
+        paths = [tmp_path / "out_a.jsonl", tmp_path / "out_b.jsonl.gz"]
+        for path in paths:
+            code, _, _ = run_cli(capsys, "generate", "--n", "3", "--gzip", "-o", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestEvalAndScore:
@@ -342,6 +350,42 @@ class TestEvalAndScore:
         assert set(manifest) == {"version", "config_digest", "dataset_digest",
                                  "mode", "n_records"}
         assert str(tmp_path) not in json.dumps(manifest)
+
+    @pytest.mark.parametrize("name,compress", [("ds.jsonl", True), ("ds.gz", False)],
+                             ids=["gzip-named-plain", "plain-named-gz"])
+    def test_dataset_read_by_content_not_name(self, tmp_path, capsys, name, compress):
+        path = tmp_path / name
+        code, _, _ = run_cli(capsys, "generate", "--n", "3", "--balanced", "4",
+                             "--seed", "3", "-o", str(path),
+                             *(["--gzip"] if compress else []))
+        assert code == 0
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == compress
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(path), "--backend",
+                                 "mock", "--out", str(out_dir), "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["overall"]["accuracy"] == 1.0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        # the manifest hashes the stored bytes, compressed or not
+        assert manifest["dataset_digest"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("line,problem", [
+        ("{not json", "not JSON"),
+        ('{"id": "x", "n_vars": 3}', "no field 'premise'"),
+        ('["id", "premise"]', "not a JSON object")],
+        ids=["non-json", "missing-field", "non-object"])
+    def test_malformed_row_exits_2_with_file_and_line(self, tmp_path, dataset, capsys,
+                                                       line, problem):
+        bad = tmp_path / "bad.jsonl"
+        first = dataset.read_text().splitlines()[0]
+        bad.write_text(f"{first}\n\n{line}\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(bad),
+                               "--backend", "mock", "--out", str(out_dir))
+        assert code == 2
+        assert f"{bad} line 3: {problem}" in err
+        assert not out_dir.exists()
 
     def test_record_then_replay(self, tmp_path, dataset, capsys):
         run_a = tmp_path / "a"
@@ -556,6 +600,23 @@ class TestEvalAndScore:
                 record.pop("elapsed_ms")
                 runs[parallel][path.name] = record
         assert runs["1"] == runs["3"] and len(runs["1"]) == 8
+
+    def test_parallel_replay_matches_serial(self, tmp_path, dataset, capsys):
+        transcripts = tmp_path / "rec" / "transcripts"
+        runs = {}
+        for run, source in (("rec", ("--backend", "mock", "--record")),
+                            ("1", ("--replay", str(transcripts))),
+                            ("4", ("--replay", str(transcripts), "--parallel", "4"))):
+            out_dir = tmp_path / run
+            code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset),
+                                   *source, "--out", str(out_dir))
+            assert code == 0, err
+            runs[run] = {}
+            for path in (out_dir / "records").iterdir():
+                record = json.loads(path.read_text())
+                record.pop("elapsed_ms")
+                runs[run][path.name] = record
+        assert runs["1"] == runs["4"] == runs["rec"] and len(runs["1"]) == 8
 
     def test_missing_auth_env_fails_before_request(self, tmp_path, dataset,
                                                    capsys, monkeypatch):

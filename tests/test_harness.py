@@ -586,6 +586,28 @@ class TestTranscripts:
         assert record.error and "pipeline mode" in record.error
         assert not record.correct
 
+    def test_replay_holds_only_the_current_sample(self, tmp_path):
+        def stable(record):
+            d = record.as_dict()
+            d.pop("elapsed_ms")  # wall-clock timing is not part of determinism
+            return d
+
+        samples = balanced_generate([4], 25, seed=3)
+        recorder = RecordingBackend(MockBackend(), tmp_path)
+        expected = [stable(run_pipeline(s, recorder, MODE_STEP_BY_STEP)) for s in samples]
+        replay = ReplayBackend(tmp_path)
+
+        def replayed(s):
+            record = stable(run_pipeline(s, replay, MODE_STEP_BY_STEP))
+            # this thread's one transcript, however many samples came before
+            held = vars(replay._local)
+            assert held["sample_id"] == s.id and held["cursor"] == 9
+            return record
+
+        assert [replayed(s) for s in samples] == expected
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(replayed, samples)) == expected
+
     def test_recorder_holds_only_the_current_sample(self, tmp_path, balanced_n3):
         serial = RecordingBackend(MockBackend(), tmp_path / "serial")
         for s in balanced_n3:
@@ -609,6 +631,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
     status = 200
     payload = {"choices": [{"message": {"content": 'Final Answer: "Yes"'}}]}
     body = None  # raw bytes served instead of the JSON payload when set
+    raw = None  # when set, the whole reply, status line and headers included
+    seen = None  # when set, (method, Authorization header) of each request
     # when set, the reply is this backend's answer to the request's messages,
     # served with a usage object that is also appended to ``served``
     oracle = None
@@ -616,6 +640,11 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         request = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        if self.seen is not None:
+            self.seen.append(("POST", self.headers.get("Authorization")))
+        if self.raw is not None:
+            self.wfile.write(self.raw)
+            return
         payload = self.payload
         if self.oracle is not None:
             messages = json.loads(request)["messages"]
@@ -631,6 +660,12 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(self.body or json.dumps(payload).encode())
 
+    def do_GET(self):  # where a POST answered with 301, 302 or 303 goes next
+        self.seen.append(("GET", self.headers.get("Authorization")))
+        self.send_response(405)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
     def log_message(self, *args):
         pass
 
@@ -642,6 +677,7 @@ def http_stub():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestTransport:
@@ -669,6 +705,39 @@ class TestTransport:
         with pytest.raises(TransportError if status is None else BackendError):
             make_backend(config).complete([{"role": "user", "content": "hello"}])
         assert slept == [0.5, 1.0]
+
+    @pytest.mark.parametrize("raw", [
+        b"garbage\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: 100\r\n\r\n{\"choices\": ",
+    ], ids=["bad-status-line", "short-body"])
+    def test_malformed_reply_is_a_transport_failure(self, http_stub, raw, monkeypatch):
+        # the reply arrives but cannot be read as HTTP: retried like a refused
+        # connection, then a TransportError that fails the sample, not the batch
+        slept = []
+        monkeypatch.setattr(harness.time, "sleep", slept.append)
+        monkeypatch.setattr(_StubHandler, "raw", raw)
+        monkeypatch.setattr(_StubHandler, "seen", [])
+        config = BackendConfig(endpoint=http_stub, attempts=3, backoff=0.5)
+        with pytest.raises(TransportError, match="^3 attempt"):
+            make_backend(config).complete([{"role": "user", "content": "hello"}])
+        assert len(_StubHandler.seen) == 3 and slept == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status,seen", [
+        (302, [("POST", "Bearer secret"), ("GET", None)]),
+        (307, [("POST", "Bearer secret")])])
+    def test_token_goes_to_the_endpoint_only(self, http_stub, monkeypatch, status, seen):
+        # a 302 is followed as a GET without the token, a 307 is not followed
+        monkeypatch.setenv("STUB_TOKEN", "secret")
+        monkeypatch.setattr(_StubHandler, "seen", [])
+        monkeypatch.setattr(_StubHandler, "raw", (
+            f"HTTP/1.1 {status} Moved\r\nLocation: /next\r\n"
+            "Content-Length: 0\r\n\r\n").encode())
+        config = BackendConfig(endpoint=http_stub, auth_env="STUB_TOKEN", attempts=1)
+        with pytest.raises(BackendError) as err:
+            make_backend(config).complete([{"role": "user", "content": "hello"}])
+        assert err.value.status == (405 if status == 302 else status)
+        assert _StubHandler.seen == seen
 
     def test_client_error_no_retry(self, http_stub):
         _StubHandler.status = 404
