@@ -9,14 +9,13 @@ Run with:  python demos/04_mock_evaluation.py
 
 import json
 
-from causaltext import BackendConfig, balanced_generate, run_pipeline, score
+from causaltext import MockBackend, balanced_generate, run_pipeline, score
 from causaltext.harness import (MODE_BASELINE_COT, MODE_FEW_SHOT,
-                                MODE_STEP_BY_STEP, make_backend)
+                                MODE_STEP_BY_STEP)
 from causaltext.prompts import PromptContext, render_prompt
 
 samples = balanced_generate([3], per_cell=6, seed=8)
-config = BackendConfig()  # endpoint defaults to the in-process oracle
-backend = make_backend(config)
+backend = MockBackend()
 
 # What the first prompt of a chain looks like.
 ctx = PromptContext(premise=samples[0].premise,
@@ -33,8 +32,9 @@ for key, step in record.steps.items():
 print("verdict:", record.verdict, " correct:", record.correct)
 
 # Whole-batch scoring in each prompting mode. The oracle closes the loop,
-# so every metric lands at 1.0; a real backend slots in by changing the
-# endpoint URL, and transcripts can be recorded and replayed for audits.
+# so every metric lands at 1.0; a real backend slots in as
+# HttpBackend(BackendConfig(url)), and transcripts can be recorded and
+# replayed for audits.
 for mode in (MODE_STEP_BY_STEP, MODE_FEW_SHOT, MODE_BASELINE_COT):
     records = [run_pipeline(s, backend, mode) for s in samples]
     report = score(records)

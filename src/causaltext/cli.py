@@ -19,9 +19,10 @@ from .errors import (BoundsError, CausaltextError, ConfigError,
                      ConsistencyError, CycleError, PremiseParseError,
                      ResourceError, UnknownVariableError, UsageError)
 from .fixtures import FIXTURES
-from .harness import (EVAL_MODES, BackendConfig, EvalRecord, MODE_STEP_BY_STEP,
-                      RecordingBackend, ScoreReport, make_backend,
-                      run_pipeline, score, write_text_atomic)
+from .harness import (EVAL_MODES, BackendConfig, EvalRecord, HttpBackend,
+                      MODE_STEP_BY_STEP, MockBackend, RecordingBackend,
+                      ReplayBackend, ScoreReport, run_pipeline, score,
+                      write_text_atomic)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED, NO, YES,
                          HypothesisKind)
 from .parsing import THEMES, parse_premise
@@ -269,16 +270,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    if args.replay:
-        endpoint = f"replay://{args.replay}"
-    elif args.backend == "mock":
-        endpoint = "mock://engine"
-    else:
-        endpoint = args.backend
-    config = BackendConfig(endpoint=endpoint, model=args.model,
+def _eval_backend(args):
+    """The backend the eval flags name, with its config: None for the mock
+    and for replay, which have none."""
+    if args.replay is not None:
+        return ReplayBackend(args.replay), None
+    if args.backend == "mock":
+        return MockBackend(), None
+    config = BackendConfig(args.backend, model=args.model,
                            auth_env=args.auth_env, attempts=args.attempts)
-    backend = make_backend(config)
+    return HttpBackend(config), config
+
+
+def cmd_eval(args) -> int:
+    backend, config = _eval_backend(args)
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must not be negative")
     if args.parallel < 1:
@@ -306,7 +311,7 @@ def cmd_eval(args) -> int:
     report = score(records)
     manifest = {
         "version": _version(),
-        "config_digest": config.digest(),
+        "config_digest": config.digest() if config else None,
         "dataset_digest": dataset_digest(args.dataset),
         "mode": args.mode,
         "n_records": len(records),

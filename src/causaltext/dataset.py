@@ -38,6 +38,9 @@ _SEPARATORS = tuple({"/", os.sep, os.altsep} - {None})
 # what a dataset row must hold; ``schema_version`` defaults to SCHEMA_VERSION
 _RECORD_FIELDS = ("id", "n_vars", "premise", "hypothesis", "label", "kind",
                   "mec_digest", "style")
+# the type of each field a row holds: the seven text fields are strings
+_FIELD_TYPES = {**dict.fromkeys(_RECORD_FIELDS, str), "n_vars": int,
+                "schema_version": int}
 
 
 @dataclass(slots=True)
@@ -121,12 +124,12 @@ def label_table(n: int, masks: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
              style: str = "symbolic", theme: str | None = None,
              max_cond: int | None = None, minimal: bool = True,
-             order: str = "canonical", seed: int | None = None) -> Iterator[Sample]:
+             seed: int | None = None) -> Iterator[Sample]:
     """Stream one sample per (equivalence class, hypothesis instance).
 
-    ``order="canonical"`` walks classes and claims deterministically;
-    ``order="shuffled"`` visits them in a seeded random order, which lets a
-    consumer draw a balanced subset without labeling the whole universe.
+    With no ``seed`` it walks classes and claims in canonical order; with
+    one it visits them in that seed's random order, which lets a consumer
+    draw a balanced subset without labeling the whole universe.
     The separating sets and labels are built for a chunk of ``TABLE_BLOCK``
     classes of the visit order at a time (``relation_table``,
     ``label_table``), so a shuffled draw pays only for the chunks it reads.
@@ -136,16 +139,12 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
-    if order not in ("canonical", "shuffled"):
-        raise ConfigError(f"unknown order {order!r}")
-    if order == "shuffled" and seed is None:
-        raise ConfigError("a seed is required for shuffled generation")
     kinds = tuple(dict.fromkeys(kinds or HypothesisKind))
     table = VariableTable.letters(n)
     idx = mec_index(n)
     group_order = np.arange(idx.group_count)
     rng = None
-    if order == "shuffled":
+    if seed is not None:
         group_order = np.random.default_rng(seed).permutation(idx.group_count)
         rng = random.Random(seed)
     tag = _style_tag(style, theme)
@@ -204,8 +203,7 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
         needed = {YES: per_cell, NO: per_cell}
         picked: list[Sample] = []
         stream = generate(n, kinds=kinds, style=style, theme=theme,
-                          max_cond=max_cond, minimal=minimal, order="shuffled",
-                          seed=seed * 1009 + n)
+                          max_cond=max_cond, minimal=minimal, seed=seed * 1009 + n)
         for s in stream:
             if needed[s.label] > 0:
                 needed[s.label] -= 1
@@ -336,21 +334,26 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
     A file that starts with the gzip magic bytes is read as gzip, whatever
     its name. Reading stops after ``limit`` records. A premise equal to the
     previous row's is not parsed again: the row reuses that row's document.
-    A line that is not a JSON object with every record field is rejected.
-    An id must be usable as a file name inside one directory (records and
-    transcripts are stored as ``<id>.json``), so a path-like id is rejected,
-    and so is an id an earlier row already holds.
+    A line that is not UTF-8, not a JSON object with every record field,
+    or holds a field of the wrong type (the text fields are strings,
+    ``n_vars`` and ``schema_version`` are ints) or a label other than Yes
+    and No is rejected. An id must be usable as a file name inside one
+    directory (records and transcripts are stored as ``<id>.json``), so a
+    path-like id is rejected, and so is an id an earlier row already holds.
     """
     with open(path, "rb") as fh:
-        text_opener = gzip_mod.open if fh.read(2) == b"\x1f\x8b" else open
+        opener = gzip_mod.open if fh.read(2) == b"\x1f\x8b" else open
     out: list[Sample] = []
     premise = doc = None
     first_line: dict[str, int] = {}
-    with text_opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with opener(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             if limit is not None and len(out) >= limit:
                 break
-            line = line.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"{path} line {lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
@@ -363,7 +366,16 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
             if missing:
                 raise UsageError(f"{path} line {lineno}: no field "
                                  + ", ".join(map(repr, missing)))
-            sid = str(rec["id"])
+            rec.setdefault("schema_version", SCHEMA_VERSION)
+            for key, kind in _FIELD_TYPES.items():
+                if type(rec[key]) is not kind:  # a bool is no int here
+                    raise UsageError(f"{path} line {lineno}: field {key!r} is"
+                                     f" {type(rec[key]).__name__} {rec[key]!r},"
+                                     f" not {kind.__name__}")
+            if rec["label"] not in (YES, NO):
+                raise UsageError(f"{path} line {lineno}: label {rec['label']!r}"
+                                 f" is neither {YES!r} nor {NO!r}")
+            sid = rec["id"]
             if sid in ("", ".", "..") or any(sep in sid for sep in _SEPARATORS):
                 raise UsageError(f"{path} line {lineno}: sample id {sid!r}"
                                  " is not a plain file name")
@@ -375,12 +387,11 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
                 premise, doc = rec["premise"], parse_premise(rec["premise"])
             h = parse_hypothesis(rec["hypothesis"], doc.variables)
             out.append(Sample(
-                id=rec["id"], n_vars=rec["n_vars"], premise=premise,
+                id=sid, n_vars=rec["n_vars"], premise=premise,
                 relations=doc.relations, hypothesis=h,
                 hypothesis_text=rec["hypothesis"], label=rec["label"],
                 kind=rec["kind"], mec_digest=rec["mec_digest"],
-                style=rec["style"],
-                schema_version=rec.get("schema_version", SCHEMA_VERSION)))
+                style=rec["style"], schema_version=rec["schema_version"]))
     return out
 
 

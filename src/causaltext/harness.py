@@ -61,15 +61,13 @@ def _field_dict(obj) -> dict:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Connection settings for a chat backend.
+    """Connection settings for a live chat endpoint, an ``http(s)://`` URL.
 
-    ``endpoint`` schemes: ``http(s)://`` for a live service, ``mock://`` for
-    the in-process oracle, ``replay://<dir>`` for recorded transcripts.
     Temperature stays at 0 unless explicitly overridden. The auth token is
     read from the environment variable named here and never serialized.
     """
 
-    endpoint: str = "mock://engine"
+    endpoint: str
     model: str = "oracle"
     temperature: float = 0.0
     max_tokens: int = 4096
@@ -77,9 +75,6 @@ class BackendConfig:
     attempts: int = 3
     backoff: float = 0.25
     timeout: float = 60.0
-
-    def scheme(self) -> str:
-        return urlparse(self.endpoint).scheme
 
     def as_dict(self) -> dict:
         return _field_dict(self)
@@ -89,37 +84,20 @@ class BackendConfig:
                               .encode()).hexdigest()[:16]
 
 
-def validate_config(config: BackendConfig) -> None:
-    parsed = urlparse(config.endpoint)
-    if parsed.scheme in ("http", "https"):
-        if not parsed.netloc:
-            raise ConfigError(f"malformed endpoint URL: {config.endpoint!r}")
-        if config.auth_env and not os.environ.get(config.auth_env):
-            raise ConfigError(
-                f"auth environment variable {config.auth_env!r} is not set")
-    elif parsed.scheme == "mock":
-        pass
-    elif parsed.scheme == "replay":
-        if not _replay_directory(config.endpoint):
-            raise ConfigError("replay endpoint needs a transcript directory")
-    else:
-        raise ConfigError(f"unsupported endpoint scheme: {config.endpoint!r}")
-    if config.attempts < 1:
-        raise ConfigError("attempts must be at least 1")
-
-
-def _replay_directory(endpoint: str) -> str:
-    # all the text after the scheme: a URL parse would cut it at '#' or '?'
-    rest = endpoint.split(":", 1)[1]
-    return rest[2:] if rest.startswith("//") else rest
-
-
 class HttpBackend:
     """Generic chat endpoint: ordered role/content messages in, text out."""
 
     def __init__(self, config: BackendConfig):
+        parsed = urlparse(config.endpoint)
+        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+            raise ConfigError(f"not an http(s) endpoint URL: {config.endpoint!r}")
+        self._token = os.environ.get(config.auth_env) if config.auth_env else None
+        if config.auth_env and not self._token:
+            raise ConfigError(
+                f"auth environment variable {config.auth_env!r} is not set")
+        if config.attempts < 1:
+            raise ConfigError("attempts must be at least 1")
         self.config = config
-        self._token = os.environ[config.auth_env] if config.auth_env else None
         self._local = threading.local()
 
     def pop_usage(self) -> dict | None:
@@ -200,7 +178,9 @@ class ReplayBackend:
 
     A sample runs wholly inside one ``run_pipeline`` call on one thread, so
     each thread holds the transcript of its current sample only, with the
-    cursor of the next exchange to serve.
+    cursor of the next exchange to serve. A transcript that is not a JSON
+    object whose ``exchanges`` list holds a string ``response`` in each
+    exchange raises ``TransportError``, which fails that sample only.
     """
 
     def __init__(self, directory):
@@ -218,7 +198,18 @@ class ReplayBackend:
             if not os.path.exists(path):
                 raise TransportError(f"no transcript for sample {sample_id!r}")
             with open(path, encoding="utf-8") as fh:
-                exchanges = json.load(fh)["exchanges"]
+                try:
+                    data = json.load(fh)
+                except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                    raise TransportError(
+                        f"transcript for {sample_id!r} is not JSON: {exc}") from None
+            exchanges = data.get("exchanges") if isinstance(data, dict) else None
+            if not isinstance(exchanges, list) or not all(
+                    isinstance(e, dict) and isinstance(e.get("response"), str)
+                    for e in exchanges):
+                raise TransportError(
+                    f"transcript for {sample_id!r} is not an object whose 'exchanges'"
+                    " list holds a string 'response' in each exchange")
             current.sample_id, current.exchanges, current.cursor = sample_id, exchanges, 0
         if current.cursor >= len(current.exchanges):
             raise TransportError(f"transcript for {sample_id!r} is exhausted")
@@ -362,16 +353,6 @@ def _engine_step(step: int, prior: dict):
     if step == 6:
         return candidate_pairs(matrix)
     return orient_colliders(matrix, ColliderCandidates.from_mapping(prior[7], matrix.vars))
-
-
-def make_backend(config: BackendConfig):
-    validate_config(config)
-    scheme = config.scheme()
-    if scheme == "mock":
-        return MockBackend()
-    if scheme == "replay":
-        return ReplayBackend(_replay_directory(config.endpoint))
-    return HttpBackend(config)
 
 
 # ---------------------------------------------------------------------------

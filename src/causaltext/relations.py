@@ -108,10 +108,6 @@ class RelationSet:
                             key=lambda s: (len(s), tuple(sorted(s)))))
         return tuple(conds)
 
-    def is_empty(self) -> bool:
-        return not (self.dependencies or self.uncond_indep or self.cond_indep
-                    or self.declared_causes)
-
     def as_dict(self) -> dict:
         lab = self.vars.label
         return {

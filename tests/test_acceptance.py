@@ -175,13 +175,13 @@ def test_criterion_8_parser_round_trip():
     failures = 0
     themes = ("health", "economics", "education", "environment")
     for n in (3, 4, 5, 6):
-        stream = generate(n, order="shuffled", seed=808 + n)
+        stream = generate(n, seed=808 + n)
         for sample in itertools.islice(stream, 130):
             doc = parse_premise(sample.premise)
             if doc.relations != sample.relations:
                 failures += 1
             checked += 1
-        story = generate(n, order="shuffled", seed=909 + n, style="story",
+        story = generate(n, seed=909 + n, style="story",
                          theme=themes[n - 3])
         for sample in itertools.islice(story, 130):
             doc = parse_premise(sample.premise)

@@ -371,20 +371,42 @@ class TestEvalAndScore:
             path.read_bytes()).hexdigest()[:16]
 
     @pytest.mark.parametrize("line,problem", [
-        ("{not json", "not JSON"),
-        ('{"id": "x", "n_vars": 3}', "no field 'premise'"),
-        ('["id", "premise"]', "not a JSON object")],
-        ids=["non-json", "missing-field", "non-object"])
+        (b"{not json", "not JSON"),
+        (b'{"id": "x", "n_vars": 3}', "no field 'premise'"),
+        (b'["id", "premise"]', "not a JSON object"),
+        (b'{"id": "x\xff"}', "not UTF-8")],
+        ids=["non-json", "missing-field", "non-object", "non-utf8"])
     def test_malformed_row_exits_2_with_file_and_line(self, tmp_path, dataset, capsys,
                                                        line, problem):
         bad = tmp_path / "bad.jsonl"
-        first = dataset.read_text().splitlines()[0]
-        bad.write_text(f"{first}\n\n{line}\n")
+        first = dataset.read_bytes().splitlines()[0]
+        bad.write_bytes(first + b"\n\n" + line + b"\n")
         out_dir = tmp_path / "run"
         code, _, err = run_cli(capsys, "eval", "--dataset", str(bad),
                                "--backend", "mock", "--out", str(out_dir))
         assert code == 2
         assert f"{bad} line 3: {problem}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("premise", 5, "field 'premise' is int 5, not str"),
+        ("id", 7, "field 'id' is int 7, not str"),
+        ("n_vars", "3", "field 'n_vars' is str '3', not int"),
+        ("n_vars", True, "field 'n_vars' is bool True, not int"),
+        ("schema_version", False, "field 'schema_version' is bool False, not int"),
+        ("label", "maybe", "label 'maybe' is neither 'Yes' nor 'No'")],
+        ids=["premise-int", "id-int", "n_vars-str", "n_vars-bool",
+             "schema_version-bool", "label-maybe"])
+    def test_mistyped_field_exits_2_with_file_and_line(self, tmp_path, dataset, capsys,
+                                                        field, value, problem):
+        first, second = dataset.read_text().splitlines()[:2]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{first}\n{json.dumps({**json.loads(second), field: value})}\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(bad),
+                               "--backend", "mock", "--out", str(out_dir))
+        assert code == 2
+        assert f"{bad} line 2: {problem}" in err
         assert not out_dir.exists()
 
     def test_record_then_replay(self, tmp_path, dataset, capsys):
@@ -420,6 +442,31 @@ class TestEvalAndScore:
                     record.pop("elapsed_ms")
                     runs[run][path.name] = record
             assert runs["rec"] == runs["rep"] and len(runs["rec"]) == 8
+
+    @pytest.mark.parametrize("body,problem", [
+        ("{not json", "is not JSON"),
+        ("[]", "is not an object"),
+        ('{"sample_id": "x", "exchanges": {}}', "is not an object"),
+        ('{"exchanges": [{"step": 1, "response": 3}]}', "is not an object")],
+        ids=["not-json", "not-object", "no-exchanges-list", "no-string-response"])
+    def test_broken_transcript_fails_only_its_sample(self, tmp_path, dataset, capsys,
+                                                     body, problem):
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset), "--backend",
+                               "mock", "--record", "--out", str(tmp_path / "rec"))
+        assert code == 0, err
+        transcripts = tmp_path / "rec" / "transcripts"
+        bad, *good = sorted(transcripts.iterdir())
+        bad.write_text(body)
+        out_dir = tmp_path / "rep"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset), "--replay",
+                               str(transcripts), "--out", str(out_dir))
+        assert code == 0, err
+        records = {p.name: json.loads(p.read_text())
+                   for p in (out_dir / "records").iterdir()}
+        error = records.pop(bad.name)["error"]
+        assert f"step 1: transcript for {bad.stem!r} {problem}" in error
+        assert len(records) == len(good) == 7
+        assert all(r["error"] is None and r["correct"] for r in records.values())
 
     def test_path_like_id_exits_2_and_writes_nothing(self, tmp_path, dataset, capsys):
         samples = read_samples(dataset)
@@ -641,6 +688,40 @@ class TestEvalAndScore:
         assert code == 2
         assert "transcript directory not found" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("backend", ["mock://engine", "replay://transcripts",
+                                         "ftp://x"])
+    def test_backend_that_is_no_http_url_exits_2_before_reading(
+            self, tmp_path, dataset, capsys, monkeypatch, backend):
+        # 'mock' is the one spelling of the oracle, and --replay the one of replay
+        (tmp_path / "transcripts").mkdir()
+        monkeypatch.chdir(tmp_path)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_samples", unread)
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset),
+                               "--backend", backend, "--out", str(out_dir))
+        assert code == 2
+        assert f"not an http(s) endpoint URL: {backend!r}" in err
+        assert not out_dir.exists()
+
+    def test_manifest_names_the_http_config_only(self, tmp_path, dataset, capsys):
+        digests = {}
+        for run, source in (("mock", ("--backend", "mock", "--record")),
+                            ("replay", ("--replay", str(tmp_path / "mock" / "transcripts"))),
+                            # a refused connection fails the one sample, not the run
+                            ("http", ("--backend", "http://127.0.0.1:9",
+                                      "--attempts", "1", "--limit", "1"))):
+            code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset), *source,
+                                   "--out", str(tmp_path / run))
+            assert code == 0, err
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            digests[run] = manifest["config_digest"]
+        # BackendConfig("http://127.0.0.1:9", attempts=1).digest()
+        assert digests == {"mock": None, "replay": None, "http": "f9b051d44b992c24"}
 
     def test_backend_and_replay_mutually_exclusive(self, tmp_path, dataset,
                                                    capsys):

@@ -16,8 +16,7 @@ from causaltext import dataset
 from causaltext.dataset import (LABEL_KINDS, Sample, balanced_generate,
                                 dataset_digest, generate, label_table,
                                 read_samples, write_samples)
-from causaltext.errors import (BoundsError, CapacityError, ConfigError,
-                               ResourceError, UsageError)
+from causaltext.errors import BoundsError, CapacityError, ResourceError, UsageError
 from causaltext.fixtures import THREE_VAR_PREMISE
 from causaltext.graphs import Dag, Mec, enumerate_dags, group_mecs, mec_index
 from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
@@ -47,9 +46,14 @@ class TestGenerate:
         with pytest.raises(BoundsError):
             list(generate(7))
 
-    def test_shuffled_needs_seed(self):
-        with pytest.raises(ConfigError):
-            next(generate(3, order="shuffled"))
+    def test_seed_decides_the_order(self, n3_samples):
+        def ids(seed):
+            return [s.id for s in generate(3, seed=seed)]
+
+        # no seed walks the canonical order; a seed shuffles it reproducibly
+        assert ids(None) == [s.id for s in n3_samples]
+        assert ids(1) == ids(1) != ids(2)
+        assert ids(1) != ids(None)
 
     def test_contains_the_three_var_benchmark_row(self, n3_samples):
         hits = [s for s in n3_samples
@@ -69,7 +73,7 @@ class TestGenerate:
     def test_shuffled_yields_the_canonical_rows(self, n, tmp_path):
         canonical, shuffled = tmp_path / "canonical.jsonl", tmp_path / "shuffled.jsonl"
         write_samples(canonical, generate(n))
-        write_samples(shuffled, generate(n, order="shuffled", seed=11))
+        write_samples(shuffled, generate(n, seed=11))
         lines = canonical.read_text().splitlines()
         assert len(set(lines)) == len(lines)
         assert sorted(shuffled.read_text().splitlines()) == sorted(lines)
@@ -119,7 +123,7 @@ class TestLabelSoundness:
         # 200-sample audit against brute-force membership checks
         table = VariableTable.letters(5)
         mecs = None
-        stream = generate(5, order="shuffled", seed=99)
+        stream = generate(5, seed=99)
         for sample in itertools.islice(stream, 200):
             if mecs is None:
                 mecs = {m.digest(): m
@@ -131,7 +135,7 @@ class TestLabelSoundness:
 
     def test_unbalanced_n5_skews_to_no(self):
         counts = {YES: 0, NO: 0}
-        for sample in itertools.islice(generate(5, order="shuffled", seed=5), 1500):
+        for sample in itertools.islice(generate(5, seed=5), 1500):
             counts[sample.label] += 1
         assert counts[NO] > 2 * counts[YES]
 

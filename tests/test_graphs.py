@@ -339,7 +339,7 @@ class TestStatements:
                                               r"n-2=1, got -1$"):
             relations_from_dag(Dag(3), max_cond=-1)
         # a single node has no pair to separate, whatever the bound
-        assert relations_from_dag(Dag(1), max_cond=5).is_empty()
+        assert relations_from_dag(Dag(1), max_cond=5) == RelationSet(VariableTable.letters(1))
 
     def test_matches_subset_oracle(self):
         # the table of every class on up to five nodes, one call per setting

@@ -19,12 +19,12 @@ from causaltext.engine import (ColliderCandidates, apply_conditional,
                                orient_colliders)
 from causaltext.errors import (BackendError, ConfigError, TemplateError,
                                TransportError, UsageError)
-from causaltext.harness import (BackendConfig, EvalRecord, Metrics,
-                                MockBackend, MODE_BASELINE_COT, MODE_FEW_SHOT,
-                                MODE_STEP_BY_STEP, RecordingBackend,
-                                ReplayBackend, StepResult, make_backend,
+from causaltext.harness import (BackendConfig, EvalRecord, HttpBackend,
+                                Metrics, MockBackend, MODE_BASELINE_COT,
+                                MODE_FEW_SHOT, MODE_STEP_BY_STEP,
+                                RecordingBackend, ReplayBackend, StepResult,
                                 metrics_from_records, parse_step_output,
-                                run_pipeline, score, validate_config)
+                                run_pipeline, score)
 from causaltext.hypotheses import binary_answer
 from causaltext.matrix import AdjMatrix
 from causaltext.parsing import parse_premise
@@ -684,14 +684,14 @@ class TestTransport:
     def test_send_happy_path(self, http_stub):
         _StubHandler.status = 200
         config = BackendConfig(endpoint=http_stub, attempts=1)
-        out = make_backend(config).complete([{"role": "user", "content": "hello"}])
+        out = HttpBackend(config).complete([{"role": "user", "content": "hello"}])
         assert out == 'Final Answer: "Yes"'
 
     def test_server_error_becomes_backend_error(self, http_stub):
         _StubHandler.status = 503
         config = BackendConfig(endpoint=http_stub, attempts=2, backoff=0.0)
         with pytest.raises(BackendError):
-            make_backend(config).complete([{"role": "user", "content": "hello"}])
+            HttpBackend(config).complete([{"role": "user", "content": "hello"}])
         _StubHandler.status = 200
 
     @pytest.mark.parametrize("status", [None, 503])
@@ -703,7 +703,7 @@ class TestTransport:
         endpoint = "http://127.0.0.1:9" if status is None else http_stub
         config = BackendConfig(endpoint=endpoint, attempts=3, backoff=0.5, timeout=0.5)
         with pytest.raises(TransportError if status is None else BackendError):
-            make_backend(config).complete([{"role": "user", "content": "hello"}])
+            HttpBackend(config).complete([{"role": "user", "content": "hello"}])
         assert slept == [0.5, 1.0]
 
     @pytest.mark.parametrize("raw", [
@@ -720,7 +720,7 @@ class TestTransport:
         monkeypatch.setattr(_StubHandler, "seen", [])
         config = BackendConfig(endpoint=http_stub, attempts=3, backoff=0.5)
         with pytest.raises(TransportError, match="^3 attempt"):
-            make_backend(config).complete([{"role": "user", "content": "hello"}])
+            HttpBackend(config).complete([{"role": "user", "content": "hello"}])
         assert len(_StubHandler.seen) == 3 and slept == [0.5, 1.0]
 
     @pytest.mark.parametrize("status,seen", [
@@ -735,7 +735,7 @@ class TestTransport:
             "Content-Length: 0\r\n\r\n").encode())
         config = BackendConfig(endpoint=http_stub, auth_env="STUB_TOKEN", attempts=1)
         with pytest.raises(BackendError) as err:
-            make_backend(config).complete([{"role": "user", "content": "hello"}])
+            HttpBackend(config).complete([{"role": "user", "content": "hello"}])
         assert err.value.status == (405 if status == 302 else status)
         assert _StubHandler.seen == seen
 
@@ -743,7 +743,7 @@ class TestTransport:
         _StubHandler.status = 404
         config = BackendConfig(endpoint=http_stub, attempts=3, backoff=0.0)
         with pytest.raises(BackendError) as err:
-            make_backend(config).complete([{"role": "user", "content": "hello"}])
+            HttpBackend(config).complete([{"role": "user", "content": "hello"}])
         assert err.value.status == 404
         _StubHandler.status = 200
 
@@ -752,7 +752,7 @@ class TestTransport:
                                                           monkeypatch):
         monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
         config = BackendConfig(endpoint=http_stub, attempts=1)
-        backend = make_backend(config)
+        backend = HttpBackend(config)
         records = [run_pipeline(s, backend, MODE_STEP_BY_STEP) for s in balanced_n3[:2]]
         assert len(records) == 2
         for r in records:
@@ -763,7 +763,7 @@ class TestTransport:
                                                        balanced_n3, monkeypatch):
         monkeypatch.setattr(_StubHandler, "body", b"<html>gateway page</html>")
         config = BackendConfig(endpoint=http_stub, attempts=1)
-        backend = make_backend(config)
+        backend = HttpBackend(config)
         records = [run_pipeline(s, backend, MODE_STEP_BY_STEP) for s in balanced_n3[:4]]
         assert len(records) == 4
         assert all(r.error and r.parse_failures == 0 for r in records)
@@ -773,20 +773,26 @@ class TestTransport:
         config = BackendConfig(endpoint="http://127.0.0.1:9", attempts=2,
                                backoff=0.0, timeout=0.5)
         with pytest.raises(TransportError):
-            make_backend(config).complete([{"role": "user", "content": "hello"}])
+            HttpBackend(config).complete([{"role": "user", "content": "hello"}])
 
     def test_malformed_endpoint_rejected_upfront(self):
-        with pytest.raises(ConfigError):
-            validate_config(BackendConfig(endpoint="not a url"))
-        with pytest.raises(ConfigError):
-            validate_config(BackendConfig(endpoint="ftp://example.com"))
+        # the mock and replay backends are built from their own flags, so
+        # their old URL spellings are no endpoints either
+        for endpoint in ("not a url", "ftp://example.com", "http://", "mock://engine",
+                         "replay://run/transcripts"):
+            with pytest.raises(ConfigError, match="not an http"):
+                HttpBackend(BackendConfig(endpoint=endpoint))
+
+    def test_attempts_below_one_rejected_upfront(self):
+        with pytest.raises(ConfigError, match="attempts"):
+            HttpBackend(BackendConfig(endpoint="http://example.com", attempts=0))
 
     def test_missing_auth_env_rejected_upfront(self, monkeypatch):
         monkeypatch.delenv("NO_SUCH_TOKEN_VAR", raising=False)
         config = BackendConfig(endpoint="http://example.com/v1",
                                auth_env="NO_SUCH_TOKEN_VAR")
         with pytest.raises(ConfigError):
-            validate_config(config)
+            HttpBackend(config)
 
     def test_config_never_serializes_secrets(self, monkeypatch):
         monkeypatch.setenv("TOKEN_VAR", "super-secret")
@@ -798,7 +804,7 @@ class TestTransport:
         served = []
         monkeypatch.setattr(_StubHandler, "oracle", MockBackend())
         monkeypatch.setattr(_StubHandler, "served", served)
-        inner = make_backend(BackendConfig(endpoint=http_stub, attempts=1))
+        inner = HttpBackend(BackendConfig(endpoint=http_stub, attempts=1))
         sample = balanced_n3[0]
         # directly, and through the recorder's pop_usage
         for backend in (inner, RecordingBackend(inner, tmp_path)):
