@@ -63,6 +63,16 @@ def _load_config_defaults(argv):
     return {k.replace("-", "_"): v for k, v in defaults.items()}
 
 
+class _HttpOption(argparse.Action):
+    """Stores an option only an http(s) backend reads, and notes it as given
+    on the command line: a config-file default sets the value without
+    passing through here, so a mock or replay run can refuse just the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.http_options = (*namespace.http_options, self.option_strings[0])
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causaltext",
@@ -111,9 +121,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ev.add_argument("--record", action="store_true",
                     help="store transcripts under OUT/transcripts")
     ev.add_argument("--parallel", type=int, default=1)
-    ev.add_argument("--model", default="oracle")
-    ev.add_argument("--auth-env", default=None)
-    ev.add_argument("--attempts", type=int, default=3)
+    ev.add_argument("--model", default="oracle", action=_HttpOption)
+    ev.add_argument("--auth-env", default=None, action=_HttpOption)
+    ev.add_argument("--attempts", type=int, default=3, action=_HttpOption)
+    ev.set_defaults(http_options=())
     ev.add_argument("--limit", type=int, default=None)
     ev.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -272,7 +283,11 @@ def cmd_solve(args) -> int:
 
 def _eval_backend(args):
     """The backend the eval flags name, with its config: None for the mock
-    and for replay, which have none."""
+    and for replay, which have none and refuse the http options."""
+    if args.http_options and (args.replay is not None or args.backend == "mock"):
+        source = "--backend mock" if args.replay is None else "--replay"
+        raise UsageError(f"{args.http_options[0]} applies to an http(s) --backend"
+                         f" only, not to {source}")
     if args.replay is not None:
         return ReplayBackend(args.replay), None
     if args.backend == "mock":

@@ -25,10 +25,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, ConfigError, UsageError
-from .graphs import _closure, _union_table, mec_digest, mec_index
+from .graphs import _closure, _union_table, mec_index
 from .hypotheses import NO, SYMMETRIC_KINDS, YES, Hypothesis, HypothesisKind
-from .parsing import (PremiseDoc, _story_names, parse_hypothesis, parse_premise,
-                      render_hypothesis, render_premise)
+from .matrix import _bits
+from .parsing import (PremiseFragments, _story_names, parse_hypothesis,
+                      parse_premise, render_hypothesis)
 from .relations import TABLE_BLOCK, RelationSet, relation_set, relation_table
 from .variables import VariableTable
 
@@ -136,6 +137,12 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     Each claim's sentence and id suffix are built once per call, and one
     numpy gather reads the label bit of every claim of every class in the
     chunk, so a row costs a tuple index, a string join and its ``Sample``.
+    Every premise sentence is made once per call too (``PremiseFragments``,
+    and one joined run per pair and table entry), and the digests come from
+    the packed class keys a chunk at a time (``MecIndex.digests``), so a
+    class costs its ``RelationSet``, the join of the sentences its
+    ``relation_table`` row selects and its id prefix: about 30 µs at n=5
+    on a 2-vCPU Xeon, about 60% of it building the ``RelationSet``.
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
@@ -163,16 +170,27 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     # entry [g, k, i] bit j of label_table answers claim (LABEL_KINDS[k], i, j)
     k_at, i_at, j_at = np.array([(LABEL_KINDS.index(kind), i, j) for kind, i, j in slots]).T
     labels = (NO, YES)
+    frag = PremiseFragments(table, style, theme, names)
+    corr, uncond = frag.corr, frag.uncond
+    runs: dict[tuple[int, int], str] = {}
+
+    def given(p: int, seps: int) -> str:
+        """The conditional sentences of pair ``p`` for its table entry."""
+        text = runs.get((p, seps))
+        if text is None:
+            text = runs[p, seps] = " ".join(frag.givens(p, _bits(seps & ~1)))
+        return text
+
     for lo in range(0, len(group_order), TABLE_BLOCK):
         groups = group_order[lo:lo + TABLE_BLOCK]
         masks, starts = idx.members(groups)
         seps = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
         bits = (label_table(n, masks, starts)[:, k_at, i_at] >> j_at & 1).tolist()
-        for g, row, held in zip(groups.tolist(), seps, bits):
+        for row, held, digest in zip(seps, bits, idx.digests(groups)):
             rels = relation_set(row, table)
-            premise = render_premise(PremiseDoc("", table, rels), style, theme=theme,
-                                     names=names)
-            digest = mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g))
+            premise = frag.premise([corr[p] for p, z in enumerate(row) if not z],
+                                   [uncond[p] for p, z in enumerate(row) if z & 1]
+                                   + [given(p, z) for p, z in enumerate(row) if z > 1])
             prefix = f"{n}v-{digest[:10]}-"
             rows = zip(claims, held)
             if rng is not None:

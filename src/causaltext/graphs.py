@@ -493,6 +493,13 @@ class MecIndex:
     def vstruct_set(self, g: int) -> frozenset[tuple[int, int, int]]:
         return frozenset(self._triples[i] for i in _bits(int(self._vst[g])))
 
+    def digests(self, groups: np.ndarray) -> list[str]:
+        """``mec_digest`` of each of ``groups``, made from the packed keys."""
+        pairs, triples = self._pairs, self._triples
+        return [mec_digest(self.n, [pairs[i] for i in _bits(s)],
+                           [triples[i] for i in _bits(v)])
+                for s, v in zip(self._skel[groups].tolist(), self._vst[groups].tolist())]
+
 
 @lru_cache(maxsize=None)
 def mec_index(n: int) -> MecIndex:

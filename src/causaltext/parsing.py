@@ -24,10 +24,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from typing import Iterable
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
                      UnknownVariableError)
 from .hypotheses import Hypothesis, HypothesisKind
+from .matrix import _bits
 from .relations import RelationSet
 from .variables import VariableTable
 
@@ -430,6 +433,80 @@ def _story_names(doc_vars: VariableTable, theme: str | None,
     return {label: bank[i] for i, label in enumerate(doc_vars.names)}
 
 
+class PremiseFragments:
+    """Every sentence of a premise over one variable table, in one style,
+    each formatted once; story names come from ``names``, else from
+    ``theme``'s bank.
+
+    Pair ``p`` is ``combinations(range(n), 2)[p]``, and ``position`` maps
+    a pair to its ``p``: ``corr[p]`` and ``uncond[p]`` are its correlation
+    and unconditional independence sentences, and ``given(p, z)`` its
+    independence sentence given node set ``z`` (a bitmask), made on first
+    use. ``premise`` joins chosen sentences under the header; the caller
+    picks them in the canonical order (see ``render_premise``).
+    """
+
+    def __init__(self, table: VariableTable, style: str = "symbolic",
+                 theme: str | None = None, names: dict[str, str] | None = None):
+        n = len(table)
+        if style == "symbolic":
+            display = table.names
+            self.header = (f"Suppose that there is a closed system of {n} variables,"
+                           f" {_join_plain(list(display))}.")
+            self.opening = (f"{self.header} All statistical relations among these"
+                            f" {n} variables are as follows: ")
+            corr = "{} correlates with {}."
+            uncond = "{} is independent of {}."
+        elif style == "story":
+            shown = _story_names(table, theme, names)
+            display = tuple(shown[label] for label in table.names)
+            entries = [f"{shown[label]} ({label})" for label in table.names]
+            self.header = f"{_join_given(entries)} have relations with each other."
+            self.opening = self.header + " "
+            corr = "There is a correlation between {} and {}."
+            uncond = "{} and {} are independent from each other."
+        else:
+            raise ResourceError(f"unknown premise style {style!r}")
+        self._display = display
+        self._pairs = tuple(combinations(range(n), 2))
+        self.position = {pair: p for p, pair in enumerate(self._pairs)}
+        ends = [(display[a], display[b]) for a, b in self._pairs]
+        self.corr = tuple(corr.format(*ab) for ab in ends)
+        self.uncond = tuple(uncond.format(*ab) for ab in ends)
+        self._given: dict[tuple[int, int], str] = {}
+
+    def given(self, p: int, z: int) -> str:
+        text = self._given.get((p, z))
+        if text is None:
+            a, b = self._pairs[p]
+            show = self._display
+            given = _join_given([show[v] for v in _bits(z)])
+            text = self._given[p, z] = f"{show[a]} and {show[b]} are independent given {given}."
+        return text
+
+    def givens(self, p: int, zs: Iterable[int]) -> list[str]:
+        """The sentences of pair ``p`` given each node set of ``zs``, in
+        premise order: by the sets' sorted members."""
+        return [self.given(p, z) for z in sorted(zs, key=lambda z: tuple(_bits(z)))]
+
+    def cause(self, a: int, b: int) -> str:
+        return f"{self._display[a]} is the cause of {self._display[b]}."
+
+    def premise(self, parts: list[str], indep: list[str]) -> str:
+        """The premise stating ``parts``, then the independencies ``indep``,
+        the first of them led by "However,"."""
+        if indep:
+            parts = [*parts, "However, " + indep[0], *indep[1:]]
+        return self.opening + " ".join(parts) if parts else self.header
+
+
+@lru_cache(maxsize=256)
+def _fragments(table: VariableTable, style: str, theme: str | None,
+               names: tuple[tuple[str, str], ...] | None) -> PremiseFragments:
+    """A kept ``PremiseFragments``, for repeated ``render_premise`` calls."""
+    return PremiseFragments(table, style, theme, None if names is None else dict(names))
+
+
 def render_premise(doc: PremiseDoc, style: str = "symbolic",
                    theme: str | None = None,
                    names: dict[str, str] | None = None) -> str:
@@ -437,53 +514,20 @@ def render_premise(doc: PremiseDoc, style: str = "symbolic",
 
     ``symbolic`` uses bare labels with the closed-system header; ``story``
     substitutes themed long names and binds them to labels in an alias
-    header.
+    header. The statements follow in order: dependencies, declared causes,
+    unconditional independencies, each by pair, then conditional ones by
+    pair and the conditioning set's sorted members.
     """
     rels = doc.relations
-    table = doc.variables
-    lab = table.label
-    if style == "symbolic":
-        display = {l: l for l in table.names}
-        listing = _join_plain(list(table.names))
-        header = (f"Suppose that there is a closed system of {len(table)} variables,"
-                  f" {listing}.")
-        lead_in = (f" All statistical relations among these {len(table)} variables"
-                   f" are as follows:")
-    elif style == "story":
-        display = _story_names(table, theme, names)
-        entries = [f"{display[l]} ({l})" for l in table.names]
-        header = f"{_join_given(entries)} have relations with each other."
-        lead_in = ""
-    else:
-        raise ResourceError(f"unknown premise style {style!r}")
-
-    parts: list[str] = []
-    for a, b in sorted(rels.dependencies):
-        if style == "symbolic":
-            parts.append(f"{display[lab(a)]} correlates with {display[lab(b)]}.")
-        else:
-            parts.append(f"There is a correlation between {display[lab(a)]}"
-                         f" and {display[lab(b)]}.")
-    for a, b in sorted(rels.declared_causes):
-        parts.append(f"{display[lab(a)]} is the cause of {display[lab(b)]}.")
-    indep_parts: list[str] = []
-    for a, b in sorted(rels.uncond_indep):
-        if style == "symbolic":
-            indep_parts.append(f"{display[lab(a)]} is independent of {display[lab(b)]}.")
-        else:
-            indep_parts.append(f"{display[lab(a)]} and {display[lab(b)]} are"
-                               f" independent from each other.")
-    for (a, b), cond in sorted(rels.cond_indep,
-                               key=lambda e: (e[0], tuple(sorted(e[1])))):
-        given = _join_given([display[lab(v)] for v in sorted(cond)])
-        indep_parts.append(f"{display[lab(a)]} and {display[lab(b)]} are independent"
-                           f" given {given}.")
-    if indep_parts:
-        indep_parts[0] = "However, " + indep_parts[0]
-    statements = parts + indep_parts
-    if not statements:
-        return header
-    return header + lead_in + " " + " ".join(statements)
+    frag = _fragments(doc.variables, style, theme,
+                      None if names is None else tuple(names.items()))
+    at = frag.position
+    parts = [frag.corr[at[pair]] for pair in sorted(rels.dependencies)]
+    parts += [frag.cause(a, b) for a, b in sorted(rels.declared_causes)]
+    indep = [frag.uncond[at[pair]] for pair in sorted(rels.uncond_indep)]
+    conds = sorted((at[pair], tuple(sorted(cond))) for pair, cond in rels.cond_indep)
+    indep += [frag.given(p, sum(1 << v for v in cond)) for p, cond in conds]
+    return frag.premise(parts, indep)
 
 
 _HYPOTHESIS_TEMPLATES = {

@@ -196,6 +196,13 @@ def relation_table(n: int, masks: np.ndarray, max_cond: int | None = None,
     return np.concatenate(blocks)
 
 
+@lru_cache(maxsize=1 << 15)  # n=6 closure tables hold 19,005 distinct entries
+def _cond_statements(pair: Pair, seps: int) -> tuple[CondStatement, ...]:
+    """The conditional statements of one relation_table entry, made once
+    and shared by every row that holds the entry."""
+    return tuple((pair, frozenset(_bits(z))) for z in _bits(seps & ~1))
+
+
 def relation_set(row: Sequence[int], table: VariableTable) -> RelationSet:
     """The relation set of one row of :func:`relation_table`."""
     deps, uncond, cond = [], [], []
@@ -205,9 +212,9 @@ def relation_set(row: Sequence[int], table: VariableTable) -> RelationSet:
             continue
         if seps & 1:
             uncond.append(pair)
-        for z in _bits(seps & ~1):
-            cond.append((pair, frozenset(_bits(z))))
-    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond))
+        if seps > 1:
+            cond += _cond_statements(pair, seps)
+    return RelationSet(table, deps, uncond, cond)
 
 
 def relations_from_dag(dag: Dag, table: VariableTable | None = None,

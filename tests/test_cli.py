@@ -730,6 +730,43 @@ class TestEvalAndScore:
                   "--replay", "x", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("source", ["mock", "replay"])
+    @pytest.mark.parametrize("flag,value", [("--model", "x"),
+                                            ("--auth-env", "NOPE_UNSET"),
+                                            ("--attempts", "0")])
+    def test_http_option_without_http_backend_exits_2_before_reading(
+            self, tmp_path, dataset, capsys, monkeypatch, source, flag, value):
+        (tmp_path / "transcripts").mkdir()
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_samples", unread)
+        monkeypatch.delenv("NOPE_UNSET", raising=False)
+        backend = (("--backend", "mock") if source == "mock"
+                   else ("--replay", str(tmp_path / "transcripts")))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset), *backend,
+                               flag, value, "--out", str(out_dir))
+        assert code == 2
+        named = "--backend mock" if source == "mock" else "--replay"
+        assert f"{flag} applies to an http(s) --backend only, not to {named}" in err
+        assert not out_dir.exists()
+
+    def test_http_options_from_a_config_file_stay_silent(self, tmp_path, dataset,
+                                                         capsys, monkeypatch):
+        monkeypatch.delenv("NOPE_UNSET", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "defaults": {
+            "model": "x", "auth-env": "NOPE_UNSET", "attempts": 0}}))
+        for run, source in (("mock", ("--backend", "mock", "--record")),
+                            ("replay", ("--replay", str(tmp_path / "mock" / "transcripts")))):
+            code, out, err = run_cli(capsys, "--config", str(cfg), "eval",
+                                     "--dataset", str(dataset), *source,
+                                     "--out", str(tmp_path / run), "--format", "json")
+            assert code == 0, err
+            assert json.loads(out)["overall"]["accuracy"] == 1.0
+
 
 class TestConfigFile:
     def test_defaults_from_config(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import errno
 import gzip
 import itertools
 import json
+import os
 import random
 import threading
 import time
@@ -21,7 +22,9 @@ from causaltext.fixtures import THREE_VAR_PREMISE
 from causaltext.graphs import Dag, Mec, enumerate_dags, group_mecs, mec_index
 from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
                                    holds_in_dag, label_against_mec)
-from causaltext.parsing import parse_hypothesis, parse_premise
+from causaltext.parsing import (THEMES, PremiseDoc, parse_hypothesis,
+                                parse_premise, render_premise)
+from causaltext.relations import relation_set, relation_table
 from causaltext.variables import VariableTable
 
 from conftest import FullDisk
@@ -147,6 +150,38 @@ class TestLabelSoundness:
                 == sample.hypothesis
 
 
+def _class_premises(n, style="symbolic", theme=None, max_cond=None, minimal=True):
+    """(relation_table row, premise) of every class, in canonical order."""
+    idx = mec_index(n)
+    masks, starts = idx.members(np.arange(idx.group_count))
+    rows = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
+    # one symmetric kind: a class's n(n-1)/2 rows follow each other
+    stream = generate(n, [HypothesisKind.COMMON_CAUSE], style, theme, max_cond, minimal)
+    samples = itertools.islice(stream, None, None, n * (n - 1) // 2)
+    return list(zip(rows, (s.premise for s in samples), strict=True))
+
+
+# (n, max_cond, minimal): every variant at n <= 4, the default ones at n = 5
+_TABLE_VARIANTS = [(n, c, m) for n in (2, 3, 4) for c in range(n - 1)
+                   for m in (True, False)] + [(5, None, True)]
+
+
+class TestPremiseFromRow:
+    """generate joins premise sentences from the class's relation_table row;
+    the text must be what ``render_premise`` makes of that row's relation set,
+    and parse back to it."""
+
+    @pytest.mark.parametrize("n,max_cond,minimal", _TABLE_VARIANTS)
+    @pytest.mark.parametrize("theme", [None, *sorted(THEMES)])
+    def test_premise_is_the_rows_rendering(self, n, max_cond, minimal, theme):
+        table = VariableTable.letters(n)
+        style = "symbolic" if theme is None else "story"
+        for row, premise in _class_premises(n, style, theme, max_cond, minimal):
+            rels = relation_set(row, table)
+            assert premise == render_premise(PremiseDoc("", table, rels), style, theme)
+            assert parse_premise(premise).relations == rels
+
+
 class TestClassLabels:
     @pytest.mark.parametrize("n,every", [(2, 1), (3, 1), (4, 1), (5, 20)])
     def test_equals_label_against_mec(self, n, every):
@@ -206,6 +241,14 @@ class TestBalancedGenerate:
 
 
 class TestStoryify:
+    def test_economics_n5_bytes(self):
+        # sha256 of ``generate --n 5 --style story --theme economics``, pinned
+        # from the generator that rendered each premise from a RelationSet
+        labels, digest = write_samples(os.devnull,
+                                       generate(5, style="story", theme="economics"))
+        assert (labels[YES], labels[NO]) == (132_630, 569_930)
+        assert digest == "c6789388d1e0ee70"
+
     def test_health_story_keeps_label_and_relations(self, n3_samples):
         stories = list(generate(3, style="story", theme="health"))
         assert len(stories) == len(n3_samples)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
                                PdagError)
-from causaltext.graphs import (Dag, MecIndex, _dag_masks, d_separated,
+from causaltext.graphs import (Dag, Mec, MecIndex, _dag_masks, d_separated,
                                dag_count, dag_extensions, enumerate_dags,
                                group_mecs, mec_index, mec_of_dag, skeleton,
                                v_structures)
@@ -460,6 +460,19 @@ class TestMecIndexGolden:
     def test_keys_held_once_per_group(self):
         idx = MecIndex(4)
         assert len(idx._skel) == len(idx._vst) == idx.group_count
+
+
+class TestKeyDigests:
+    @pytest.mark.parametrize("n,every", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 16)])
+    def test_equal_the_member_built_digest(self, n, every):
+        # the digest from the packed keys against Mec.digest() of the class
+        # keyed by a member DAG's own skeleton and v-structures (every 16th
+        # six-node class, as above)
+        idx = mec_index(n)
+        groups = np.arange(0, idx.group_count, every)
+        for g, digest in zip(groups.tolist(), idx.digests(groups), strict=True):
+            dag = Dag.from_mask(n, int(idx.member_masks(g)[0]))
+            assert digest == Mec(n, skeleton(dag), v_structures(dag), (dag,)).digest(), g
 
 
 class TestExtensions:
