@@ -182,7 +182,8 @@ def cmd_generate(args) -> int:
                                     max_cond=args.max_cond)
     else:
         samples = generate(args.n, kinds=kinds, style=args.style, theme=args.theme,
-                           max_cond=args.max_cond, minimal=not args.closure)
+                           max_cond=args.max_cond, minimal=not args.closure,
+                           seed=args.seed)
     # write beside the target and move the file into place on success, so a
     # failed run leaves no partial dataset
     tmp_dir = tempfile.mkdtemp(prefix=".generate-", dir=out_dir)

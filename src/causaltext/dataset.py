@@ -27,9 +27,8 @@ import numpy as np
 from .errors import BoundsError, CapacityError, ConfigError, UsageError
 from .graphs import _closure, _union_table, mec_index
 from .hypotheses import NO, SYMMETRIC_KINDS, YES, Hypothesis, HypothesisKind
-from .matrix import _bits
-from .parsing import (PremiseFragments, _story_names, parse_hypothesis,
-                      parse_premise, render_hypothesis)
+from .parsing import (PremiseFragments, parse_hypothesis, parse_premise,
+                      render_hypothesis)
 from .relations import TABLE_BLOCK, RelationSet, relation_set, relation_table
 from .variables import VariableTable
 
@@ -137,12 +136,12 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     Each claim's sentence and id suffix are built once per call, and one
     numpy gather reads the label bit of every claim of every class in the
     chunk, so a row costs a tuple index, a string join and its ``Sample``.
-    Every premise sentence is made once per call too (``PremiseFragments``,
-    and one joined run per pair and table entry), and the digests come from
-    the packed class keys a chunk at a time (``MecIndex.digests``), so a
-    class costs its ``RelationSet``, the join of the sentences its
-    ``relation_table`` row selects and its id prefix: about 30 µs at n=5
-    on a 2-vCPU Xeon, about 60% of it building the ``RelationSet``.
+    Each class's premise is written from its ``RelationSet`` by the writer
+    ``render_premise`` uses (``PremiseFragments.render``), whose sentences
+    are made once per call, and the digests come from the packed class keys
+    a chunk at a time (``MecIndex.digests``), so a class costs its
+    ``RelationSet``, its premise and its id prefix: about 35–40 µs at n=5 on
+    a 2-vCPU Xeon, about three quarters of it building the ``RelationSet``.
     """
     if not 2 <= n <= 6:
         raise BoundsError(f"variable count must be between 2 and 6, got {n}")
@@ -155,32 +154,19 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
         group_order = np.random.default_rng(seed).permutation(idx.group_count)
         rng = random.Random(seed)
     tag = _style_tag(style, theme)
-    names = None
-    if style == "story":
-        names = _story_names(table, theme, None)
-    elif style != "symbolic":
+    if style not in ("symbolic", "story"):
         raise ConfigError(f"unknown style {style!r}")
+    frag = PremiseFragments(table, style, theme)
 
     slots = _hypothesis_slots(n, kinds)
     claims = []
     for kind, i, j in slots:
         h = Hypothesis(kind, table.label(i), table.label(j))
-        claims.append((kind.value, h, render_hypothesis(h, table, names),
+        claims.append((kind.value, h, render_hypothesis(h, table, frag.names),
                        f"{kind.value}-{h.subject}{h.object}-{tag}"))
     # entry [g, k, i] bit j of label_table answers claim (LABEL_KINDS[k], i, j)
     k_at, i_at, j_at = np.array([(LABEL_KINDS.index(kind), i, j) for kind, i, j in slots]).T
     labels = (NO, YES)
-    frag = PremiseFragments(table, style, theme, names)
-    corr, uncond = frag.corr, frag.uncond
-    runs: dict[tuple[int, int], str] = {}
-
-    def given(p: int, seps: int) -> str:
-        """The conditional sentences of pair ``p`` for its table entry."""
-        text = runs.get((p, seps))
-        if text is None:
-            text = runs[p, seps] = " ".join(frag.givens(p, _bits(seps & ~1)))
-        return text
-
     for lo in range(0, len(group_order), TABLE_BLOCK):
         groups = group_order[lo:lo + TABLE_BLOCK]
         masks, starts = idx.members(groups)
@@ -188,9 +174,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
         bits = (label_table(n, masks, starts)[:, k_at, i_at] >> j_at & 1).tolist()
         for row, held, digest in zip(seps, bits, idx.digests(groups)):
             rels = relation_set(row, table)
-            premise = frag.premise([corr[p] for p, z in enumerate(row) if not z],
-                                   [uncond[p] for p, z in enumerate(row) if z & 1]
-                                   + [given(p, z) for p, z in enumerate(row) if z > 1])
+            premise = frag.render(rels)
             prefix = f"{n}v-{digest[:10]}-"
             rows = zip(claims, held)
             if rng is not None:

@@ -94,10 +94,14 @@ def filter_collider_pairs(cands: ColliderCandidates,
     that excludes the row variable, which is exactly the criterion under
     which the row is an orientable collider.
     """
+    # bit r of certified[pair] is set iff a stated independence of the pair
+    # conditions on a set without r; an unconditional one certifies every row
+    certified: dict[Pair, int] = {}
+    for (a, b), cond in [*((pair, ()) for pair in rels.uncond_indep), *rels.cond_indep]:
+        certified[a, b] = certified[b, a] = certified.get((a, b), 0) | ~sum(1 << v for v in cond)
     kept: dict[int, tuple[Pair, ...]] = {}
     for r, pairs in cands.rows.items():
-        survivors = tuple(pair for pair in pairs
-                          if any(r not in cond for cond in rels.independence_conds(pair)))
+        survivors = tuple(pair for pair in pairs if certified.get(pair, 0) >> r & 1)
         if survivors:
             kept[r] = survivors
     return ColliderCandidates(cands.vars, kept)

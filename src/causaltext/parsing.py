@@ -25,13 +25,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
                      UnknownVariableError)
 from .hypotheses import Hypothesis, HypothesisKind
-from .matrix import _bits
-from .relations import RelationSet
+from .relations import CondStatement, RelationSet
 from .variables import VariableTable
 
 PROVENANCE_SYMBOLIC = "symbolic"
@@ -128,6 +126,9 @@ class _Scan:
     def __init__(self):
         self.labels: list[str] = []
         self.aliases: dict[str, str] = {}
+        # mentions resolve case-insensitively: case-folded label or alias -> label
+        self.folded: dict[str, str] = {}
+        self.folded_aliases: dict[str, str] = {}
         self.declared_header = False
         self.deps: set[tuple[str, str]] = set()
         self.uncond: set[tuple[str, str]] = set()
@@ -138,26 +139,24 @@ class _Scan:
 
     def add_label(self, label: str, alias: str | None = None):
         if label not in self.labels:
-            # mentions resolve case-insensitively, so "a" and "A" cannot
-            # both name a variable
-            low = label.lower()
-            for other in self.labels:
-                if other.lower() == low:
-                    raise ConsistencyError(
-                        f"variable labels {other!r} and {label!r} differ only in case")
+            # so "a" and "A" cannot both name a variable
+            other = self.folded.setdefault(label.lower(), label)
+            if other != label:
+                raise ConsistencyError(
+                    f"variable labels {other!r} and {label!r} differ only in case")
             self.labels.append(label)
         if alias is not None:
             self.aliases[label] = alias
+            # a later alias replaces the label's earlier one; on a clash the
+            # first label in declaration order wins
+            self.folded_aliases = {a.lower(): l for l, a in reversed(self.aliases.items())}
 
     def resolve(self, mention: str) -> str:
         mention = mention.strip()
         low = mention.lower()
-        for label in self.labels:
-            if label.lower() == low:
-                return label
-        for label, alias in self.aliases.items():
-            if alias.lower() == low:
-                return label
+        label = self.folded.get(low) or self.folded_aliases.get(low)
+        if label is not None:
+            return label
         if not self.declared_header and _LABEL_RE.match(mention):
             self.add_label(mention)
             return mention
@@ -417,87 +416,82 @@ def _join_given(items: list[str]) -> str:
     return ", ".join(items[:-1]) + f", and {items[-1]}"
 
 
-def _story_names(doc_vars: VariableTable, theme: str | None,
-                 names: dict[str, str] | None) -> dict[str, str]:
-    if names is not None:
-        missing = [l for l in doc_vars.names if l not in names]
-        if missing:
-            raise ResourceError(f"no story name for label(s) {missing}")
-        return dict(names)
-    bank = THEMES.get(theme or "health")
-    if bank is None:
-        raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
-    if len(bank) < len(doc_vars):
-        raise ResourceError(
-            f"theme {theme!r} offers {len(bank)} names but {len(doc_vars)} are needed")
-    return {label: bank[i] for i, label in enumerate(doc_vars.names)}
-
-
 class PremiseFragments:
-    """Every sentence of a premise over one variable table, in one style,
-    each formatted once; story names come from ``names``, else from
-    ``theme``'s bank.
+    """Every sentence of a premise over one variable table, in one style;
+    story names come from ``names``, else from ``theme``'s bank, and
+    ``names`` maps each label to the name it is shown by.
 
-    Pair ``p`` is ``combinations(range(n), 2)[p]``, and ``position`` maps
-    a pair to its ``p``: ``corr[p]`` and ``uncond[p]`` are its correlation
-    and unconditional independence sentences, and ``given(p, z)`` its
-    independence sentence given node set ``z`` (a bitmask), made on first
-    use. ``premise`` joins chosen sentences under the header; the caller
-    picks them in the canonical order (see ``render_premise``).
+    ``corr[pair]`` and ``uncond[pair]`` are a pair's correlation and
+    unconditional independence sentences. ``render`` writes the premise of
+    a relation set; each conditional statement's sentence is made on its
+    first use and kept with its sort key.
     """
 
     def __init__(self, table: VariableTable, style: str = "symbolic",
                  theme: str | None = None, names: dict[str, str] | None = None):
         n = len(table)
         if style == "symbolic":
-            display = table.names
+            self.names = {label: label for label in table.names}
             self.header = (f"Suppose that there is a closed system of {n} variables,"
-                           f" {_join_plain(list(display))}.")
+                           f" {_join_plain(list(table.names))}.")
             self.opening = (f"{self.header} All statistical relations among these"
                             f" {n} variables are as follows: ")
             corr = "{} correlates with {}."
             uncond = "{} is independent of {}."
         elif style == "story":
-            shown = _story_names(table, theme, names)
-            display = tuple(shown[label] for label in table.names)
-            entries = [f"{shown[label]} ({label})" for label in table.names]
+            if names is None:
+                bank = THEMES.get(theme or "health")
+                if bank is None:
+                    raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
+                if len(bank) < n:
+                    raise ResourceError(
+                        f"theme {theme!r} offers {len(bank)} names but {n} are needed")
+                names = dict(zip(table.names, bank))
+            missing = [label for label in table.names if label not in names]
+            if missing:
+                raise ResourceError(f"no story name for label(s) {missing}")
+            self.names = {label: names[label] for label in table.names}
+            entries = [f"{name} ({label})" for label, name in self.names.items()]
             self.header = f"{_join_given(entries)} have relations with each other."
             self.opening = self.header + " "
             corr = "There is a correlation between {} and {}."
             uncond = "{} and {} are independent from each other."
         else:
             raise ResourceError(f"unknown premise style {style!r}")
-        self._display = display
-        self._pairs = tuple(combinations(range(n), 2))
-        self.position = {pair: p for p, pair in enumerate(self._pairs)}
-        ends = [(display[a], display[b]) for a, b in self._pairs]
-        self.corr = tuple(corr.format(*ab) for ab in ends)
-        self.uncond = tuple(uncond.format(*ab) for ab in ends)
-        self._given: dict[tuple[int, int], str] = {}
+        self._display = display = tuple(self.names.values())
+        pairs = list(combinations(range(n), 2))
+        self.corr = {(a, b): corr.format(display[a], display[b]) for a, b in pairs}
+        self.uncond = {(a, b): uncond.format(display[a], display[b]) for a, b in pairs}
+        self._position = {pair: p for p, pair in enumerate(pairs)}
+        # conditional statement -> (pair position, sorted members, sentence)
+        self._given: dict[CondStatement, tuple[int, tuple[int, ...], str]] = {}
 
-    def given(self, p: int, z: int) -> str:
-        text = self._given.get((p, z))
-        if text is None:
-            a, b = self._pairs[p]
-            show = self._display
-            given = _join_given([show[v] for v in _bits(z)])
-            text = self._given[p, z] = f"{show[a]} and {show[b]} are independent given {given}."
-        return text
-
-    def givens(self, p: int, zs: Iterable[int]) -> list[str]:
-        """The sentences of pair ``p`` given each node set of ``zs``, in
-        premise order: by the sets' sorted members."""
-        return [self.given(p, z) for z in sorted(zs, key=lambda z: tuple(_bits(z)))]
-
-    def cause(self, a: int, b: int) -> str:
-        return f"{self._display[a]} is the cause of {self._display[b]}."
-
-    def premise(self, parts: list[str], indep: list[str]) -> str:
-        """The premise stating ``parts``, then the independencies ``indep``,
-        the first of them led by "However,"."""
+    def render(self, rels: RelationSet) -> str:
+        """The premise of ``rels``: dependencies, declared causes and
+        unconditional independencies, each by pair, then the conditional
+        independencies by pair and the conditioning set's sorted members;
+        "However," leads the first independence."""
+        show, given = self._display, self._given
+        parts = [self.corr[pair] for pair in sorted(rels.dependencies)]
+        if rels.declared_causes:
+            parts += [f"{show[a]} is the cause of {show[b]}."
+                      for a, b in sorted(rels.declared_causes)]
+        indep = [self.uncond[pair] for pair in sorted(rels.uncond_indep)]
+        conds = sorted([given.get(s) or self._statement(s) for s in rels.cond_indep])
+        indep += [text for _, _, text in conds]
         if indep:
-            parts = [*parts, "However, " + indep[0], *indep[1:]]
+            indep[0] = "However, " + indep[0]
+            parts += indep
         return self.opening + " ".join(parts) if parts else self.header
+
+    def _statement(self, statement: CondStatement) -> tuple[int, tuple[int, ...], str]:
+        (a, b), cond = statement
+        members = tuple(sorted(cond))
+        show = self._display
+        entry = self._given[statement] = (
+            self._position[a, b], members, f"{show[a]} and {show[b]} are"
+            f" independent given {_join_given([show[v] for v in members])}.")
+        return entry
 
 
 @lru_cache(maxsize=256)
@@ -514,20 +508,11 @@ def render_premise(doc: PremiseDoc, style: str = "symbolic",
 
     ``symbolic`` uses bare labels with the closed-system header; ``story``
     substitutes themed long names and binds them to labels in an alias
-    header. The statements follow in order: dependencies, declared causes,
-    unconditional independencies, each by pair, then conditional ones by
-    pair and the conditioning set's sorted members.
+    header. The statements follow in ``PremiseFragments.render``'s order.
     """
-    rels = doc.relations
     frag = _fragments(doc.variables, style, theme,
                       None if names is None else tuple(names.items()))
-    at = frag.position
-    parts = [frag.corr[at[pair]] for pair in sorted(rels.dependencies)]
-    parts += [frag.cause(a, b) for a, b in sorted(rels.declared_causes)]
-    indep = [frag.uncond[at[pair]] for pair in sorted(rels.uncond_indep)]
-    conds = sorted((at[pair], tuple(sorted(cond))) for pair, cond in rels.cond_indep)
-    indep += [frag.given(p, sum(1 << v for v in cond)) for p, cond in conds]
-    return frag.premise(parts, indep)
+    return frag.render(doc.relations)
 
 
 _HYPOTHESIS_TEMPLATES = {

@@ -92,22 +92,6 @@ class RelationSet:
         if not is_acyclic(pa):
             raise ConsistencyError("declared cause-effect relation is cyclic")
 
-    # -- queries -----------------------------------------------------------
-
-    def independence_conds(self, pair: Pair) -> tuple[frozenset[int], ...]:
-        """Every conditioning set under which the pair is stated independent.
-
-        The empty set appears first when the pair is unconditionally
-        independent; conditional sets follow in sorted order.
-        """
-        pair = _canon_pair(pair)
-        conds = []
-        if pair in self.uncond_indep:
-            conds.append(frozenset())
-        conds.extend(sorted((c for p, c in self.cond_indep if p == pair),
-                            key=lambda s: (len(s), tuple(sorted(s)))))
-        return tuple(conds)
-
     def as_dict(self) -> dict:
         lab = self.vars.label
         return {

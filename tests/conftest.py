@@ -4,12 +4,15 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from causaltext.fixtures import (FIVE_VAR_HYPOTHESIS, FIVE_VAR_PREMISE,
                                  JUNK_FOOD_HYPOTHESIS, JUNK_FOOD_PREMISE,
                                  THREE_VAR_HYPOTHESIS, THREE_VAR_PREMISE,
                                  five_var_doc, junk_food_doc, three_var_doc)
 from causaltext.matrix import AdjMatrix
+from causaltext.parsing import PremiseDoc
+from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
 
 # expected step matrices for the bundled five-variable worked example
@@ -142,3 +145,28 @@ def reference_encodings():
     rng = random.Random(2024)
     for _ in range(300):
         yield 5, tuple(rng.randrange(4) for _ in range(10))
+
+
+@st.composite
+def relation_docs(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    table = VariableTable.letters(n)
+    deps, uncond, cond = set(), set(), set()
+    causes = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            bucket = draw(st.sampled_from(["dep", "uncond", "cond", "cause", "none"]))
+            if bucket == "dep":
+                deps.add((i, j))
+            elif bucket == "uncond":
+                uncond.add((i, j))
+            elif bucket == "cond":
+                rest = [v for v in range(n) if v not in (i, j)]
+                if rest:
+                    size = draw(st.integers(min_value=1, max_value=len(rest)))
+                    cond.add(((i, j), frozenset(rest[:size])))
+            elif bucket == "cause":
+                causes.add((i, j))  # i < j keeps the declared relation acyclic
+    rels = RelationSet(table, frozenset(deps), frozenset(uncond),
+                       frozenset(cond), frozenset(causes))
+    return PremiseDoc("", table, rels)

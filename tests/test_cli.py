@@ -259,6 +259,28 @@ class TestGenerate:
         assert code == 1
         assert "n_vars=2" in err
 
+    def test_seed_without_balanced_shuffles(self, tmp_path, capsys):
+        # one seed gives one file; another seed orders the same rows otherwise
+        data = {}
+        for name, seed in (("a", "1"), ("b", "1"), ("c", "2")):
+            path = tmp_path / f"{name}.jsonl"
+            code, _, _ = run_cli(capsys, "generate", "--n", "3", "--seed", seed,
+                                 "-o", str(path))
+            assert code == 0
+            data[name] = path.read_bytes()
+        assert data["a"] == data["b"]
+        assert data["a"] != data["c"]
+        assert sorted(data["a"].splitlines()) == sorted(data["c"].splitlines())
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_limit_takes_the_first_rows_of_the_seeds_order(self, tmp_path, capsys, seed):
+        path = tmp_path / "x.jsonl"
+        argv = ["generate", "--n", "3", "--limit", "5", "-o", str(path)]
+        code, _, _ = run_cli(capsys, *argv, *([] if seed is None else ["--seed", str(seed)]))
+        assert code == 0
+        assert [s.id for s in read_samples(path)] \
+            == [s.id for s in islice(generate(3, seed=seed), 5)]
+
     def test_story_generation_is_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

@@ -147,18 +147,10 @@ class TestRelationSet:
         with pytest.raises(ConsistencyError):
             RelationSet(t, declared_causes={(0, 1), (1, 2), (2, 0)})
 
-    def test_independence_conds_order(self):
-        t = VariableTable.letters(4)
-        rels = RelationSet(
-            t, uncond_indep={(0, 1)},
-            cond_indep={((0, 1), frozenset({2, 3})), ((0, 1), frozenset({2}))})
-        conds = rels.independence_conds((1, 0))
-        assert conds[0] == frozenset()
-        assert list(map(sorted, conds[1:])) == [[2], [2, 3]]
-
     def test_same_pair_may_be_uncond_and_cond(self):
         # the closure style lists both a marginal and a conditional statement
         t = VariableTable.letters(3)
-        rels = RelationSet(t, uncond_indep={(0, 1)},
-                           cond_indep={((0, 1), frozenset({2}))})
-        assert len(rels.independence_conds((0, 1))) == 2
+        rels = RelationSet(t, uncond_indep={(1, 0)},
+                           cond_indep={((1, 0), frozenset({2}))})
+        assert rels.uncond_indep == {(0, 1)}
+        assert rels.cond_indep == {((0, 1), frozenset({2}))}

@@ -86,6 +86,12 @@ class TestGenerate:
         b = [(s.id, s.premise, s.label) for s in generate(3)]
         assert a == b
 
+    def test_n5_bytes(self):
+        # the dataset digest of a canonical ``generate --n 5``
+        labels, digest = write_samples(os.devnull, generate(5))
+        assert (labels[YES], labels[NO]) == (132_630, 569_930)
+        assert digest == "098afb9ab7c04a46"
+
     def test_kind_filter(self):
         only = list(generate(3, kinds=[HypothesisKind.COMMON_EFFECT]))
         assert len(only) == 11 * 3
@@ -167,9 +173,9 @@ _TABLE_VARIANTS = [(n, c, m) for n in (2, 3, 4) for c in range(n - 1)
 
 
 class TestPremiseFromRow:
-    """generate joins premise sentences from the class's relation_table row;
-    the text must be what ``render_premise`` makes of that row's relation set,
-    and parse back to it."""
+    """generate writes each class's premise from the relation set of its
+    relation_table row; the text must be what ``render_premise`` makes of
+    that relation set, and parse back to it."""
 
     @pytest.mark.parametrize("n,max_cond,minimal", _TABLE_VARIANTS)
     @pytest.mark.parametrize("theme", [None, *sorted(THEMES)])

@@ -1,5 +1,7 @@
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,15 +12,17 @@ from causaltext.engine import (ColliderCandidates, apply_conditional,
                                orient_colliders, propagate_orientations,
                                run_c2p)
 from causaltext.errors import PdagError
-from causaltext.graphs import enumerate_dags, skeleton, v_structures
+from causaltext.graphs import enumerate_dags, mec_index, skeleton, v_structures
 from causaltext.matrix import AdjMatrix
-from causaltext.relations import RelationSet, relations_from_dag
+from causaltext.relations import (RelationSet, relation_set, relation_table,
+                                  relations_from_dag)
 from causaltext.variables import VariableTable
 
 from conftest import (FIVE_VAR_STEP_3, FIVE_VAR_STEP_4, FIVE_VAR_STEP_5,
                       FIVE_VAR_STEP_6, FIVE_VAR_STEP_7, FIVE_VAR_STEP_8,
                       JUNK_FOOD_STEP_3, JUNK_FOOD_STEP_4, JUNK_FOOD_STEP_6,
-                      JUNK_FOOD_STEP_8, pdag_encoding, reference_encodings)
+                      JUNK_FOOD_STEP_8, pdag_encoding, reference_encodings,
+                      relation_docs)
 
 
 def ones(matrix):
@@ -241,6 +245,53 @@ class TestRunPipeline:
             for cause, effect in declared:
                 assert final.cell(cause, effect) == 1
                 assert final.cell(effect, cause) == 0
+
+
+def reference_filter(cands, rels):
+    """Step 7 pair by pair: list every conditioning set the pair is stated
+    independent under, the empty set for an unconditional statement, and
+    keep the pair at row ``r`` iff one of them leaves ``r`` out."""
+    def independence_conds(pair):
+        pair = tuple(sorted(pair))
+        conds = [frozenset()] if pair in rels.uncond_indep else []
+        return conds + [c for p, c in rels.cond_indep if p == pair]
+
+    kept = {}
+    for r, pairs in cands.rows.items():
+        survivors = tuple(pair for pair in pairs
+                          if any(r not in cond for cond in independence_conds(pair)))
+        if survivors:
+            kept[r] = survivors
+    return ColliderCandidates(cands.vars, kept)
+
+
+def every_candidate(table):
+    """Every pair of other nodes, in both orders, at every row."""
+    n = len(table)
+    return ColliderCandidates(table, {
+        r: tuple(p for a, b in combinations([v for v in range(n) if v != r], 2)
+                 for p in ((a, b), (b, a)))
+        for r in range(n)})
+
+
+class TestFilterReference:
+    @given(relation_docs())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_relation_sets(self, doc):
+        cands = every_candidate(doc.variables)
+        assert filter_collider_pairs(cands, doc.relations) \
+            == reference_filter(cands, doc.relations)
+
+    @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "closure"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_class(self, n, minimal):
+        table = VariableTable.letters(n)
+        cands = every_candidate(table)
+        idx = mec_index(n)
+        masks, starts = idx.members(np.arange(idx.group_count))
+        for row in relation_table(n, masks[starts[:-1]], minimal=minimal).tolist():
+            rels = relation_set(row, table)
+            assert filter_collider_pairs(cands, rels) == reference_filter(cands, rels)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from causaltext.parsing import (PremiseDoc, _hypothesis_patterns, _mention_patte
                                 scan_premise, THEMES)
 from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
+
+from conftest import relation_docs
 
 
 class TestParsePremise:
@@ -171,6 +175,56 @@ class TestParseHypothesis:
             parse_hypothesis("The weather is nice.", three_var.variables)
 
 
+def _golden_relation_sets() -> list[RelationSet]:
+    """A fixed list of relation sets to render: an empty set, the worked
+    five-variable premise (C-E both correlated and independent given A, B
+    and D), a pair with several conditioning sets, then seeded random sets
+    with declared causes, every statement kind and multi-letter labels."""
+    t4 = VariableTable.letters(4)
+    out = [
+        RelationSet(VariableTable.letters(2)),
+        RelationSet(t4),
+        parse_premise(FIVE_VAR_PREMISE).relations,
+        RelationSet(t4, dependencies={(2, 3)}, uncond_indep={(0, 1)},
+                    cond_indep={((0, 1), frozenset({2, 3})), ((0, 1), frozenset({3})),
+                                ((0, 1), frozenset({2})), ((0, 2), frozenset({1, 3}))},
+                    declared_causes={(3, 2), (1, 0)}),
+    ]
+    rng = random.Random(2411)
+    for k in range(60):
+        n = 2 + k % 5
+        table = VariableTable(["P", "Q", "R1", "S", "Tx", "U"][:n]) if k % 7 == 3 \
+            else VariableTable.letters(n)
+        order = rng.sample(range(n), n)  # causes follow it, so they stay acyclic
+        deps, uncond, cond, causes = set(), set(), set(), set()
+        for i, j in itertools.combinations(range(n), 2):
+            rest = [v for v in range(n) if v not in (i, j)]
+            kind = rng.choice(["dep", "uncond", "cond", "both", "dep+cond", "none"])
+            if kind in ("dep", "dep+cond"):
+                deps.add((i, j))
+            if kind in ("uncond", "both"):
+                uncond.add((i, j))
+            if kind in ("cond", "both", "dep+cond") and rest:
+                for _ in range(rng.randint(1, 3)):
+                    size = rng.randint(1, len(rest))
+                    cond.add(((i, j), frozenset(rng.sample(rest, size))))
+            if rng.random() < 0.2:
+                causes.add(tuple(sorted((i, j), key=order.index)))
+        out.append(RelationSet(table, deps, uncond, cond, causes))
+    return out
+
+
+RENDER_GOLDEN = {
+    None: "d995fa0333ab6777f03a6850bb20bb4c6c35cb9c2ca11c9d146d1b4a67694879",
+    "economics": "95b803fdaec42c2d9968612d5fe4e56f6ac07289c73c10aa810de707ebdb4212",
+    "education": "10e8928d89ea7f0b3ae18efbb1337e07bf62785420d4c0ab3621e1f69d7a2c1e",
+    "environment": "fb51be4fea4acfefea848223a0f06481254bc2348ef99b4d2bad579c1a93920a",
+    "health": "56886436439011b7d8d2f1f993b236028cb87bdb675237c198943b51dc86f3a1",
+    "marketing": "4dcce94f0b70551ed825134838987d899a03e0fd0083848fe903222c94b71197",
+    "social": "e513de7e92689bca5f2bf792c6af37efda2ae9cf8fc07a1989e6f6bc0b4770d7",
+}
+
+
 class TestRender:
     def test_three_var_roundtrip_is_byte_exact(self, three_var):
         assert render_premise(three_var) == THREE_VAR_PREMISE
@@ -204,36 +258,23 @@ class TestRender:
         with pytest.raises(ResourceError):
             render_premise(doc, "story", names={"A": "x"})
 
+    @pytest.mark.parametrize("style, theme", [("symbolic", None)]
+                             + [("story", theme) for theme in sorted(THEMES)])
+    def test_golden_bytes(self, style, theme):
+        # sha256 of the rendering of every _golden_relation_sets entry, one
+        # premise a line, pinned from the renderer that sorted the relation
+        # set's statements itself
+        h = hashlib.sha256()
+        for rels in _golden_relation_sets():
+            doc = PremiseDoc("", rels.vars, rels)
+            h.update(render_premise(doc, style, theme).encode() + b"\n")
+        assert h.hexdigest() == RENDER_GOLDEN[theme]
+
     def test_hypothesis_roundtrip_all_kinds(self, five_var):
         for kind in HypothesisKind:
             h = Hypothesis(kind, "B", "D")
             text = render_hypothesis(h, five_var.variables)
             assert parse_hypothesis(text, five_var.variables) == h
-
-
-@st.composite
-def relation_docs(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    table = VariableTable.letters(n)
-    deps, uncond, cond = set(), set(), set()
-    causes = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            bucket = draw(st.sampled_from(["dep", "uncond", "cond", "cause", "none"]))
-            if bucket == "dep":
-                deps.add((i, j))
-            elif bucket == "uncond":
-                uncond.add((i, j))
-            elif bucket == "cond":
-                rest = [v for v in range(n) if v not in (i, j)]
-                if rest:
-                    size = draw(st.integers(min_value=1, max_value=len(rest)))
-                    cond.add(((i, j), frozenset(rest[:size])))
-            elif bucket == "cause":
-                causes.add((i, j))  # i < j keeps the declared relation acyclic
-    rels = RelationSet(table, frozenset(deps), frozenset(uncond),
-                       frozenset(cond), frozenset(causes))
-    return PremiseDoc("", table, rels)
 
 
 class TestRoundTripProperties:
