@@ -16,14 +16,21 @@ stripped):
 
 Anything else is reported with its character span instead of being silently
 dropped. Free prose outside the grammar ships as pre-parsed fixtures, not as
-grammar extensions.
+grammar extensions. A premise declares its variables once: a second
+declaration header, or a relations header whose count differs from the
+declared one, is a problem of that sentence.
+
+One grammar over one variable table admits only a few hundred distinct
+sentences, so each is read once: a raw sentence's cleaned body and header
+test are kept, and a ``_Reader`` per variable table keeps what each
+statement or claim states under that table, within a fixed bound.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
@@ -88,6 +95,7 @@ _HEADER_FACTORS = re.compile(
     r"^let'?s consider (?P<num>\w+) factors?\s*:?\s*(?P<list>.+)$", re.I)
 _HEADER_ALIASES = re.compile(
     r"^(?P<list>.+\([A-Za-z][A-Za-z0-9]*\))\s+have relations? with each other$", re.I)
+_HEADERS = (_HEADER_SYSTEM, _HEADER_RELATIONS, _HEADER_FACTORS, _HEADER_ALIASES)
 _ALIAS_ENTRY = re.compile(r"^(?P<name>.+?)\s*\((?P<label>[A-Za-z][A-Za-z0-9]*)\)$")
 _AND_RE = re.compile(r"\s+and\s+")
 
@@ -106,6 +114,13 @@ def _clean(body: str) -> str:
     body = body.strip()
     body = body.rstrip(".?!").strip()
     return _PREFIX_RE.sub("", body)
+
+
+@lru_cache(maxsize=4096)
+def _read_sentence(raw: str) -> tuple[str, bool]:
+    """A raw sentence's cleaned body, and whether it has a header's form."""
+    body = _clean(raw)
+    return body, any(header.match(body) for header in _HEADERS)
 
 
 def _split_names(listing: str) -> list[str]:
@@ -129,7 +144,8 @@ class _Scan:
         # mentions resolve case-insensitively: case-folded label or alias -> label
         self.folded: dict[str, str] = {}
         self.folded_aliases: dict[str, str] = {}
-        self.declared_header = False
+        # how many variables the header declared; None until one has
+        self.declared: int | None = None
         self.deps: set[tuple[str, str]] = set()
         self.uncond: set[tuple[str, str]] = set()
         self.cond: set[tuple[tuple[str, str], tuple[str, ...]]] = set()
@@ -157,7 +173,7 @@ class _Scan:
         label = self.folded.get(low) or self.folded_aliases.get(low)
         if label is not None:
             return label
-        if not self.declared_header and _LABEL_RE.match(mention):
+        if self.declared is None and _LABEL_RE.match(mention):
             self.add_label(mention)
             return mention
         raise UnknownVariableError(f"unknown variable mention: {mention!r}")
@@ -169,7 +185,6 @@ class _Scan:
         return tuple(sorted((a, b)))  # type: ignore[return-value]
 
 
-@lru_cache
 def _mention_pattern(mentions: tuple[str, ...]) -> str:
     """Alternation of every label and alias in ``mentions``, longest first."""
     ordered = sorted(mentions, key=len, reverse=True)
@@ -181,7 +196,6 @@ _CORR_BETWEEN = re.compile(
 _CORR_SPLIT = re.compile(r",?\s+and between\s+", re.I)
 
 
-@lru_cache
 def _statement_patterns(mention: str) -> tuple[tuple[tuple[str, re.Pattern], ...], re.Pattern]:
     """The six statement patterns over one mention alternation, and the pair
     pattern that splits the body of a ``corr_between`` statement."""
@@ -240,8 +254,90 @@ def _parse_statement(scan: _Scan, body: str, patterns) -> bool:
     return False
 
 
-def _parse_declaration(scan: _Scan, body: str):
-    """Returns (handled, trailing statement text or None)."""
+def _read_statement(scan: _Scan, body: str, patterns) -> str | None:
+    """Read one statement into ``scan``; returns the problem it raises, or None."""
+    try:
+        if _parse_statement(scan, body, patterns):
+            return None
+        return f"unrecognized sentence: {body!r}"
+    except (ConsistencyError, UnknownVariableError) as exc:
+        return str(exc)
+
+
+_STATEMENT_SETS = ("deps", "uncond", "cond", "causes")
+
+
+class _Reader:
+    """What each statement and claim over one variable table states.
+
+    The memos are keyed on the sentence alone, so a reader serves exactly
+    one table: its labels in table order and its aliases in declaration
+    order (the order settles which label an alias clash resolves to).
+    """
+
+    def __init__(self, names: tuple[str, ...], aliases: tuple[tuple[str, str], ...]):
+        self.names, self.aliases = names, aliases
+        mention = _mention_pattern((*names, *(alias for _, alias in aliases)))
+        self.patterns = _statement_patterns(mention)
+        self.claims = _hypothesis_patterns(mention)
+        self.index = {label: i for i, label in enumerate(names)}
+        self.statement = lru_cache(maxsize=1024)(self._statement)
+        self.hypothesis = lru_cache(maxsize=1024)(self._hypothesis)
+
+    @cached_property
+    def table(self) -> VariableTable:
+        # built on first use: a premise with a problem never needs it, and
+        # aliases the scan accepts may still collide in a table
+        return VariableTable(self.names, dict(self.aliases))
+
+    def _statement(self, body: str) -> tuple[str | None, tuple, str | None]:
+        """(name of the ``_Scan`` set the statement adds to, what it adds,
+        the problem it raises or None), read by ``_read_statement``."""
+        scan = _Scan()
+        for label in self.names:
+            scan.add_label(label)
+        for label, alias in self.aliases:
+            scan.add_label(label, alias)
+        scan.declared = len(self.names)
+        problem = _read_statement(scan, body, self.patterns)
+        for name in _STATEMENT_SETS:
+            added = getattr(scan, name)
+            if added:
+                return name, tuple(added), problem
+        return None, (), problem
+
+    def _hypothesis(self, text: str) -> Hypothesis:
+        body = text.strip().rstrip(".?!").strip()
+        if not body:
+            raise PremiseParseError([(0, 0, "empty hypothesis")])
+        for kind, pat in self.claims:
+            hit = pat.match(body)
+            if hit:
+                table = self.table
+                subject = table.label(table.index(hit["x"]))
+                obj = table.label(table.index(hit["y"]))
+                return Hypothesis(kind, subject, obj)
+        raise PremiseParseError([(0, len(text), f"unrecognized hypothesis: {body!r}")])
+
+
+@lru_cache(maxsize=64)
+def _reader(names: tuple[str, ...], aliases: tuple[tuple[str, str], ...]) -> _Reader:
+    return _Reader(names, aliases)
+
+
+def _parse_declaration(scan: _Scan, body: str) -> str | None:
+    """Read a sentence that has a header's form; returns the statement text
+    that follows a relations header's colon, or None."""
+    hit = _HEADER_RELATIONS.match(body)
+    if hit:
+        if scan.declared is not None and int(hit["n"]) != scan.declared:
+            raise ConsistencyError(f"relations header counts {hit['n']} variables"
+                                   f" but the premise declares {scan.declared}")
+        return hit["rest"].strip() or None
+    if scan.declared is not None:
+        raise ConsistencyError(
+            f"a second variable declaration; the premise already declares"
+            f" {scan.declared} variables")
     hit = _HEADER_SYSTEM.match(body)
     if hit:
         labels = _split_names(hit["list"])
@@ -254,37 +350,32 @@ def _parse_declaration(scan: _Scan, body: str):
             if not _LABEL_RE.match(lab):
                 raise ConsistencyError(f"bad variable label in header: {lab!r}")
             scan.add_label(lab)
-        scan.declared_header = True
-        return True, None
-    hit = _HEADER_RELATIONS.match(body)
-    if hit:
-        rest = hit["rest"].strip()
-        return True, rest or None
+        scan.declared = len(labels)
+        return None
     hit = _HEADER_ALIASES.match(body)
     if hit:
-        for entry in _split_names(hit["list"]):
+        entries = _split_names(hit["list"])
+        for entry in entries:
             sub = _ALIAS_ENTRY.match(entry)
             if not sub:
                 raise ConsistencyError(f"alias entry without a (label): {entry!r}")
             if sub["label"] in scan.labels:
                 raise ConsistencyError(f"duplicate variable label {sub['label']!r}")
             scan.add_label(sub["label"], sub["name"].strip())
-        scan.declared_header = True
-        return True, None
+        scan.declared = len(entries)
+        return None
     hit = _HEADER_FACTORS.match(body)
-    if hit:
-        num = hit["num"].lower()
-        count = int(num) if num.isdigit() else _NUMBER_WORDS.get(num)
-        names = _split_names(hit["list"])
-        if count is not None and count != len(names):
-            raise ConsistencyError(
-                f"header declares {count} factors but lists {len(names)}")
-        for i, name in enumerate(names):
-            label = chr(ord("A") + i)
-            scan.add_label(label, name)
-        scan.declared_header = True
-        return True, None
-    return False, None
+    num = hit["num"].lower()
+    count = int(num) if num.isdigit() else _NUMBER_WORDS.get(num)
+    names = _split_names(hit["list"])
+    if count is not None and count != len(names):
+        raise ConsistencyError(
+            f"header declares {count} factors but lists {len(names)}")
+    for i, name in enumerate(names):
+        label = chr(ord("A") + i)
+        scan.add_label(label, name)
+    scan.declared = len(names)
+    return None
 
 
 def scan_premise(text: str) -> tuple[_Scan, int]:
@@ -297,33 +388,37 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
     sentences = list(_sentences(text))
     pending: list[tuple[int, int, str]] = []
     for start, end, raw in sentences:
-        body = _clean(raw)
+        body, header = _read_sentence(raw)
+        if not header:
+            pending.append((start, end, body))
+            continue
         try:
-            handled, rest = _parse_declaration(scan, body)
+            rest = _parse_declaration(scan, body)
         except (ConsistencyError, UnknownVariableError) as exc:
             scan.problems.append((start, end, str(exc)))
             continue
-        if handled:
-            scan.parsed += 1
-            if rest:
-                # header sentence with an inline first statement after a colon
-                scan.parsed -= 1
-                pending.append((start, end, rest))
+        if rest:
+            # header sentence with an inline first statement after a colon
+            pending.append((start, end, rest))
         else:
-            pending.append((start, end, body))
+            scan.parsed += 1
     # every declaration is in, so the mentions are fixed from here on
-    patterns = _FREE_PATTERNS
-    if scan.declared_header:
-        mention = _mention_pattern((*scan.labels, *scan.aliases.values()))
-        patterns = _statement_patterns(mention)
-    for start, end, body in pending:
-        try:
-            if _parse_statement(scan, body, patterns):
-                scan.parsed += 1
-            else:
-                scan.problems.append((start, end, f"unrecognized sentence: {body!r}"))
-        except (ConsistencyError, UnknownVariableError) as exc:
-            scan.problems.append((start, end, str(exc)))
+    if scan.declared is None:
+        # without a header, mentions declare labels as they appear
+        problems = [_read_statement(scan, body, _FREE_PATTERNS) for _, _, body in pending]
+    else:
+        statement = _reader(tuple(sorted(scan.labels)), tuple(scan.aliases.items())).statement
+        problems = []
+        for _, _, body in pending:
+            name, added, problem = statement(body)
+            if name is not None:
+                getattr(scan, name).update(added)
+            problems.append(problem)
+    for (start, end, _), problem in zip(pending, problems):
+        if problem is None:
+            scan.parsed += 1
+        else:
+            scan.problems.append((start, end, problem))
     return scan, len(sentences)
 
 
@@ -336,9 +431,8 @@ def parse_premise(text: str) -> PremiseDoc:
         raise PremiseParseError(scan.problems)
     if not scan.labels:
         raise PremiseParseError([(0, len(text), "premise mentions no variables")])
-    labels = sorted(scan.labels)
-    table = VariableTable(labels, {l: a for l, a in scan.aliases.items()})
-    idx = {l: i for i, l in enumerate(labels)}
+    reader = _reader(tuple(sorted(scan.labels)), tuple(scan.aliases.items()))
+    table, idx = reader.table, reader.index
     rels = RelationSet(
         table,
         dependencies=frozenset((idx[a], idx[b]) for a, b in scan.deps),
@@ -355,7 +449,6 @@ def parse_premise(text: str) -> PremiseDoc:
 # hypotheses
 
 
-@lru_cache
 def _hypothesis_patterns(mention: str) -> tuple[tuple[HypothesisKind, re.Pattern], ...]:
     m = mention
     verbs = r"(?:affects?|causes?|influences?)"
@@ -383,17 +476,7 @@ def _hypothesis_patterns(mention: str) -> tuple[tuple[HypothesisKind, re.Pattern
 
 def parse_hypothesis(text: str, vars: VariableTable) -> Hypothesis:
     """Parse a causal claim; variable mentions resolve against ``vars``."""
-    body = text.strip().rstrip(".?!").strip()
-    if not body:
-        raise PremiseParseError([(0, 0, "empty hypothesis")])
-    mention = _mention_pattern((*vars.names, *vars.aliases.values()))
-    for kind, pat in _hypothesis_patterns(mention):
-        hit = pat.match(body)
-        if hit:
-            subject = vars.label(vars.index(hit["x"]))
-            obj = vars.label(vars.index(hit["y"]))
-            return Hypothesis(kind, subject, obj)
-    raise PremiseParseError([(0, len(text), f"unrecognized hypothesis: {body!r}")])
+    return _reader(vars.names, tuple(vars.aliases.items())).hypothesis(text)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from causaltext.errors import (ConsistencyError, PremiseParseError,
 from causaltext.fixtures import (FIVE_VAR_HYPOTHESIS, FIVE_VAR_PREMISE, FIXTURES,
                                  THREE_VAR_PREMISE, smbh_doc)
 from causaltext.hypotheses import Hypothesis, HypothesisKind
-from causaltext.parsing import (PremiseDoc, _hypothesis_patterns, _mention_pattern,
-                                _statement_patterns,
+from causaltext.parsing import (PremiseDoc, _read_sentence, _reader,
                                 parse_hypothesis, parse_premise,
                                 render_hypothesis, render_premise,
                                 scan_premise, THEMES)
@@ -22,6 +21,14 @@ from causaltext.relations import RelationSet
 from causaltext.variables import VariableTable
 
 from conftest import relation_docs
+
+_HEADER2 = "Suppose there is a closed system of 2 variables, A and B. "
+_HEADER3 = "Suppose there is a closed system of 3 variables, A, B and C. "
+
+
+def _key(table: VariableTable):
+    """The key of a table's reader."""
+    return table.names, tuple(table.aliases.items())
 
 
 class TestParsePremise:
@@ -91,6 +98,31 @@ class TestParsePremise:
         assert err.value.problems == [
             (0, len(header), "variable labels 'a' and 'A' differ only in case")]
 
+    @pytest.mark.parametrize("text, sentence, message", [
+        (_HEADER3 + "A correlates with B. Suppose there is a closed system of"
+         " 2 variables, A and D.",
+         "Suppose there is a closed system of 2 variables, A and D.",
+         "a second variable declaration; the premise already declares 3 variables"),
+        (_HEADER3 + "rain (A) and sun (D) have relations with each other.",
+         "rain (A) and sun (D) have relations with each other.",
+         "a second variable declaration; the premise already declares 3 variables"),
+        ("x (A) and y (B) have relations with each other. Let's consider two"
+         " factors: rain and wind.", "Let's consider two factors: rain and wind.",
+         "a second variable declaration; the premise already declares 2 variables"),
+        (_HEADER3 + "All statistical relations among these 5 variables are as"
+         " follows: A correlates with B.",
+         "All statistical relations among these 5 variables are as follows:"
+         " A correlates with B.",
+         "relations header counts 5 variables but the premise declares 3"),
+    ])
+    def test_one_declaration_per_premise(self, text, sentence, message):
+        with pytest.raises(PremiseParseError) as err:
+            parse_premise(text)
+        (start, end, problem), = err.value.problems
+        assert (text[start:end], problem) == (sentence, message)
+        scan, sentences = scan_premise(text)
+        assert scan.parsed + len(scan.problems) == sentences
+
     def test_sentence_accounting(self):
         text = ("A correlates with B. Gibberish here. B is independent of C. "
                 "More gibberish follows.")
@@ -130,33 +162,47 @@ class TestParseHypothesis:
         assert h == Hypothesis(HypothesisKind.DIRECT_CAUSE, "A", "C")
 
     def test_premise_patterns_built_once_per_mentions(self, five_var):
+        # a repeated premise and claim are read wholly from the memos: each of
+        # the 14 sentences, the table's reader (for the scan, the table and
+        # the claim), the 13 statements and the claim
         parse_premise(FIVE_VAR_PREMISE)
         parse_hypothesis(FIVE_VAR_HYPOTHESIS, five_var.variables)
-        before = (_mention_pattern.cache_info(), _statement_patterns.cache_info())
+        reader = _reader(five_var.variables.names, ())
+        memos = (_read_sentence, _reader, reader.statement, reader.hypothesis)
+        before = [memo.cache_info() for memo in memos]
         assert parse_premise(FIVE_VAR_PREMISE).relations == five_var.relations
-        parse_hypothesis(FIVE_VAR_HYPOTHESIS, five_var.variables)
-        after = (_mention_pattern.cache_info(), _statement_patterns.cache_info())
-        # the premise and the claim each escape their mentions from the cache,
-        # and the premise's statement patterns come from it too
-        assert (after[0].hits, after[0].misses) == (before[0].hits + 2, before[0].misses)
-        assert (after[1].hits, after[1].misses) == (before[1].hits + 1, before[1].misses)
-        mention = _mention_pattern(five_var.variables.names)
-        assert _statement_patterns(mention) is _statement_patterns(mention)
+        assert parse_hypothesis(FIVE_VAR_HYPOTHESIS, five_var.variables) \
+            == Hypothesis(HypothesisKind.COMMON_EFFECT, "A", "B")
+        after = [memo.cache_info() for memo in memos]
+        assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0, 0]
+        assert [a.hits - b.hits for a, b in zip(after, before)] == [14, 3, 13, 1]
+        assert parse_premise(FIVE_VAR_PREMISE).variables is reader.table
 
-    def test_patterns_built_once_per_table(self, three_var, junk_food):
-        parse_hypothesis("A directly affects C.", three_var.variables)
-        before = _hypothesis_patterns.cache_info()
-        h = parse_hypothesis("C causes A.", three_var.variables)
-        after = _hypothesis_patterns.cache_info()
-        assert h == Hypothesis(HypothesisKind.CAUSE, "C", "A")
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        mention = _mention_pattern(three_var.variables.names)
-        assert _hypothesis_patterns(mention) is _hypothesis_patterns(mention)
-        # the story table has the same labels but other mentions
-        assert parse_hypothesis("Obesity causes eating junk food.", junk_food.variables) \
+    def test_patterns_built_once_per_table(self):
+        # the story table has the symbolic table's labels but other mentions,
+        # so it has a reader of its own, whose memos miss at first
+        story = ("eating junk food (A), watching television (B) and obesity (C)"
+                 " have relations with each other. ")
+        _reader.cache_clear()
+        sym_table = parse_premise(_HEADER3 + "A correlates with C.").variables
+        story_table = parse_premise(story + "B correlates with C.").variables
+        sym, tale = _reader(("A", "B", "C"), ()), _reader(*_key(story_table))
+        assert sym is not tale and story_table is tale.table
+        parse_hypothesis("C causes A.", sym_table)
+        for seen in (0, 1):
+            before = (tale.statement.cache_info(), tale.hypothesis.cache_info())
+            assert parse_premise(story + "A correlates with C.").relations.dependencies \
+                == {(0, 2)}
+            assert parse_hypothesis("C causes A.", story_table) \
+                == Hypothesis(HypothesisKind.CAUSE, "C", "A")
+            after = (tale.statement.cache_info(), tale.hypothesis.cache_info())
+            # a miss on the first round, a hit on the second
+            assert [(a.hits - b.hits, a.misses - b.misses)
+                    for a, b in zip(after, before)] == [(seen, 1 - seen)] * 2
+        assert parse_hypothesis("Obesity causes eating junk food.", story_table) \
             == Hypothesis(HypothesisKind.CAUSE, "C", "A")
         with pytest.raises(PremiseParseError):
-            parse_hypothesis("Obesity causes eating junk food.", three_var.variables)
+            parse_hypothesis("Obesity causes eating junk food.", sym_table)
 
     def test_indirect_forms(self, three_var):
         for text in ("A indirectly affects C", "A affects C indirectly",
@@ -294,8 +340,6 @@ class TestRoundTripProperties:
 # mentions, self-pairs, empty conditioning lists, count mismatches,
 # unsplittable correlation lists, unrecognized sentences and inline statements
 # after "as follows:". The golden digest pins every span and message.
-_HEADER2 = "Suppose there is a closed system of 2 variables, A and B. "
-_HEADER3 = "Suppose there is a closed system of 3 variables, A, B and C. "
 _AS_FOLLOWS = "All statistical relations among these 3 variables are as follows: "
 MALFORMED_PREMISES = (
     "",
@@ -406,3 +450,68 @@ class TestParserGolden:
         assert all("error" in o for o in outcomes[:len(MALFORMED_PREMISES) - 1])
         assert _outcome_digest(outcomes) == ("d9dbaf4286a44e09efc0c29b1981e6bb"
                                            "bfc042cd26d88052e9ff00b80be616c6")
+
+
+def _cold(parse, *args) -> dict:
+    """The outcome of a parse that starts from empty memos."""
+    _read_sentence.cache_clear()
+    _reader.cache_clear()
+    return _parse_outcome(parse, *args)
+
+
+class TestSentenceMemo:
+    """The memoised parser against the same parser started from empty memos
+    for each call, on the whole outcome: names, aliases, relations,
+    provenance, and every problem's span and message. The calls of each
+    case run in one sequence first, so entries made under one table are in
+    the memos when the next table is read."""
+
+    @given(st.lists(st.tuples(relation_docs(), st.sampled_from([None, *sorted(THEMES)]),
+                              st.sampled_from(list(HypothesisKind))),
+                    min_size=2, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_rendered_premises_and_claims(self, draws):
+        calls = []
+        for doc, theme, kind in draws:
+            table = doc.variables
+            names = None if theme is None else dict(zip(table.names, THEMES[theme]))
+            text = render_premise(doc, "symbolic" if theme is None else "story", theme)
+            claim = render_hypothesis(Hypothesis(kind, "B", "A"), table, names)
+            calls += [(parse_premise, text),
+                      (parse_hypothesis, claim, VariableTable(table.names, names)),
+                      (parse_hypothesis, claim, table)]
+        warm = [_parse_outcome(*call) for call in calls]
+        assert warm == [_cold(*call) for call in calls]
+
+    def test_malformed(self):
+        table = VariableTable.letters(3)
+        calls = [(parse_premise, text) for text in MALFORMED_PREMISES]
+        calls += [(parse_hypothesis, text, table) for text in MALFORMED_HYPOTHESES]
+        calls += [(parse_premise, text) for text in (
+            _HEADER3 + "A correlates with B. " + _HEADER2,
+            _HEADER3 + _AS_FOLLOWS.replace("3", "4") + "A correlates with B.")]
+        warm = [_parse_outcome(*call) for call in calls + calls]
+        assert warm == [_cold(*call) for call in calls + calls]
+
+    def test_same_labels_other_mentions(self):
+        # one sentence under a symbolic and a story table with the same labels:
+        # it is a problem under the first and a dependency under the second
+        symbolic = _HEADER3 + "Obesity correlates with A."
+        story = ("eating junk food (A), watching television (B) and obesity (C)"
+                 " have relations with each other. Obesity correlates with A.")
+        story_table = VariableTable("ABC", {"A": "eating junk food",
+                                            "B": "watching television", "C": "obesity"})
+        calls = [(parse_premise, symbolic), (parse_premise, story),
+                 (parse_premise, symbolic),
+                 (parse_hypothesis, "Obesity causes A.", VariableTable.letters(3)),
+                 (parse_hypothesis, "Obesity causes A.", story_table),
+                 (parse_hypothesis, "Obesity causes A.", VariableTable.letters(3))]
+        warm = [_parse_outcome(*call) for call in calls]
+        assert warm == [_cold(*call) for call in calls]
+        assert [("error" in outcome) for outcome in warm] == [True, False, True] * 2
+        assert warm[1]["relations"]["dependencies"] == [["A", "C"]]
+
+    def test_every_memo_is_bounded(self):
+        reader = _reader(*_key(parse_premise(THREE_VAR_PREMISE).variables))
+        for memo in (_read_sentence, _reader, reader.statement, reader.hypothesis):
+            assert memo.cache_parameters()["maxsize"] is not None
