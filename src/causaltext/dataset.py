@@ -338,10 +338,12 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
     previous row's is not parsed again: the row reuses that row's document.
     A line that is not UTF-8, not a JSON object with every record field,
     or holds a field of the wrong type (the text fields are strings,
-    ``n_vars`` and ``schema_version`` are ints) or a label other than Yes
-    and No is rejected. An id must be usable as a file name inside one
-    directory (records and transcripts are stored as ``<id>.json``), so a
-    path-like id is rejected, and so is an id an earlier row already holds.
+    ``n_vars`` and ``schema_version`` are ints), a label other than Yes
+    and No, a ``schema_version`` other than ``SCHEMA_VERSION`` or an
+    ``n_vars`` other than the premise's variable count is rejected. An id
+    must be usable as a file name inside one directory (records and
+    transcripts are stored as ``<id>.json``), so a path-like id is
+    rejected, and so is an id an earlier row already holds.
     """
     with open(path, "rb") as fh:
         opener = gzip_mod.open if fh.read(2) == b"\x1f\x8b" else open
@@ -374,6 +376,9 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
                     raise UsageError(f"{path} line {lineno}: field {key!r} is"
                                      f" {type(rec[key]).__name__} {rec[key]!r},"
                                      f" not {kind.__name__}")
+            if rec["schema_version"] != SCHEMA_VERSION:
+                raise UsageError(f"{path} line {lineno}: schema_version"
+                                 f" {rec['schema_version']}; only {SCHEMA_VERSION} is read")
             if rec["label"] not in (YES, NO):
                 raise UsageError(f"{path} line {lineno}: label {rec['label']!r}"
                                  f" is neither {YES!r} nor {NO!r}")
@@ -387,6 +392,9 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
             first_line[sid] = lineno
             if rec["premise"] != premise:
                 premise, doc = rec["premise"], parse_premise(rec["premise"])
+            if rec["n_vars"] != len(doc.variables):
+                raise UsageError(f"{path} line {lineno}: n_vars {rec['n_vars']} but the"
+                                 f" premise declares {len(doc.variables)} variables")
             h = parse_hypothesis(rec["hypothesis"], doc.variables)
             out.append(Sample(
                 id=sid, n_vars=rec["n_vars"], premise=premise,

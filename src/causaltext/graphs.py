@@ -265,7 +265,8 @@ class Mec:
         return mec_digest(self.n, self.skeleton, self.vstructs)
 
     def cpdag(self, vars: VariableTable | None = None) -> AdjMatrix:
-        """Matrix encoding: v-structure edges oriented, all others undirected."""
+        """The class's pattern: v-structure edges oriented, all others
+        undirected. Not the CPDAG, which differs in 48 of 185 classes at n=4."""
         vars = vars or VariableTable.letters(self.n)
         rows = [0] * self.n
         for i, j in self.skeleton:

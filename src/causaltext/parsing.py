@@ -29,8 +29,9 @@ statement or claim states under that table, within a fixed bound.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
@@ -141,9 +142,8 @@ class _Scan:
     def __init__(self):
         self.labels: list[str] = []
         self.aliases: dict[str, str] = {}
-        # mentions resolve case-insensitively: case-folded label or alias -> label
+        # case-folded label -> label, so "a" and "A" cannot both name a variable
         self.folded: dict[str, str] = {}
-        self.folded_aliases: dict[str, str] = {}
         # how many variables the header declared; None until one has
         self.declared: int | None = None
         self.deps: set[tuple[str, str]] = set()
@@ -155,34 +155,40 @@ class _Scan:
 
     def add_label(self, label: str, alias: str | None = None):
         if label not in self.labels:
-            # so "a" and "A" cannot both name a variable
             other = self.folded.setdefault(label.lower(), label)
             if other != label:
                 raise ConsistencyError(
                     f"variable labels {other!r} and {label!r} differ only in case")
             self.labels.append(label)
         if alias is not None:
+            # a later alias replaces the label's earlier one
             self.aliases[label] = alias
-            # a later alias replaces the label's earlier one; on a clash the
-            # first label in declaration order wins
-            self.folded_aliases = {a.lower(): l for l, a in reversed(self.aliases.items())}
 
     def resolve(self, mention: str) -> str:
+        """The label ``mention`` names, for a premise without a header: a
+        label-shaped mention that names no variable yet declares a label."""
         mention = mention.strip()
-        low = mention.lower()
-        label = self.folded.get(low) or self.folded_aliases.get(low)
-        if label is not None:
-            return label
-        if self.declared is None and _LABEL_RE.match(mention):
+        mentions = _mention_map(self.labels, tuple(self.aliases.items()))
+        if mention.lower() not in mentions and _LABEL_RE.match(mention):
             self.add_label(mention)
             return mention
-        raise UnknownVariableError(f"unknown variable mention: {mention!r}")
+        return _resolve(mentions, mention)
 
-    def pair(self, x: str, y: str) -> tuple[str, str]:
-        a, b = self.resolve(x), self.resolve(y)
-        if a == b:
-            raise ConsistencyError(f"a relation needs two distinct variables, got {a!r} twice")
-        return tuple(sorted((a, b)))  # type: ignore[return-value]
+
+def _mention_map(labels: Iterable[str], aliases: tuple[tuple[str, str], ...]) -> dict[str, str]:
+    """Case-folded mention -> label: every alias, the first label in
+    ``aliases`` winning a clash, then every label, winning over an alias."""
+    mentions = {alias.lower(): label for label, alias in reversed(aliases)}
+    mentions.update((label.lower(), label) for label in labels)
+    return mentions
+
+
+def _resolve(mentions: dict[str, str], mention: str) -> str:
+    mention = mention.strip()
+    label = mentions.get(mention.lower())
+    if label is None:
+        raise UnknownVariableError(f"unknown variable mention: {mention!r}")
+    return label
 
 
 def _mention_pattern(mentions: tuple[str, ...]) -> str:
@@ -222,49 +228,50 @@ def _statement_patterns(mention: str) -> tuple[tuple[tuple[str, re.Pattern], ...
 _FREE_PATTERNS = _statement_patterns(r"[A-Za-z][A-Za-z0-9]*")
 
 
-def _parse_statement(scan: _Scan, body: str, patterns) -> bool:
-    body = _PREFIX_RE.sub("", body)
+def _statement(body: str, patterns, resolve) -> tuple[str | None, tuple, str | None]:
+    """What one statement states: (name of the ``_Scan`` set it adds to,
+    the entries it adds, None), or (None, (), the problem it raises).
+    ``resolve`` maps a mention to its label."""
     statements, pair_pat = patterns
-    for name, pat in statements:
-        hit = pat.match(body)
-        if not hit:
-            continue
-        if name == "corr_with":
-            scan.deps.add(scan.pair(hit["x"], hit["y"]))
-        elif name == "corr_between":
-            for piece in _CORR_SPLIT.split(hit["body"]):
-                sub = pair_pat.match(piece.strip())
-                if not sub:
-                    raise ConsistencyError(f"cannot split correlation pair: {piece.strip()!r}")
-                scan.deps.add(scan.pair(sub["x"], sub["y"]))
-        elif name == "indep_given":
-            pair = scan.pair(hit["x"], hit["y"])
-            given = tuple(sorted(scan.resolve(g) for g in _split_names(hit["given"])))
-            if not given:
-                raise ConsistencyError("empty conditioning list")
-            scan.cond.add((pair, given))
-        elif name == "indep_pair" or name == "indep_of":
-            scan.uncond.add(scan.pair(hit["x"], hit["y"]))
-        elif name == "cause_of":
-            a, b = scan.resolve(hit["x"]), scan.resolve(hit["y"])
-            if a == b:
-                raise ConsistencyError("a variable cannot cause itself")
-            scan.causes.add((a, b))
-        return True
-    return False
 
+    def pair(x: str, y: str) -> tuple[str, str]:
+        a, b = resolve(x), resolve(y)
+        if a == b:
+            raise ConsistencyError(f"a relation needs two distinct variables, got {a!r} twice")
+        return tuple(sorted((a, b)))  # type: ignore[return-value]
 
-def _read_statement(scan: _Scan, body: str, patterns) -> str | None:
-    """Read one statement into ``scan``; returns the problem it raises, or None."""
+    text = _PREFIX_RE.sub("", body)
     try:
-        if _parse_statement(scan, body, patterns):
-            return None
-        return f"unrecognized sentence: {body!r}"
+        for name, pat in statements:
+            hit = pat.match(text)
+            if not hit:
+                continue
+            if name == "corr_with":
+                return "deps", (pair(hit["x"], hit["y"]),), None
+            if name == "corr_between":
+                pairs = []
+                for piece in _CORR_SPLIT.split(hit["body"]):
+                    sub = pair_pat.match(piece.strip())
+                    if not sub:
+                        raise ConsistencyError(
+                            f"cannot split correlation pair: {piece.strip()!r}")
+                    pairs.append(pair(sub["x"], sub["y"]))
+                return "deps", tuple(pairs), None
+            if name == "indep_given":
+                xy = pair(hit["x"], hit["y"])
+                given = tuple(sorted(resolve(g) for g in _split_names(hit["given"])))
+                if not given:
+                    raise ConsistencyError("empty conditioning list")
+                return "cond", ((xy, given),), None
+            if name == "cause_of":
+                a, b = resolve(hit["x"]), resolve(hit["y"])
+                if a == b:
+                    raise ConsistencyError("a variable cannot cause itself")
+                return "causes", ((a, b),), None
+            return "uncond", (pair(hit["x"], hit["y"]),), None
     except (ConsistencyError, UnknownVariableError) as exc:
-        return str(exc)
-
-
-_STATEMENT_SETS = ("deps", "uncond", "cond", "causes")
+        return None, (), str(exc)
+    return None, (), f"unrecognized sentence: {body!r}"
 
 
 class _Reader:
@@ -278,10 +285,11 @@ class _Reader:
     def __init__(self, names: tuple[str, ...], aliases: tuple[tuple[str, str], ...]):
         self.names, self.aliases = names, aliases
         mention = _mention_pattern((*names, *(alias for _, alias in aliases)))
-        self.patterns = _statement_patterns(mention)
         self.claims = _hypothesis_patterns(mention)
         self.index = {label: i for i, label in enumerate(names)}
-        self.statement = lru_cache(maxsize=1024)(self._statement)
+        resolve = partial(_resolve, _mention_map(names, aliases))
+        self.statement = lru_cache(maxsize=1024)(
+            partial(_statement, patterns=_statement_patterns(mention), resolve=resolve))
         self.hypothesis = lru_cache(maxsize=1024)(self._hypothesis)
 
     @cached_property
@@ -289,22 +297,6 @@ class _Reader:
         # built on first use: a premise with a problem never needs it, and
         # aliases the scan accepts may still collide in a table
         return VariableTable(self.names, dict(self.aliases))
-
-    def _statement(self, body: str) -> tuple[str | None, tuple, str | None]:
-        """(name of the ``_Scan`` set the statement adds to, what it adds,
-        the problem it raises or None), read by ``_read_statement``."""
-        scan = _Scan()
-        for label in self.names:
-            scan.add_label(label)
-        for label, alias in self.aliases:
-            scan.add_label(label, alias)
-        scan.declared = len(self.names)
-        problem = _read_statement(scan, body, self.patterns)
-        for name in _STATEMENT_SETS:
-            added = getattr(scan, name)
-            if added:
-                return name, tuple(added), problem
-        return None, (), problem
 
     def _hypothesis(self, text: str) -> Hypothesis:
         body = text.strip().rstrip(".?!").strip()
@@ -402,20 +394,16 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
             pending.append((start, end, rest))
         else:
             scan.parsed += 1
-    # every declaration is in, so the mentions are fixed from here on
+    # every declaration is in, so a header's mentions are fixed from here on;
+    # without a header, mentions declare labels as they appear
     if scan.declared is None:
-        # without a header, mentions declare labels as they appear
-        problems = [_read_statement(scan, body, _FREE_PATTERNS) for _, _, body in pending]
+        statement = partial(_statement, patterns=_FREE_PATTERNS, resolve=scan.resolve)
     else:
         statement = _reader(tuple(sorted(scan.labels)), tuple(scan.aliases.items())).statement
-        problems = []
-        for _, _, body in pending:
-            name, added, problem = statement(body)
-            if name is not None:
-                getattr(scan, name).update(added)
-            problems.append(problem)
-    for (start, end, _), problem in zip(pending, problems):
+    for start, end, body in pending:
+        name, entries, problem = statement(body)
         if problem is None:
+            getattr(scan, name).update(entries)
             scan.parsed += 1
         else:
             scan.problems.append((start, end, problem))

@@ -416,9 +416,11 @@ class TestEvalAndScore:
         ("n_vars", "3", "field 'n_vars' is str '3', not int"),
         ("n_vars", True, "field 'n_vars' is bool True, not int"),
         ("schema_version", False, "field 'schema_version' is bool False, not int"),
-        ("label", "maybe", "label 'maybe' is neither 'Yes' nor 'No'")],
+        ("label", "maybe", "label 'maybe' is neither 'Yes' nor 'No'"),
+        ("schema_version", 2, "schema_version 2; only 1 is read"),
+        ("n_vars", 4, "n_vars 4 but the premise declares 3 variables")],
         ids=["premise-int", "id-int", "n_vars-str", "n_vars-bool",
-             "schema_version-bool", "label-maybe"])
+             "schema_version-bool", "label-maybe", "schema_version-2", "n_vars-4"])
     def test_mistyped_field_exits_2_with_file_and_line(self, tmp_path, dataset, capsys,
                                                         field, value, problem):
         first, second = dataset.read_text().splitlines()[:2]

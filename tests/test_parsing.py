@@ -123,6 +123,40 @@ class TestParsePremise:
         scan, sentences = scan_premise(text)
         assert scan.parsed + len(scan.problems) == sentences
 
+    @pytest.mark.parametrize("text, problem", [
+        (_HEADER2 + "However, moreover, A loves B.",
+         (58, 87, "unrecognized sentence: 'moreover, A loves B'")),
+        ("However, moreover, A loves B.",
+         (0, 29, "unrecognized sentence: 'moreover, A loves B'")),
+        ("All statistical relations among these 2 variables are as follows:"
+         " However, A loves B.", (0, 85, "unrecognized sentence: 'However, A loves B'")),
+    ], ids=["after-header", "no-header", "after-relations-colon"])
+    def test_unrecognized_sentence_quotes_body_before_second_marker(self, text, problem):
+        # the statement reader strips a second discourse marker before matching,
+        # but the problem quotes the body as the sentence was cleaned
+        with pytest.raises(PremiseParseError) as err:
+            parse_premise(text)
+        assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("statement, outcome", [
+        ("x (A) and a (B) have relations with each other. a correlates with B.",
+         {"error": "ConsistencyError",
+          "message": "alias 'a' for 'B' collides with label 'A'"}),
+        # a label wins over an alias
+        ("x (A) and a (B) have relations with each other. a correlates with A.",
+         {"error": "PremiseParseError", "problems": [
+             (48, 68, "a relation needs two distinct variables, got 'A' twice")]}),
+        # the first label wins an alias clash
+        ("x (A), x (B) and z (C) have relations with each other. x correlates with A.",
+         {"error": "PremiseParseError", "problems": [
+             (55, 75, "a relation needs two distinct variables, got 'A' twice")]}),
+        ("x (A), x (B) and z (C) have relations with each other. x correlates with B.",
+         {"error": "ConsistencyError", "message": "alias names collide"}),
+    ], ids=["alias-equals-label", "label-over-alias", "first-label-wins-clash",
+            "alias-clash"])
+    def test_mention_precedence(self, statement, outcome):
+        assert _parse_outcome(parse_premise, statement) == outcome
+
     def test_sentence_accounting(self):
         text = ("A correlates with B. Gibberish here. B is independent of C. "
                 "More gibberish follows.")
