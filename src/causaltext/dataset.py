@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, CapacityError, ConfigError, UsageError
+from .errors import (BoundsError, CapacityError, CausaltextError, ConfigError,
+                     PremiseParseError, UsageError)
 from .graphs import _closure, _union_table, mec_index
 from .hypotheses import NO, SYMMETRIC_KINDS, YES, Hypothesis, HypothesisKind
 from .parsing import (PremiseFragments, parse_hypothesis, parse_premise,
@@ -330,6 +331,14 @@ def write_samples(path, samples: Iterable[Sample],
     return labels, sink.sha.hexdigest()[:16]
 
 
+def _unparsed(path, lineno: int, field: str, exc: CausaltextError) -> UsageError:
+    """A row's ``field`` that does not parse, as an error naming the file and
+    line: with a parse error's problems and spans, else the error's message."""
+    if isinstance(exc, PremiseParseError):
+        exc = "; ".join(f"[{s}:{e}] {message}" for s, e, message in exc.problems)
+    return UsageError(f"{path} line {lineno}: {field} does not parse: {exc}")
+
+
 def read_samples(path, limit: int | None = None) -> list[Sample]:
     """Load records, re-deriving relations and hypotheses from their text.
 
@@ -340,7 +349,8 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
     or holds a field of the wrong type (the text fields are strings,
     ``n_vars`` and ``schema_version`` are ints), a label other than Yes
     and No, a ``schema_version`` other than ``SCHEMA_VERSION`` or an
-    ``n_vars`` other than the premise's variable count is rejected. An id
+    ``n_vars`` other than the premise's variable count is rejected, and so
+    is a premise or claim that does not parse, naming the field. An id
     must be usable as a file name inside one directory (records and
     transcripts are stored as ``<id>.json``), so a path-like id is
     rejected, and so is an id an earlier row already holds.
@@ -391,11 +401,17 @@ def read_samples(path, limit: int | None = None) -> list[Sample]:
                                  f" the id of line {first_line[sid]}")
             first_line[sid] = lineno
             if rec["premise"] != premise:
-                premise, doc = rec["premise"], parse_premise(rec["premise"])
+                try:
+                    premise, doc = rec["premise"], parse_premise(rec["premise"])
+                except CausaltextError as exc:
+                    raise _unparsed(path, lineno, "premise", exc) from None
             if rec["n_vars"] != len(doc.variables):
                 raise UsageError(f"{path} line {lineno}: n_vars {rec['n_vars']} but the"
                                  f" premise declares {len(doc.variables)} variables")
-            h = parse_hypothesis(rec["hypothesis"], doc.variables)
+            try:
+                h = parse_hypothesis(rec["hypothesis"], doc.variables)
+            except CausaltextError as exc:
+                raise _unparsed(path, lineno, "hypothesis", exc) from None
             out.append(Sample(
                 id=sid, n_vars=rec["n_vars"], premise=premise,
                 relations=doc.relations, hypothesis=h,

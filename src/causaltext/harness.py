@@ -26,8 +26,8 @@ from urllib.parse import urlparse
 from .engine import (ColliderCandidates, apply_conditional,
                      apply_unconditional, candidate_pairs,
                      filter_collider_pairs, initial_matrix, orient_colliders)
-from .errors import (BackendError, ConfigError, ConsistencyError, PdagError,
-                     TransportError, UsageError)
+from .errors import (BackendError, BoundsError, ConfigError, ConsistencyError,
+                     PdagError, TransportError, UsageError)
 from .hypotheses import (MODE_EXTENSION_QUANTIFIED, NO, YES, binary_answer,
                          evaluate_on_pdag)
 from .matrix import AdjMatrix
@@ -647,7 +647,8 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP) -> EvalRecord:
 
     Backend failures abort the sample, never the batch: the record keeps the
     partial trace and an error note. So does a premise the engine cannot
-    solve: its record has no steps and a ``reference:`` error.
+    solve, or one over more variables than it enumerates: its record has no
+    steps and a ``reference:`` error.
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown pipeline mode {mode!r}; pick one of {EVAL_MODES}")
@@ -687,7 +688,7 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP) -> EvalRecord:
 
     try:
         refs = _reference_steps(sample)
-    except (ConsistencyError, PdagError) as exc:
+    except (BoundsError, ConsistencyError, PdagError) as exc:
         error = f"{REFERENCE_ERROR} {exc}"
         return finish()
 

@@ -18,20 +18,20 @@ Anything else is reported with its character span instead of being silently
 dropped. Free prose outside the grammar ships as pre-parsed fixtures, not as
 grammar extensions. A premise declares its variables once: a second
 declaration header, or a relations header whose count differs from the
-declared one, is a problem of that sentence.
+declared one, is a problem of that sentence, and so is a header whose
+aliases clash.
 
 One grammar over one variable table admits only a few hundred distinct
-sentences, so each is read once: a raw sentence's cleaned body and header
-test are kept, and a ``_Reader`` per variable table keeps what each
-statement or claim states under that table, within a fixed bound.
+sentences, so each is read once: a raw sentence's cleaned body and what
+its header declares are kept, and a ``_Reader`` per variable table keeps
+what each statement or claim states under that table, within a fixed bound.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
@@ -96,7 +96,6 @@ _HEADER_FACTORS = re.compile(
     r"^let'?s consider (?P<num>\w+) factors?\s*:?\s*(?P<list>.+)$", re.I)
 _HEADER_ALIASES = re.compile(
     r"^(?P<list>.+\([A-Za-z][A-Za-z0-9]*\))\s+have relations? with each other$", re.I)
-_HEADERS = (_HEADER_SYSTEM, _HEADER_RELATIONS, _HEADER_FACTORS, _HEADER_ALIASES)
 _ALIAS_ENTRY = re.compile(r"^(?P<name>.+?)\s*\((?P<label>[A-Za-z][A-Za-z0-9]*)\)$")
 _AND_RE = re.compile(r"\s+and\s+")
 
@@ -117,13 +116,6 @@ def _clean(body: str) -> str:
     return _PREFIX_RE.sub("", body)
 
 
-@lru_cache(maxsize=4096)
-def _read_sentence(raw: str) -> tuple[str, bool]:
-    """A raw sentence's cleaned body, and whether it has a header's form."""
-    body = _clean(raw)
-    return body, any(header.match(body) for header in _HEADERS)
-
-
 def _split_names(listing: str) -> list[str]:
     out = []
     for chunk in listing.split(","):
@@ -140,12 +132,10 @@ class _Scan:
     """Mutable state of one premise parse."""
 
     def __init__(self):
-        self.labels: list[str] = []
-        self.aliases: dict[str, str] = {}
-        # case-folded label -> label, so "a" and "A" cannot both name a variable
-        self.folded: dict[str, str] = {}
-        # how many variables the header declared; None until one has
-        self.declared: int | None = None
+        # the table a header declares; None for a premise without a header
+        self.table: VariableTable | None = None
+        # without a header: case-folded label -> label, in order of first mention
+        self.labels: dict[str, str] = {}
         self.deps: set[tuple[str, str]] = set()
         self.uncond: set[tuple[str, str]] = set()
         self.cond: set[tuple[tuple[str, str], tuple[str, ...]]] = set()
@@ -153,42 +143,16 @@ class _Scan:
         self.parsed = 0
         self.problems: list[tuple[int, int, str]] = []
 
-    def add_label(self, label: str, alias: str | None = None):
-        if label not in self.labels:
-            other = self.folded.setdefault(label.lower(), label)
-            if other != label:
-                raise ConsistencyError(
-                    f"variable labels {other!r} and {label!r} differ only in case")
-            self.labels.append(label)
-        if alias is not None:
-            # a later alias replaces the label's earlier one
-            self.aliases[label] = alias
-
     def resolve(self, mention: str) -> str:
         """The label ``mention`` names, for a premise without a header: a
         label-shaped mention that names no variable yet declares a label."""
         mention = mention.strip()
-        mentions = _mention_map(self.labels, tuple(self.aliases.items()))
-        if mention.lower() not in mentions and _LABEL_RE.match(mention):
-            self.add_label(mention)
-            return mention
-        return _resolve(mentions, mention)
-
-
-def _mention_map(labels: Iterable[str], aliases: tuple[tuple[str, str], ...]) -> dict[str, str]:
-    """Case-folded mention -> label: every alias, the first label in
-    ``aliases`` winning a clash, then every label, winning over an alias."""
-    mentions = {alias.lower(): label for label, alias in reversed(aliases)}
-    mentions.update((label.lower(), label) for label in labels)
-    return mentions
-
-
-def _resolve(mentions: dict[str, str], mention: str) -> str:
-    mention = mention.strip()
-    label = mentions.get(mention.lower())
-    if label is None:
-        raise UnknownVariableError(f"unknown variable mention: {mention!r}")
-    return label
+        label = self.labels.get(mention.lower())
+        if label is None:
+            if not _LABEL_RE.match(mention):
+                raise UnknownVariableError(f"unknown variable mention: {mention!r}")
+            label = self.labels[mention.lower()] = mention
+        return label
 
 
 def _mention_pattern(mentions: tuple[str, ...]) -> str:
@@ -275,28 +239,20 @@ def _statement(body: str, patterns, resolve) -> tuple[str | None, tuple, str | N
 
 
 class _Reader:
-    """What each statement and claim over one variable table states.
+    """What each statement and claim over one variable table states; every
+    mention resolves through ``VariableTable.index``. The memos are keyed
+    on the sentence alone, so a reader serves exactly one table."""
 
-    The memos are keyed on the sentence alone, so a reader serves exactly
-    one table: its labels in table order and its aliases in declaration
-    order (the order settles which label an alias clash resolves to).
-    """
-
-    def __init__(self, names: tuple[str, ...], aliases: tuple[tuple[str, str], ...]):
-        self.names, self.aliases = names, aliases
-        mention = _mention_pattern((*names, *(alias for _, alias in aliases)))
+    def __init__(self, table: VariableTable):
+        self.table = table
+        names = table.names
+        mention = _mention_pattern((*names, *table.aliases.values()))
         self.claims = _hypothesis_patterns(mention)
         self.index = {label: i for i, label in enumerate(names)}
-        resolve = partial(_resolve, _mention_map(names, aliases))
+        self.label = lambda mention: names[table.index(mention)]
         self.statement = lru_cache(maxsize=1024)(
-            partial(_statement, patterns=_statement_patterns(mention), resolve=resolve))
+            partial(_statement, patterns=_statement_patterns(mention), resolve=self.label))
         self.hypothesis = lru_cache(maxsize=1024)(self._hypothesis)
-
-    @cached_property
-    def table(self) -> VariableTable:
-        # built on first use: a premise with a problem never needs it, and
-        # aliases the scan accepts may still collide in a table
-        return VariableTable(self.names, dict(self.aliases))
 
     def _hypothesis(self, text: str) -> Hypothesis:
         body = text.strip().rstrip(".?!").strip()
@@ -305,33 +261,31 @@ class _Reader:
         for kind, pat in self.claims:
             hit = pat.match(body)
             if hit:
-                table = self.table
-                subject = table.label(table.index(hit["x"]))
-                obj = table.label(table.index(hit["y"]))
-                return Hypothesis(kind, subject, obj)
+                return Hypothesis(kind, self.label(hit["x"]), self.label(hit["y"]))
         raise PremiseParseError([(0, len(text), f"unrecognized hypothesis: {body!r}")])
 
 
-@lru_cache(maxsize=64)
-def _reader(names: tuple[str, ...], aliases: tuple[tuple[str, str], ...]) -> _Reader:
-    return _Reader(names, aliases)
+_reader = lru_cache(maxsize=64)(_Reader)
 
 
-def _parse_declaration(scan: _Scan, body: str) -> str | None:
-    """Read a sentence that has a header's form; returns the statement text
-    that follows a relations header's colon, or None."""
+def _fold(folded: dict[str, str], label: str) -> None:
+    """Note ``label`` in ``folded``, unless a label that differs only in
+    case is there: mentions resolve case-insensitively."""
+    other = folded.setdefault(label.lower(), label)
+    if other != label:
+        raise ConsistencyError(f"variable labels {other!r} and {label!r} differ only in case")
+
+
+def _declaration(body: str) -> tuple[int, str | None] | VariableTable | None:
+    """What a cleaned sentence declares: the count and inline statement of
+    a relations header, the table any other header builds (labels sorted),
+    or None for a sentence without a header's form."""
     hit = _HEADER_RELATIONS.match(body)
     if hit:
-        if scan.declared is not None and int(hit["n"]) != scan.declared:
-            raise ConsistencyError(f"relations header counts {hit['n']} variables"
-                                   f" but the premise declares {scan.declared}")
-        return hit["rest"].strip() or None
-    if scan.declared is not None:
-        raise ConsistencyError(
-            f"a second variable declaration; the premise already declares"
-            f" {scan.declared} variables")
-    hit = _HEADER_SYSTEM.match(body)
-    if hit:
+        return int(hit["n"]), hit["rest"].strip() or None
+    folded: dict[str, str] = {}
+    aliases: dict[str, str] = {}
+    if hit := _HEADER_SYSTEM.match(body):
         labels = _split_names(hit["list"])
         if len(labels) != int(hit["n"]):
             raise ConsistencyError(
@@ -341,33 +295,42 @@ def _parse_declaration(scan: _Scan, body: str) -> str | None:
         for lab in labels:
             if not _LABEL_RE.match(lab):
                 raise ConsistencyError(f"bad variable label in header: {lab!r}")
-            scan.add_label(lab)
-        scan.declared = len(labels)
-        return None
-    hit = _HEADER_ALIASES.match(body)
-    if hit:
-        entries = _split_names(hit["list"])
-        for entry in entries:
+            _fold(folded, lab)
+    elif hit := _HEADER_ALIASES.match(body):
+        for entry in _split_names(hit["list"]):
             sub = _ALIAS_ENTRY.match(entry)
             if not sub:
                 raise ConsistencyError(f"alias entry without a (label): {entry!r}")
-            if sub["label"] in scan.labels:
+            if sub["label"] in aliases:
                 raise ConsistencyError(f"duplicate variable label {sub['label']!r}")
-            scan.add_label(sub["label"], sub["name"].strip())
-        scan.declared = len(entries)
+            _fold(folded, sub["label"])
+            aliases[sub["label"]] = sub["name"].strip()
+        labels = list(aliases)
+    elif hit := _HEADER_FACTORS.match(body):
+        num = hit["num"].lower()
+        count = int(num) if num.isdigit() else _NUMBER_WORDS.get(num)
+        names = _split_names(hit["list"])
+        if count is not None and count != len(names):
+            raise ConsistencyError(
+                f"header declares {count} factors but lists {len(names)}")
+        labels = [chr(ord("A") + i) for i in range(len(names))]
+        for label in labels:
+            _fold(folded, label)
+        aliases = dict(zip(labels, names))
+    else:
         return None
-    hit = _HEADER_FACTORS.match(body)
-    num = hit["num"].lower()
-    count = int(num) if num.isdigit() else _NUMBER_WORDS.get(num)
-    names = _split_names(hit["list"])
-    if count is not None and count != len(names):
-        raise ConsistencyError(
-            f"header declares {count} factors but lists {len(names)}")
-    for i, name in enumerate(names):
-        label = chr(ord("A") + i)
-        scan.add_label(label, name)
-    scan.declared = len(names)
-    return None
+    return VariableTable(sorted(labels), aliases)
+
+
+@lru_cache(maxsize=4096)
+def _read_sentence(raw: str) -> tuple[str, tuple[int, str | None] | VariableTable | str | None]:
+    """A raw sentence's cleaned body and what its header declares (see
+    ``_declaration``), or the problem the header raises."""
+    body = _clean(raw)
+    try:
+        return body, _declaration(body)
+    except ConsistencyError as exc:
+        return body, str(exc)
 
 
 def scan_premise(text: str) -> tuple[_Scan, int]:
@@ -380,26 +343,36 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
     sentences = list(_sentences(text))
     pending: list[tuple[int, int, str]] = []
     for start, end, raw in sentences:
-        body, header = _read_sentence(raw)
-        if not header:
+        body, declared = _read_sentence(raw)
+        if declared is None:
             pending.append((start, end, body))
             continue
-        try:
-            rest = _parse_declaration(scan, body)
-        except (ConsistencyError, UnknownVariableError) as exc:
-            scan.problems.append((start, end, str(exc)))
-            continue
-        if rest:
+        rest = problem = None
+        if isinstance(declared, tuple):
+            count, rest = declared
+            if scan.table is not None and count != len(scan.table):
+                problem = (f"relations header counts {count} variables"
+                           f" but the premise declares {len(scan.table)}")
+        elif scan.table is not None:
+            problem = (f"a second variable declaration; the premise already"
+                       f" declares {len(scan.table)} variables")
+        elif isinstance(declared, str):
+            problem = declared
+        else:
+            scan.table = declared
+        if problem:
+            scan.problems.append((start, end, problem))
+        elif rest:
             # header sentence with an inline first statement after a colon
             pending.append((start, end, rest))
         else:
             scan.parsed += 1
     # every declaration is in, so a header's mentions are fixed from here on;
     # without a header, mentions declare labels as they appear
-    if scan.declared is None:
+    if scan.table is None:
         statement = partial(_statement, patterns=_FREE_PATTERNS, resolve=scan.resolve)
     else:
-        statement = _reader(tuple(sorted(scan.labels)), tuple(scan.aliases.items())).statement
+        statement = _reader(scan.table).statement
     for start, end, body in pending:
         name, entries, problem = statement(body)
         if problem is None:
@@ -417,9 +390,12 @@ def parse_premise(text: str) -> PremiseDoc:
     scan, _count = scan_premise(text)
     if scan.problems:
         raise PremiseParseError(scan.problems)
-    if not scan.labels:
-        raise PremiseParseError([(0, len(text), "premise mentions no variables")])
-    reader = _reader(tuple(sorted(scan.labels)), tuple(scan.aliases.items()))
+    table = scan.table
+    if table is None:
+        if not scan.labels:
+            raise PremiseParseError([(0, len(text), "premise mentions no variables")])
+        table = VariableTable(sorted(scan.labels.values()))
+    reader = _reader(table)
     table, idx = reader.table, reader.index
     rels = RelationSet(
         table,
@@ -429,7 +405,7 @@ def parse_premise(text: str) -> PremiseDoc:
                              for (a, b), given in scan.cond),
         declared_causes=frozenset((idx[a], idx[b]) for a, b in scan.causes),
     )
-    provenance = PROVENANCE_STORY if scan.aliases else PROVENANCE_SYMBOLIC
+    provenance = PROVENANCE_STORY if table.aliases else PROVENANCE_SYMBOLIC
     return PremiseDoc(text, table, rels, provenance)
 
 
@@ -464,7 +440,7 @@ def _hypothesis_patterns(mention: str) -> tuple[tuple[HypothesisKind, re.Pattern
 
 def parse_hypothesis(text: str, vars: VariableTable) -> Hypothesis:
     """Parse a causal claim; variable mentions resolve against ``vars``."""
-    return _reader(vars.names, tuple(vars.aliases.items())).hypothesis(text)
+    return _reader(vars).hypothesis(text)
 
 
 # ---------------------------------------------------------------------------

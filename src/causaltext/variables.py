@@ -15,10 +15,15 @@ class VariableTable:
     The position of a label defines the row/column index used by adjacency
     matrices and relation sets, so the order is part of the contract. A label
     may carry a long-name alias (for example ``CD`` standing for
-    ``central density``); aliases resolve case-insensitively.
+    ``central density``).
+
+    ``index`` resolves a mention to its position: the exact label first,
+    then the case-folded mention among every alias and label, where a label
+    wins over an alias and the first of two labels that differ only in case
+    wins.
     """
 
-    __slots__ = ("_names", "_aliases", "_index", "_alias_index")
+    __slots__ = ("_names", "_aliases", "_index", "_folded")
 
     def __init__(self, names: Iterable[str], aliases: Mapping[str, str] | None = None):
         names = tuple(str(n) for n in names)
@@ -47,7 +52,8 @@ class VariableTable:
         self._names = names
         self._aliases = aliases
         self._index = {n: i for i, n in enumerate(names)}
-        self._alias_index = {a.lower(): self._index[l] for l, a in aliases.items()}
+        self._folded = {a.lower(): self._index[l] for l, a in aliases.items()}
+        self._folded.update((names[i].lower(), i) for i in reversed(range(len(names))))
 
     @classmethod
     def letters(cls, n: int) -> "VariableTable":
@@ -67,15 +73,10 @@ class VariableTable:
     def index(self, mention: str) -> int:
         """Resolve a label or alias to its index."""
         mention = mention.strip()
-        if mention in self._index:
-            return self._index[mention]
-        low = mention.lower()
-        if low in self._alias_index:
-            return self._alias_index[low]
-        for name, i in self._index.items():
-            if name.lower() == low:
-                return i
-        raise UnknownVariableError(f"unknown variable mention: {mention!r}")
+        i = self._index.get(mention, self._folded.get(mention.lower()))
+        if i is None:
+            raise UnknownVariableError(f"unknown variable mention: {mention!r}")
+        return i
 
     def label(self, i: int) -> str:
         return self._names[i]

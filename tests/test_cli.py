@@ -418,9 +418,19 @@ class TestEvalAndScore:
         ("schema_version", False, "field 'schema_version' is bool False, not int"),
         ("label", "maybe", "label 'maybe' is neither 'Yes' nor 'No'"),
         ("schema_version", 2, "schema_version 2; only 1 is read"),
-        ("n_vars", 4, "n_vars 4 but the premise declares 3 variables")],
+        ("n_vars", 4, "n_vars 4 but the premise declares 3 variables"),
+        ("premise", "A loves B.",
+         "premise does not parse: [0:10] unrecognized sentence: 'A loves B'"),
+        ("premise", "A correlates with B. A is independent of B.",
+         "premise does not parse: pair(s) listed both dependent and independent: A-B"),
+        ("hypothesis", "A frobs B.",
+         "hypothesis does not parse: [0:10] unrecognized hypothesis: 'A frobs B'"),
+        ("hypothesis", "Does A cause A indirectly?",
+         "hypothesis does not parse: hypothesis subject and object must differ")],
         ids=["premise-int", "id-int", "n_vars-str", "n_vars-bool",
-             "schema_version-bool", "label-maybe", "schema_version-2", "n_vars-4"])
+             "schema_version-bool", "label-maybe", "schema_version-2", "n_vars-4",
+             "premise-unparseable", "premise-contradictory", "hypothesis-unparseable",
+             "hypothesis-self"])
     def test_mistyped_field_exits_2_with_file_and_line(self, tmp_path, dataset, capsys,
                                                         field, value, problem):
         first, second = dataset.read_text().splitlines()[:2]
@@ -557,6 +567,29 @@ class TestEvalAndScore:
         assert all(v == 1.0 for v in metrics["step_accuracy"].values())
         code, out, _ = run_cli(capsys, "score", "--records", str(out_dir))
         assert code == 0 and "reference errors: 1" in out
+
+    def test_premise_over_six_variables_is_that_sample_error(self, tmp_path, capsys):
+        # the reference enumerates DAGs on at most six nodes; a larger premise
+        # must fail its own record, not the batch
+        path = tmp_path / "ds.jsonl"
+        code, _, _ = run_cli(capsys, "generate", "--n", "4", "--balanced", "2",
+                             "--seed", "5", "-o", str(path))
+        assert code == 0
+        first = json.loads(path.read_text().splitlines()[0])
+        labels = "ABCDEFG"
+        wide = dict(first, id="7v", n_vars=7, hypothesis="A directly causes B.",
+                    premise=f"Suppose that there is a closed system of 7 variables,"
+                            f" {', '.join(labels[:-1])} and G. A correlates with B.")
+        path.write_text(json.dumps(first) + "\n" + json.dumps(wide) + "\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval", "--dataset", str(path),
+                               "--backend", "mock", "--out", str(out_dir))
+        assert code == 0, err
+        record = json.loads((out_dir / "records" / "7v.json").read_text())
+        assert record["error"].startswith("reference: ") and record["steps"] == {}
+        assert json.loads((out_dir / "manifest.json").read_text())["n_records"] == 2
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["n_records"] == 2 and metrics["reference_errors"] == 1
 
     def test_records_are_compact_lines_that_score_reads(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"

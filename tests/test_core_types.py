@@ -54,6 +54,27 @@ class TestVariableTable:
         with pytest.raises(UnknownVariableError):
             t.index("velocity")
 
+    @pytest.mark.parametrize("names, aliases, mention, index", [
+        (["B", "A"], {}, "A", 1),
+        (["CD", "BHM"], {}, "cd", 0),
+        (["CD", "BHM"], {"BHM": "black hole mass"}, "Black HOLE mass", 1),
+        (["CD", "BHM"], {"BHM": "black hole mass"}, " black hole mass ", 1),
+        (["ab", "AB"], {}, "ab", 0),
+        (["ab", "AB"], {}, "AB", 1),
+        (["ab", "AB"], {}, "Ab", 0),
+        (["A", "B"], {"A": "a"}, "a", 0),
+    ], ids=["exact", "folded-label", "alias-any-case", "alias-padded",
+            "case-pair-first", "case-pair-second", "case-pair-folded", "own-alias"])
+    def test_index_lookup_order(self, names, aliases, mention, index):
+        # the exact label, then the case-folded mention, where the first of
+        # two labels that differ only in case wins
+        assert VariableTable(names, aliases).index(mention) == index
+
+    def test_index_rejects_unknown_mention(self):
+        t = VariableTable(["ab", "AB"], {"ab": "alpha"})
+        with pytest.raises(UnknownVariableError, match="unknown variable mention: 'beta'"):
+            t.index("beta")
+
     def test_alias_collisions(self):
         with pytest.raises(ConsistencyError):
             VariableTable(["A", "B"], {"A": "b"})  # collides with another label
