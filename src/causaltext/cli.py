@@ -246,8 +246,7 @@ def cmd_solve(args) -> int:
     result = solve_doc(doc, hypothesis, args.propagate, args.eval_mode)
     report = result.report()
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        write_text_atomic(args.trace, json.dumps(report, indent=2))
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return 0
@@ -332,10 +331,9 @@ def cmd_eval(args) -> int:
         "mode": args.mode,
         "n_records": len(records),
     }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
+    write_text_atomic(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2))
+    write_text_atomic(os.path.join(args.out, "metrics.json"),
+                      json.dumps(report.as_dict(), indent=2))
     _emit_report(report, args.format, ("n_vars", "subtask"))
     return 0
 

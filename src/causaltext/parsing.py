@@ -18,13 +18,16 @@ Anything else is reported with its character span instead of being silently
 dropped. Free prose outside the grammar ships as pre-parsed fixtures, not as
 grammar extensions. A premise declares its variables once: a second
 declaration header, or a relations header whose count differs from the
-declared one, is a problem of that sentence, and so is a header whose
-aliases clash.
+number of variables the premise declares (or, without a header, mentions),
+is a problem of that sentence, and so is a header whose aliases clash.
 
 One grammar over one variable table admits only a few hundred distinct
-sentences, so each is read once: a raw sentence's cleaned body and what
+sentences, so each is read once: a raw sentence's span, statement and what
 its header declares are kept, and a ``_Reader`` per variable table keeps
-what each statement or claim states under that table, within a fixed bound.
+the index entries each statement states and the claim each claim sentence
+makes under that table, within a fixed bound. A premise without a header
+first declares the labels its statements mention, then is read through
+the reader of their table like any other.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from itertools import combinations
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
                      UnknownVariableError)
 from .hypotheses import Hypothesis, HypothesisKind
-from .relations import CondStatement, RelationSet
+from .relations import CondStatement, Pair, RelationSet
 from .variables import VariableTable
 
 PROVENANCE_SYMBOLIC = "symbolic"
@@ -100,16 +103,6 @@ _ALIAS_ENTRY = re.compile(r"^(?P<name>.+?)\s*\((?P<label>[A-Za-z][A-Za-z0-9]*)\)
 _AND_RE = re.compile(r"\s+and\s+")
 
 
-def _sentences(text: str):
-    for m in _SENT_RE.finditer(text):
-        seg = m.group()
-        stripped = seg.strip()
-        if not stripped:
-            continue
-        start = m.start() + (len(seg) - len(seg.lstrip()))
-        yield start, start + len(stripped), stripped
-
-
 def _clean(body: str) -> str:
     body = body.strip()
     body = body.rstrip(".?!").strip()
@@ -129,21 +122,23 @@ def _split_names(listing: str) -> list[str]:
 
 
 class _Scan:
-    """Mutable state of one premise parse."""
+    """Mutable state of one premise parse: its variable table and the
+    index entries its statements state, in ``RelationSet``'s form."""
 
     def __init__(self):
-        # the table a header declares; None for a premise without a header
+        # the table a header declares, or the one a premise without a header
+        # mentions; None while no variable is known
         self.table: VariableTable | None = None
         # without a header: case-folded label -> label, in order of first mention
         self.labels: dict[str, str] = {}
-        self.deps: set[tuple[str, str]] = set()
-        self.uncond: set[tuple[str, str]] = set()
-        self.cond: set[tuple[tuple[str, str], tuple[str, ...]]] = set()
-        self.causes: set[tuple[str, str]] = set()
+        self.deps: set[Pair] = set()
+        self.uncond: set[Pair] = set()
+        self.cond: set[CondStatement] = set()
+        self.causes: set[Pair] = set()
         self.parsed = 0
         self.problems: list[tuple[int, int, str]] = []
 
-    def resolve(self, mention: str) -> str:
+    def declare(self, mention: str) -> str:
         """The label ``mention`` names, for a premise without a header: a
         label-shaped mention that names no variable yet declares a label."""
         mention = mention.strip()
@@ -192,17 +187,20 @@ def _statement_patterns(mention: str) -> tuple[tuple[tuple[str, re.Pattern], ...
 _FREE_PATTERNS = _statement_patterns(r"[A-Za-z][A-Za-z0-9]*")
 
 
-def _statement(body: str, patterns, resolve) -> tuple[str | None, tuple, str | None]:
+def _statement(body: str, patterns, index, label) -> tuple[str | None, tuple, str | None]:
     """What one statement states: (name of the ``_Scan`` set it adds to,
     the entries it adds, None), or (None, (), the problem it raises).
-    ``resolve`` maps a mention to its label."""
+    ``index`` maps a mention to its variable and ``label`` a variable to
+    the label a problem names; an unordered pair has its smaller variable
+    first and a conditioning set is a frozenset."""
     statements, pair_pat = patterns
 
-    def pair(x: str, y: str) -> tuple[str, str]:
-        a, b = resolve(x), resolve(y)
+    def pair(x: str, y: str) -> tuple:
+        a, b = index(x), index(y)
         if a == b:
-            raise ConsistencyError(f"a relation needs two distinct variables, got {a!r} twice")
-        return tuple(sorted((a, b)))  # type: ignore[return-value]
+            raise ConsistencyError(
+                f"a relation needs two distinct variables, got {label(a)!r} twice")
+        return (a, b) if a < b else (b, a)
 
     text = _PREFIX_RE.sub("", body)
     try:
@@ -223,12 +221,15 @@ def _statement(body: str, patterns, resolve) -> tuple[str | None, tuple, str | N
                 return "deps", tuple(pairs), None
             if name == "indep_given":
                 xy = pair(hit["x"], hit["y"])
-                given = tuple(sorted(resolve(g) for g in _split_names(hit["given"])))
+                given = frozenset(index(g) for g in _split_names(hit["given"]))
                 if not given:
                     raise ConsistencyError("empty conditioning list")
+                if not given.isdisjoint(xy):
+                    raise ConsistencyError(f"conditioning set of {label(xy[0])}-{label(xy[1])}"
+                                           f" contains the pair")
                 return "cond", ((xy, given),), None
             if name == "cause_of":
-                a, b = resolve(hit["x"]), resolve(hit["y"])
+                a, b = index(hit["x"]), index(hit["y"])
                 if a == b:
                     raise ConsistencyError("a variable cannot cause itself")
                 return "causes", ((a, b),), None
@@ -245,23 +246,23 @@ class _Reader:
 
     def __init__(self, table: VariableTable):
         self.table = table
-        names = table.names
-        mention = _mention_pattern((*names, *table.aliases.values()))
+        mention = _mention_pattern((*table.names, *table.aliases.values()))
         self.claims = _hypothesis_patterns(mention)
-        self.index = {label: i for i, label in enumerate(names)}
-        self.label = lambda mention: names[table.index(mention)]
-        self.statement = lru_cache(maxsize=1024)(
-            partial(_statement, patterns=_statement_patterns(mention), resolve=self.label))
+        self.statement = lru_cache(maxsize=1024)(partial(
+            _statement, patterns=_statement_patterns(mention), index=table.index,
+            label=table.label))
         self.hypothesis = lru_cache(maxsize=1024)(self._hypothesis)
 
     def _hypothesis(self, text: str) -> Hypothesis:
         body = text.strip().rstrip(".?!").strip()
         if not body:
             raise PremiseParseError([(0, 0, "empty hypothesis")])
+        table = self.table
         for kind, pat in self.claims:
             hit = pat.match(body)
             if hit:
-                return Hypothesis(kind, self.label(hit["x"]), self.label(hit["y"]))
+                return Hypothesis(kind, table.label(table.index(hit["x"])),
+                                  table.label(table.index(hit["y"])))
         raise PremiseParseError([(0, len(text), f"unrecognized hypothesis: {body!r}")])
 
 
@@ -276,13 +277,14 @@ def _fold(folded: dict[str, str], label: str) -> None:
         raise ConsistencyError(f"variable labels {other!r} and {label!r} differ only in case")
 
 
-def _declaration(body: str) -> tuple[int, str | None] | VariableTable | None:
-    """What a cleaned sentence declares: the count and inline statement of
-    a relations header, the table any other header builds (labels sorted),
-    or None for a sentence without a header's form."""
+def _declaration(body: str) -> tuple[str | None, int | VariableTable | None]:
+    """The statement a cleaned sentence carries and what it declares: a
+    relations header's inline statement (or None) and count, None and the
+    table any other header builds (labels sorted), or the whole sentence
+    and None for a sentence without a header's form."""
     hit = _HEADER_RELATIONS.match(body)
     if hit:
-        return int(hit["n"]), hit["rest"].strip() or None
+        return hit["rest"].strip() or None, int(hit["n"])
     folded: dict[str, str] = {}
     aliases: dict[str, str] = {}
     if hit := _HEADER_SYSTEM.match(body):
@@ -318,19 +320,21 @@ def _declaration(body: str) -> tuple[int, str | None] | VariableTable | None:
             _fold(folded, label)
         aliases = dict(zip(labels, names))
     else:
-        return None
-    return VariableTable(sorted(labels), aliases)
+        return body, None
+    return None, VariableTable(sorted(labels), aliases)
 
 
 @lru_cache(maxsize=4096)
-def _read_sentence(raw: str) -> tuple[str, tuple[int, str | None] | VariableTable | str | None]:
-    """A raw sentence's cleaned body and what its header declares (see
-    ``_declaration``), or the problem the header raises."""
-    body = _clean(raw)
+def _read_sentence(raw: str) -> tuple[int, int, str | None, int | VariableTable | str | None]:
+    """Where a raw segment's sentence starts and ends in it (the start is
+    past the end for a blank segment), then the statement it carries and
+    what it declares (see ``_declaration``), or None and the problem a
+    header raises."""
+    start, end = len(raw) - len(raw.lstrip()), len(raw.rstrip())
     try:
-        return body, _declaration(body)
+        return start, end, *_declaration(_clean(raw))
     except ConsistencyError as exc:
-        return body, str(exc)
+        return start, end, None, str(exc)
 
 
 def scan_premise(text: str) -> tuple[_Scan, int]:
@@ -340,41 +344,51 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
     silently dropped.
     """
     scan = _Scan()
-    sentences = list(_sentences(text))
+    sentences = []
+    for m in _SENT_RE.finditer(text):
+        start, end, statement, declared = _read_sentence(m.group())
+        if start < end:
+            sentences.append((m.start() + start, m.start() + end, statement, declared))
+    # the first header that builds a table declares the variables; without
+    # one, each label is declared by its first mention, in sentence order
+    scan.table = next((d for *_, d in sentences if isinstance(d, VariableTable)), None)
+    if scan.table is None:
+        # here a mention resolves to its label, so a problem names it as is
+        statement_of = partial(_statement, patterns=_FREE_PATTERNS, index=scan.declare,
+                               label=str)
+        for _, _, statement, _ in sentences:
+            if statement is not None:
+                statement_of(statement)
+        if scan.labels:
+            scan.table = VariableTable(sorted(scan.labels.values()))
+    # a premise that names no variable has only problems, which the
+    # declaring reader finds as well
+    if scan.table is not None:
+        reader = _reader(scan.table)
+        scan.table, statement_of = reader.table, reader.statement
     pending: list[tuple[int, int, str]] = []
-    for start, end, raw in sentences:
-        body, declared = _read_sentence(raw)
-        if declared is None:
-            pending.append((start, end, body))
-            continue
-        rest = problem = None
-        if isinstance(declared, tuple):
-            count, rest = declared
-            if scan.table is not None and count != len(scan.table):
-                problem = (f"relations header counts {count} variables"
+    declared_yet = False
+    for start, end, statement, declared in sentences:
+        problem = None
+        if isinstance(declared, int):
+            if scan.table is not None and declared != len(scan.table):
+                problem = (f"relations header counts {declared} variables"
                            f" but the premise declares {len(scan.table)}")
-        elif scan.table is not None:
+        elif declared_yet and declared is not None:
             problem = (f"a second variable declaration; the premise already"
                        f" declares {len(scan.table)} variables")
         elif isinstance(declared, str):
             problem = declared
-        else:
-            scan.table = declared
+        elif declared is not None:
+            declared_yet = True
         if problem:
             scan.problems.append((start, end, problem))
-        elif rest:
-            # header sentence with an inline first statement after a colon
-            pending.append((start, end, rest))
-        else:
+        elif statement is None:
             scan.parsed += 1
-    # every declaration is in, so a header's mentions are fixed from here on;
-    # without a header, mentions declare labels as they appear
-    if scan.table is None:
-        statement = partial(_statement, patterns=_FREE_PATTERNS, resolve=scan.resolve)
-    else:
-        statement = _reader(scan.table).statement
-    for start, end, body in pending:
-        name, entries, problem = statement(body)
+        else:
+            pending.append((start, end, statement))
+    for start, end, statement in pending:
+        name, entries, problem = statement_of(statement)
         if problem is None:
             getattr(scan, name).update(entries)
             scan.parsed += 1
@@ -392,19 +406,8 @@ def parse_premise(text: str) -> PremiseDoc:
         raise PremiseParseError(scan.problems)
     table = scan.table
     if table is None:
-        if not scan.labels:
-            raise PremiseParseError([(0, len(text), "premise mentions no variables")])
-        table = VariableTable(sorted(scan.labels.values()))
-    reader = _reader(table)
-    table, idx = reader.table, reader.index
-    rels = RelationSet(
-        table,
-        dependencies=frozenset((idx[a], idx[b]) for a, b in scan.deps),
-        uncond_indep=frozenset((idx[a], idx[b]) for a, b in scan.uncond),
-        cond_indep=frozenset(((idx[a], idx[b]), frozenset(idx[g] for g in given))
-                             for (a, b), given in scan.cond),
-        declared_causes=frozenset((idx[a], idx[b]) for a, b in scan.causes),
-    )
+        raise PremiseParseError([(0, len(text), "premise mentions no variables")])
+    rels = RelationSet(table, scan.deps, scan.uncond, scan.cond, scan.causes)
     provenance = PROVENANCE_STORY if table.aliases else PROVENANCE_SYMBOLIC
     return PremiseDoc(text, table, rels, provenance)
 
@@ -465,8 +468,8 @@ def _join_given(items: list[str]) -> str:
 
 class PremiseFragments:
     """Every sentence of a premise over one variable table, in one style;
-    story names come from ``names``, else from ``theme``'s bank, and
-    ``names`` maps each label to the name it is shown by.
+    story names come from ``theme``'s bank, and ``names`` maps each label
+    to the name it is shown by.
 
     ``corr[pair]`` and ``uncond[pair]`` are a pair's correlation and
     unconditional independence sentences. ``render`` writes the premise of
@@ -475,7 +478,7 @@ class PremiseFragments:
     """
 
     def __init__(self, table: VariableTable, style: str = "symbolic",
-                 theme: str | None = None, names: dict[str, str] | None = None):
+                 theme: str | None = None):
         n = len(table)
         if style == "symbolic":
             self.names = {label: label for label in table.names}
@@ -486,18 +489,13 @@ class PremiseFragments:
             corr = "{} correlates with {}."
             uncond = "{} is independent of {}."
         elif style == "story":
-            if names is None:
-                bank = THEMES.get(theme or "health")
-                if bank is None:
-                    raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
-                if len(bank) < n:
-                    raise ResourceError(
-                        f"theme {theme!r} offers {len(bank)} names but {n} are needed")
-                names = dict(zip(table.names, bank))
-            missing = [label for label in table.names if label not in names]
-            if missing:
-                raise ResourceError(f"no story name for label(s) {missing}")
-            self.names = {label: names[label] for label in table.names}
+            bank = THEMES.get(theme or "health")
+            if bank is None:
+                raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
+            if len(bank) < n:
+                raise ResourceError(
+                    f"theme {theme!r} offers {len(bank)} names but {n} are needed")
+            self.names = dict(zip(table.names, bank))
             entries = [f"{name} ({label})" for label, name in self.names.items()]
             self.header = f"{_join_given(entries)} have relations with each other."
             self.opening = self.header + " "
@@ -541,25 +539,19 @@ class PremiseFragments:
         return entry
 
 
-@lru_cache(maxsize=256)
-def _fragments(table: VariableTable, style: str, theme: str | None,
-               names: tuple[tuple[str, str], ...] | None) -> PremiseFragments:
-    """A kept ``PremiseFragments``, for repeated ``render_premise`` calls."""
-    return PremiseFragments(table, style, theme, None if names is None else dict(names))
+# a kept ``PremiseFragments``, for repeated ``render_premise`` calls
+_fragments = lru_cache(maxsize=256)(PremiseFragments)
 
 
 def render_premise(doc: PremiseDoc, style: str = "symbolic",
-                   theme: str | None = None,
-                   names: dict[str, str] | None = None) -> str:
+                   theme: str | None = None) -> str:
     """Render a premise deterministically in the canonical template.
 
     ``symbolic`` uses bare labels with the closed-system header; ``story``
     substitutes themed long names and binds them to labels in an alias
     header. The statements follow in ``PremiseFragments.render``'s order.
     """
-    frag = _fragments(doc.variables, style, theme,
-                      None if names is None else tuple(names.items()))
-    return frag.render(doc.relations)
+    return _fragments(doc.variables, style, theme).render(doc.relations)
 
 
 _HYPOTHESIS_TEMPLATES = {

@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from causaltext import cli, dataset
+from causaltext import cli, dataset, harness
 from causaltext.cli import main
 from causaltext.dataset import dataset_digest, generate, read_samples, write_samples
 
@@ -372,6 +372,21 @@ class TestEvalAndScore:
         assert set(manifest) == {"version", "config_digest", "dataset_digest",
                                  "mode", "n_records"}
         assert str(tmp_path) not in json.dumps(manifest)
+
+    def test_report_that_fails_to_serialise_keeps_the_old_one(self, tmp_path, dataset,
+                                                              capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        argv = ["eval", "--dataset", str(dataset), "--backend", "mock", "--out", str(out_dir)]
+        assert run_cli(capsys, *argv)[0] == 0
+        old = (out_dir / "metrics.json").read_bytes()
+        as_dict = harness.ScoreReport.as_dict
+        # json meets the set only after it has encoded every other entry
+        monkeypatch.setattr(harness.ScoreReport, "as_dict",
+                            lambda self: {**as_dict(self), "late": {1}})
+        with pytest.raises(TypeError):
+            main(argv)
+        assert (out_dir / "metrics.json").read_bytes() == old
+        assert not list(out_dir.glob("*.tmp"))
 
     @pytest.mark.parametrize("name,compress", [("ds.jsonl", True), ("ds.gz", False)],
                              ids=["gzip-named-plain", "plain-named-gz"])
