@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (BoundsError, CapacityError, CausaltextError, ConfigError,
                      PremiseParseError, UsageError)
-from .graphs import _closure, _union_table, mec_index
+from .graphs import MAX_NODES, _closure, _union_table, mec_index
 from .hypotheses import NO, SYMMETRIC_KINDS, YES, Hypothesis, HypothesisKind
 from .parsing import (PremiseFragments, parse_hypothesis, parse_premise,
                       render_hypothesis)
@@ -92,20 +92,15 @@ def _style_tag(style: str, theme: str | None) -> str:
     return f"story:{theme or 'health'}"
 
 
-LABEL_KINDS = (HypothesisKind.DIRECT_CAUSE, HypothesisKind.INDIRECT_CAUSE,
-               HypothesisKind.CAUSE, HypothesisKind.COMMON_EFFECT,
-               HypothesisKind.COMMON_CAUSE)
-
-
 def label_table(n: int, masks: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Which claims hold in every member of each class, as row bitmasks.
 
     ``masks[starts[g]:starts[g + 1]]`` are the edge bitmasks of the members
     of class ``g``. Bit ``j`` of entry ``[g, k, i]`` of the returned
     ``(len(starts) - 1, 5, n)`` int64 table is set iff the claim
-    ``(LABEL_KINDS[k], i, j)`` holds in every member, so it equals
-    ``label_against_mec`` on the class for every claim at once. Per member
-    it takes the child masks, the masks reached through a child
+    ``(kind, i, j)``, ``kind`` the ``k``-th ``HypothesisKind``, holds in
+    every member, so it equals ``label_against_mec`` on the class for every
+    claim at once. Per member it takes the child masks, the masks reached through a child
     (``indirect_cause``), their union (``cause``) and the common-child and
     common-parent masks, then ANDs them over each class's members.
     """
@@ -144,8 +139,8 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     ``RelationSet``, its premise and its id prefix: about 35–40 µs at n=5 on
     a 2-vCPU Xeon, about three quarters of it building the ``RelationSet``.
     """
-    if not 2 <= n <= 6:
-        raise BoundsError(f"variable count must be between 2 and 6, got {n}")
+    if not 2 <= n <= MAX_NODES:
+        raise BoundsError(f"variable count must be between 2 and {MAX_NODES}, got {n}")
     kinds = tuple(dict.fromkeys(kinds or HypothesisKind))
     table = VariableTable.letters(n)
     idx = mec_index(n)
@@ -165,8 +160,10 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
         h = Hypothesis(kind, table.label(i), table.label(j))
         claims.append((kind.value, h, render_hypothesis(h, table, frag.names),
                        f"{kind.value}-{h.subject}{h.object}-{tag}"))
-    # entry [g, k, i] bit j of label_table answers claim (LABEL_KINDS[k], i, j)
-    k_at, i_at, j_at = np.array([(LABEL_KINDS.index(kind), i, j) for kind, i, j in slots]).T
+    # entry [g, k, i] bit j of label_table answers claim (kind, i, j), kind
+    # the k-th HypothesisKind
+    k_at, i_at, j_at = np.array([(list(HypothesisKind).index(kind), i, j)
+                                 for kind, i, j in slots]).T
     labels = (NO, YES)
     for lo in range(0, len(group_order), TABLE_BLOCK):
         groups = group_order[lo:lo + TABLE_BLOCK]

@@ -49,18 +49,16 @@ def initial_matrix(vars: VariableTable, declared: Iterable[Pair] = ()) -> AdjMat
     to 0, so the surviving [cause][effect] = 1 already encodes orientation.
     """
     full = (1 << len(vars)) - 1
-    complete = AdjMatrix._from_rows(vars, (full ^ 1 << r for r in range(len(vars))))
-    return complete.with_zeros((effect, cause) for cause, effect in declared)
+    rows = [full ^ 1 << r for r in range(len(vars))]
+    for cause, effect in declared:
+        rows[effect] &= ~(1 << cause)
+    return AdjMatrix._from_rows(vars, rows)
 
 
 def apply_unconditional(matrix: AdjMatrix, rels: RelationSet) -> AdjMatrix:
     """Zero both cells of every unconditionally independent pair."""
     _require_shared_table(matrix, rels)
-    zeros = []
-    for a, b in rels.uncond_indep:
-        zeros.append((a, b))
-        zeros.append((b, a))
-    return matrix.with_zeros(zeros)
+    return _without_pairs(matrix, rels.uncond_indep)
 
 
 def apply_conditional(matrix: AdjMatrix, rels: RelationSet) -> AdjMatrix:
@@ -69,11 +67,7 @@ def apply_conditional(matrix: AdjMatrix, rels: RelationSet) -> AdjMatrix:
     The conditioning sets themselves touch no other cell.
     """
     _require_shared_table(matrix, rels)
-    zeros = []
-    for (a, b), _cond in rels.cond_indep:
-        zeros.append((a, b))
-        zeros.append((b, a))
-    return matrix.with_zeros(zeros)
+    return _without_pairs(matrix, (pair for pair, _cond in rels.cond_indep))
 
 
 def candidate_pairs(matrix: AdjMatrix) -> ColliderCandidates:
@@ -113,12 +107,11 @@ def orient_colliders(matrix: AdjMatrix, filtered: ColliderCandidates) -> AdjMatr
     After this pass cells[c1][r] = cells[c2][r] = 1 with the mirror cells 0,
     which encodes c1 -> r <- c2.
     """
-    zeros = []
+    rows = list(matrix.rows)
     for r, pairs in filtered.rows.items():
         for c1, c2 in pairs:
-            zeros.append((r, c1))
-            zeros.append((r, c2))
-    return matrix.with_zeros(zeros)
+            rows[r] &= ~(1 << c1 | 1 << c2)
+    return AdjMatrix._from_rows(matrix.vars, rows)
 
 
 def propagate_orientations(matrix: AdjMatrix) -> AdjMatrix:
@@ -133,7 +126,7 @@ def propagate_orientations(matrix: AdjMatrix) -> AdjMatrix:
     ch = matrix.child_masks()
     und = matrix.undirected_masks()
     adj = matrix.adjacency_masks()
-    zeros = []
+    rows = list(matrix.rows)
     changed = True
     while changed:
         changed = False
@@ -146,9 +139,9 @@ def propagate_orientations(matrix: AdjMatrix) -> AdjMatrix:
                 ch[b] |= forced
                 for c in _bits(forced):
                     und[c] &= ~(1 << b)
-                    zeros.append((c, b))
+                    rows[c] &= ~(1 << b)
                 changed = True
-    return matrix.with_zeros(zeros)
+    return AdjMatrix._from_rows(matrix.vars, rows)
 
 
 @dataclass(frozen=True)
@@ -193,6 +186,15 @@ def run_c2p(rels: RelationSet, propagate: bool = False) -> EngineTrace:
     m8 = orient_colliders(m5, kept)
     m9 = propagate_orientations(m8) if propagate else m8
     return EngineTrace(m3, m4, m5, cands, kept, m8, m9)
+
+
+def _without_pairs(matrix: AdjMatrix, pairs: Iterable[Pair]) -> AdjMatrix:
+    """Copy of ``matrix`` with both cells of every pair set to 0."""
+    rows = list(matrix.rows)
+    for a, b in pairs:
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+    return AdjMatrix._from_rows(matrix.vars, rows)
 
 
 def _require_shared_table(matrix: AdjMatrix, rels: RelationSet) -> None:

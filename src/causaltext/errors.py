@@ -17,7 +17,7 @@ class PdagError(CausaltextError, ValueError):
     """A matrix does not satisfy the partially-directed-graph encoding contract."""
 
 
-class UnknownVariableError(CausaltextError, KeyError):
+class UnknownVariableError(CausaltextError, LookupError):
     """A variable mention does not resolve against the variable table."""
 
 

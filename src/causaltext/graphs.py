@@ -24,6 +24,11 @@ from .variables import VariableTable
 MAX_NODES = 6
 
 
+def _check_node_count(n: int) -> None:
+    if not isinstance(n, int) or not 1 <= n <= MAX_NODES:
+        raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -38,8 +43,7 @@ class Dag:
     __slots__ = ("_n", "_edges", "_pa", "_ch", "_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(n, int) or not 1 <= n <= MAX_NODES:
-            raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
+        _check_node_count(n)
         edge_set = frozenset((int(p), int(c)) for p, c in edges)
         pa = [0] * n
         ch = [0] * n
@@ -62,14 +66,7 @@ class Dag:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Dag":
-        edges = []
-        m = mask
-        while m:
-            lsb = m & -m
-            bit = lsb.bit_length() - 1
-            m ^= lsb
-            edges.append(divmod(bit, n))
-        return cls(n, edges)
+        return cls(n, (divmod(bit, n) for bit in _bits(mask)))
 
     @property
     def n(self) -> int:
@@ -375,8 +372,7 @@ def _dag_masks(n: int) -> np.ndarray:
 
 def enumerate_dags(n: int) -> Iterator[Dag]:
     """Yield every labeled DAG on ``n`` nodes once, in edge-bitmask order."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_NODES:
-        raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
+    _check_node_count(n)
     for m in _dag_masks(n):
         yield Dag.from_mask(n, int(m))
 
@@ -453,8 +449,7 @@ class MecIndex:
     """
 
     def __init__(self, n: int):
-        if not 1 <= n <= MAX_NODES:
-            raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
+        _check_node_count(n)
         self.n = n
         masks = _dag_masks(n)
         skel, vst = _class_keys(n, masks)
@@ -535,8 +530,7 @@ def dag_extensions(matrix: AdjMatrix) -> list[int]:
     """
     matrix.validate_pdag()
     n = matrix.n
-    if not 1 <= n <= MAX_NODES:
-        raise BoundsError(f"node count must be between 1 and {MAX_NODES}, got {n}")
+    _check_node_count(n)
     adj = matrix.adjacency_masks()
     pa = matrix.parent_masks()
     directed = sum(ch << i * n for i, ch in enumerate(matrix.child_masks()))

@@ -117,13 +117,6 @@ class AdjMatrix:
     def cell(self, r: int, c: int) -> int:
         return (self._rows[r] >> c) & 1
 
-    def with_zeros(self, positions: Iterable[tuple[int, int]]) -> "AdjMatrix":
-        """Copy of the matrix with the given ``(row, col)`` cells set to 0."""
-        rows = list(self._rows)
-        for r, c in positions:
-            rows[r] &= ~(1 << c)
-        return AdjMatrix._from_rows(self._vars, rows)
-
     def to_mapping(self) -> dict[str, dict[str, int]]:
         names = self._vars.names
         return {names[r]: {name: (row >> c) & 1 for c, name in enumerate(names)}

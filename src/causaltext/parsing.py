@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
@@ -246,12 +246,16 @@ class _Reader:
 
     def __init__(self, table: VariableTable):
         self.table = table
-        mention = _mention_pattern((*table.names, *table.aliases.values()))
-        self.claims = _hypothesis_patterns(mention)
+        self._mention = mention = _mention_pattern((*table.names, *table.aliases.values()))
         self.statement = lru_cache(maxsize=1024)(partial(
             _statement, patterns=_statement_patterns(mention), index=table.index,
             label=table.label))
         self.hypothesis = lru_cache(maxsize=1024)(self._hypothesis)
+
+    @cached_property
+    def claims(self) -> tuple[tuple[HypothesisKind, re.Pattern], ...]:
+        """The claim patterns over this table, compiled on the first claim."""
+        return _hypothesis_patterns(self._mention)
 
     def _hypothesis(self, text: str) -> Hypothesis:
         body = text.strip().rstrip(".?!").strip()
@@ -341,7 +345,7 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
     """Low-level pass returning scan state and the sentence count.
 
     Guarantees parsed + len(problems) == sentence count, so nothing is ever
-    silently dropped.
+    silently dropped; the problems come in sentence order.
     """
     scan = _Scan()
     sentences = []
@@ -366,7 +370,6 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
     if scan.table is not None:
         reader = _reader(scan.table)
         scan.table, statement_of = reader.table, reader.statement
-    pending: list[tuple[int, int, str]] = []
     declared_yet = False
     for start, end, statement, declared in sentences:
         problem = None
@@ -381,16 +384,11 @@ def scan_premise(text: str) -> tuple[_Scan, int]:
             problem = declared
         elif declared is not None:
             declared_yet = True
-        if problem:
-            scan.problems.append((start, end, problem))
-        elif statement is None:
-            scan.parsed += 1
-        else:
-            pending.append((start, end, statement))
-    for start, end, statement in pending:
-        name, entries, problem = statement_of(statement)
+        if problem is None and statement is not None:
+            name, entries, problem = statement_of(statement)
+            if problem is None:
+                getattr(scan, name).update(entries)
         if problem is None:
-            getattr(scan, name).update(entries)
             scan.parsed += 1
         else:
             scan.problems.append((start, end, problem))
@@ -489,7 +487,8 @@ class PremiseFragments:
             corr = "{} correlates with {}."
             uncond = "{} is independent of {}."
         elif style == "story":
-            bank = THEMES.get(theme or "health")
+            theme = theme or "health"
+            bank = THEMES.get(theme)
             if bank is None:
                 raise ResourceError(f"unknown theme {theme!r}; known: {sorted(THEMES)}")
             if len(bank) < n:

@@ -67,6 +67,15 @@ class TestSolve:
         assert code == 2
         assert "unrecognized" in err
 
+    def test_unknown_mention_is_printed_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("Suppose there is a closed system of 3 variables, A, B and C."
+                        " A and B are independent given C D.")
+        code, _, err = run_cli(capsys, "solve", "--premise", str(path))
+        assert code == 2
+        assert err == ("error: unparseable premise: [61:95] unknown variable"
+                       " mention: 'C D'\n")
+
     @pytest.mark.parametrize("how, answer, d_to_c", [
         ("off", "Undetermined", 1), ("flag", "Yes", 0), ("config", "Yes", 0)])
     def test_propagate_orients_the_chain(self, tmp_path, capsys, how, answer,

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from causaltext import dataset
-from causaltext.dataset import (LABEL_KINDS, Sample, balanced_generate,
-                                dataset_digest, generate, label_table,
-                                read_samples, write_samples)
+from causaltext.dataset import (Sample, balanced_generate, dataset_digest, generate,
+                                label_table, read_samples, write_samples)
 from causaltext.errors import BoundsError, CapacityError, ResourceError, UsageError
 from causaltext.fixtures import THREE_VAR_PREMISE
 from causaltext.graphs import Dag, Mec, enumerate_dags, group_mecs, mec_index
@@ -200,7 +199,7 @@ class TestClassLabels:
             masks = idx.member_masks(g).tolist()
             mec = Mec(n, idx.skeleton_set(g), idx.vstruct_set(g),
                       tuple(Dag.from_mask(n, m) for m in masks))
-            for k, kind in enumerate(LABEL_KINDS):
+            for k, kind in enumerate(HypothesisKind):
                 for i in range(n):
                     assert not holds[k][i] >> i & 1
                     for j in range(n):

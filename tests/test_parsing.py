@@ -130,6 +130,20 @@ class TestParsePremise:
         scan, sentences = scan_premise(text)
         assert scan.parsed + len(scan.problems) == sentences
 
+    def test_problems_in_sentence_order(self):
+        # a statement's problem and a header's problem come in the order of
+        # their sentences, whichever kind each is
+        text = ("A correlates with Q. Suppose there is a closed system of 2 variables,"
+                " A and B. Suppose there is a closed system of 2 variables, A and B.")
+        with pytest.raises(PremiseParseError) as err:
+            parse_premise(text)
+        assert err.value.problems == [
+            (0, 20, "unrecognized sentence: 'A correlates with Q'"),
+            (79, 136, "a second variable declaration; the premise already declares"
+                      " 2 variables")]
+        scan, sentences = scan_premise(text)
+        assert scan.parsed + len(scan.problems) == sentences == 3
+
     @pytest.mark.parametrize("text, problem", [
         (_HEADER2 + "However, moreover, A loves B.",
          (58, 87, "unrecognized sentence: 'moreover, A loves B'")),
@@ -234,6 +248,15 @@ class TestParseHypothesis:
         assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0, 0]
         assert [a.hits - b.hits for a, b in zip(after, before)] == [14, 2, 13, 1]
         assert parse_premise(FIVE_VAR_PREMISE).variables is reader.table
+
+    def test_claim_patterns_built_on_first_claim(self):
+        # a premise parse compiles no claim pattern of its table's reader
+        doc = parse_premise("X7901 correlates with Y7901. X7901 is the cause of Z7901.")
+        reader = _reader(doc.variables)
+        assert "claims" not in vars(reader)
+        assert parse_hypothesis("Z7901 causes X7901.", doc.variables) \
+            == Hypothesis(HypothesisKind.CAUSE, "Z7901", "X7901")
+        assert "claims" in vars(reader)
 
     def test_patterns_built_once_per_table(self):
         # the story table has the symbolic table's labels but other mentions,
@@ -352,7 +375,8 @@ class TestRender:
     def test_theme_bank_too_small(self):
         table = VariableTable("ABCDEFG")
         doc = PremiseDoc("", table, RelationSet(table))
-        with pytest.raises(ResourceError, match="offers 6 names but 7 are needed"):
+        with pytest.raises(ResourceError,
+                           match="theme 'health' offers 6 names but 7 are needed"):
             render_premise(doc, "story")
 
     @pytest.mark.parametrize("style, theme", [("symbolic", None)]
@@ -562,9 +586,10 @@ class TestParserGolden:
                      for text in MALFORMED_HYPOTHESES]
         assert all("error" in o for o in outcomes[:len(MALFORMED_PREMISES) - 1])
         # re-pinned when "A and B are independent given A." became a problem
-        # of its sentence instead of a bare ConsistencyError
-        assert _outcome_digest(outcomes) == ("7981e42460ffd4bfb87d2e72667012e8"
-                                           "09cd3b7c9f153329feb8dd831b78a556")
+        # of its sentence instead of a bare ConsistencyError, and again when
+        # UnknownVariableError became a LookupError, whose message is unquoted
+        assert _outcome_digest(outcomes) == ("a5735ec851de2cf9f81d63e1e8f961b9"
+                                           "050b151699f4a685445c25840545e029")
 
 
 def _cold(parse, *args) -> dict:
