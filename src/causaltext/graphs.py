@@ -521,37 +521,42 @@ def dag_extensions(matrix: AdjMatrix) -> list[int]:
     otherwise the extensions' edge bitmasks (bit ``a * n + b`` for
     ``a -> b``, as ``Dag.mask``) in ascending order.
 
-    The undirected pairs are oriented depth first, in sorted order, and a
-    branch is cut as soon as an orientation ``a -> b`` closes a directed
-    cycle or gives ``b`` a parent not adjacent to ``a``. Every collider the
-    matrix declares is made of directed entries, so no branch loses one. The
-    cost therefore grows with the partial orientations that survive pruning,
-    not with the ``2**k`` orientations of ``k`` undirected pairs.
+    The undirected pairs, read off ``undirected_masks`` in sorted order, are
+    oriented depth first by ``_orient``, cutting a branch as soon as ``a ->
+    b`` closes a directed cycle or gives ``b`` a parent not adjacent to
+    ``a``. Every collider the matrix declares is made of directed entries,
+    so no branch loses one. The cost grows with the partial orientations
+    that survive pruning, not with the ``2**k`` orientations of ``k`` pairs.
     """
     matrix.validate_pdag()
     n = matrix.n
     _check_node_count(n)
-    adj = matrix.adjacency_masks()
-    pa = matrix.parent_masks()
-    directed = sum(ch << i * n for i, ch in enumerate(matrix.child_masks()))
-    undirected = sorted(matrix.undirected_pairs())
+    directed = undirected = 0
+    for i, (row, und) in enumerate(zip(matrix.rows, matrix.undirected_masks())):
+        directed |= (row ^ und) << i * n
+        undirected |= (und & -2 << i) << i * n  # the pairs (i, j) with j > i
+    pairs = [divmod(bit, n) for bit in _bits(undirected)]
     masks: list[int] = []
-
-    def orient(k: int, mask: int) -> None:
-        if k == len(undirected):
-            masks.append(mask)
-            return
-        i, j = undirected[k]
-        for a, b in ((i, j), (j, i)):
-            if pa[b] & ~adj[a] or (_ancestor_mask(pa, 1 << a) >> b) & 1:
-                continue
-            pa[b] |= 1 << a
-            orient(k + 1, mask | 1 << (a * n + b))
-            pa[b] ^= 1 << a
-
-    orient(0, directed)
+    _orient(pairs, 0, directed, matrix.parent_masks(), matrix.adjacency_masks(), n, masks)
     masks.sort()
     return masks
+
+
+def _orient(pairs: list[tuple[int, int]], k: int, mask: int, pa: list[int],
+            adj: list[int], n: int, out: list[int]) -> None:
+    """Append to ``out`` each orientation of ``pairs[k:]`` added to ``mask``
+    that closes no cycle and adds no collider; ``pa`` is restored on return."""
+    if k == len(pairs):
+        out.append(mask)
+        return
+    i, j = pairs[k]
+    for a, b in ((i, j), (j, i)):
+        # b would get a parent not adjacent to a, or b is an ancestor of a
+        if pa[b] & ~adj[a] or pa[a] and _ancestor_mask(pa, pa[a]) >> b & 1:
+            continue
+        pa[b] |= 1 << a
+        _orient(pairs, k + 1, mask | 1 << a * n + b, pa, adj, n, out)
+        pa[b] ^= 1 << a
 
 
 def mec_of_dag(dag: Dag) -> Mec:

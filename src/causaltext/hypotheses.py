@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import and_
-from typing import Sequence
 
 from .errors import ConfigError, ConsistencyError
 from .graphs import Dag, Mec, dag_extensions
@@ -107,11 +106,13 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
                      mode: str = MODE_EXTENSION_QUANTIFIED) -> Verdict:
     """Answer a claim from a PDAG-encoded matrix.
 
-    Both modes read one criterion, ``_holds``. ``rule-based`` reads it on the
-    directed edges (Yes), then on the directed and undirected edges
-    (Undetermined), and otherwise answers No; it never contradicts
-    quantification. ``extension-quantified`` reads it on each consistent
-    extension: all hold -> Yes, none -> No, mixed -> Undetermined.
+    Both modes read one criterion, ``_holds``, on packed edge masks.
+    ``rule-based`` reads it on the directed edges (Yes), then on the directed
+    and undirected edges (Undetermined), and otherwise answers No; it never
+    contradicts quantification. ``extension-quantified`` reads it on each
+    extension mask from ``dag_extensions``: all hold -> Yes, none -> No, mixed
+    -> Undetermined. A Yes path witness is searched once, in the directed
+    edges or the first extension.
     """
     if mode == MODE_RULE_BASED:
         return _rule_based(h, matrix)
@@ -120,49 +121,61 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
     raise ConfigError(f"unknown evaluation mode {mode!r}")
 
 
-def _holds(kind: HypothesisKind, ch: Sequence[int], s: int, o: int):
-    """Evidence for the claim when ``ch[v]`` masks the nodes ``v`` points
-    into: the edge bit, the mask of shared children, the mask of shared
-    parents, or a directed path. Falsy when the claim fails."""
+def _holds(kind: HypothesisKind, mask: int, n: int, s: int, o: int) -> int:
+    """Evidence for the claim on a packed edge mask (bit ``a * n + b`` for
+    ``a -> b``): the edge bit, the node mask of shared children, the shared
+    parents as bits ``p * n``, or 1 for a directed path, which is reached
+    breadth first without re-entering ``s``, so also on the cyclic
+    ``AdjMatrix.rows``. Zero when the claim fails."""
+    full = (1 << n) - 1
     if kind is HypothesisKind.DIRECT_CAUSE:
-        return ch[s] >> o & 1
+        return mask >> s * n + o & 1
     if kind is HypothesisKind.COMMON_EFFECT:
-        return ch[s] & ch[o]
+        return mask >> s * n & mask >> o * n & full
     if kind is HypothesisKind.COMMON_CAUSE:
-        both = 1 << s | 1 << o
-        return sum(1 << p for p, c in enumerate(ch) if c & both == both)
-    # a path of length >= 2 for an indirect cause; a parallel edge is allowed
-    return _reach(ch, s, o, 2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
+        # bit p * n of columns s and o, for each node p
+        return mask >> s & mask >> o & ((1 << n * n) - 1) // full
+    reach = mask >> s * n & full
+    if kind is HypothesisKind.INDIRECT_CAUSE:
+        reach &= ~(1 << o)  # a path of >= 2 edges; a parallel edge is allowed
+    frontier = reach
+    while frontier and not reach >> o & 1:
+        step = 0
+        for v in _bits(frontier):
+            step |= mask >> v * n
+        frontier = step & full & ~reach & ~(1 << s)
+        reach |= frontier
+    return reach >> o & 1
 
 
-def _witness(kind: HypothesisKind, evidence, table: VariableTable, s: int, o: int) -> dict:
-    """The evidence of ``_holds`` in variable labels."""
+def _witness(kind: HypothesisKind, evidence: int, table: VariableTable,
+             s: int, o: int, mask: int) -> dict:
+    """The evidence of ``_holds`` in variable labels; a path is searched in
+    the packed edge mask ``mask``."""
+    n = len(table)
     if kind is HypothesisKind.DIRECT_CAUSE:
         return {"edge": [table.label(s), table.label(o)]}
     if kind is HypothesisKind.COMMON_EFFECT:
         return {"colliders": [table.label(z) for z in _bits(evidence)]}
     if kind is HypothesisKind.COMMON_CAUSE:
-        return {"confounders": [table.label(z) for z in _bits(evidence)]}
-    return {"path": [table.label(v) for v in evidence]}
+        return {"confounders": [table.label(b // n) for b in _bits(evidence)]}
+    path = _reach(mask, n, s, o, 2 if kind is HypothesisKind.INDIRECT_CAUSE else 1)
+    return {"path": [table.label(v) for v in path]}
 
 
 def _extension_quantified(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
     table = matrix.vars
     s, o = h.resolve(table)
     n = matrix.n
-    full = (1 << n) - 1
     extensions = dag_extensions(matrix)
     if not extensions:
         raise ConsistencyError("matrix admits no consistent extension")
-    found = [_holds(h.kind, [m >> i * n & full for i in range(n)], s, o)
-             for m in extensions]
-    total = len(extensions)
-    holds = sum(map(bool, found))
+    found = [e for m in extensions if (e := _holds(h.kind, m, n, s, o))]
+    total, holds = len(extensions), len(found)
     if holds == total:
         # colliders and confounders shared by every extension; the first
         # extension's path
-        evidence = reduce(and_, found) if h.kind in SYMMETRIC_KINDS else found[0]
-        witness = _witness(h.kind, evidence, table, s, o)
+        witness = _witness(h.kind, reduce(and_, found), table, s, o, extensions[0])
         witness["extensions"] = total
         return Verdict(YES, witness)
     if not holds:
@@ -174,21 +187,24 @@ def _rule_based(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
     matrix.validate_pdag()
     table = matrix.vars
     s, o = h.resolve(table)
-    sure = _holds(h.kind, matrix.child_masks(), s, o)
-    if sure:
-        return Verdict(YES, _witness(h.kind, sure, table, s, o))
-    if _holds(h.kind, matrix.rows, s, o):  # some orientation of the rest
+    n = matrix.n
+    directed = sum(ch << i * n for i, ch in enumerate(matrix.child_masks()))
+    if sure := _holds(h.kind, directed, n, s, o):
+        return Verdict(YES, _witness(h.kind, sure, table, s, o, directed))
+    rows = sum(row << i * n for i, row in enumerate(matrix.rows))
+    if _holds(h.kind, rows, n, s, o):  # some orientation of the rest
         return Verdict(UNDETERMINED)
     return Verdict(NO, {"counterexamples": 1})
 
 
-def _reach(ch: Sequence[int], s: int, o: int, min_len: int) -> list[int] | None:
+def _reach(mask: int, n: int, s: int, o: int, min_len: int) -> list[int] | None:
     """A simple path ``s -> ... -> o`` of at least ``min_len`` edges along the
-    child masks ``ch``, found depth first, or None."""
+    packed edge mask ``mask``, found depth first, or None."""
+    full = (1 << n) - 1
     stack = [(s, [s], 1 << s)]
     while stack:
         node, path, on_path = stack.pop()
-        for nxt in _bits(ch[node] & ~on_path):
+        for nxt in _bits(mask >> node * n & full & ~on_path):
             cand = path + [nxt]
             if nxt == o:
                 if len(cand) - 1 >= min_len:

@@ -319,9 +319,10 @@ def _declaration(body: str) -> tuple[str | None, int | VariableTable | None]:
         if count is not None and count != len(names):
             raise ConsistencyError(
                 f"header declares {count} factors but lists {len(names)}")
+        if len(names) > 26:
+            raise ConsistencyError(
+                f"a factors header names at most 26 factors, got {len(names)}")
         labels = [chr(ord("A") + i) for i in range(len(names))]
-        for label in labels:
-            _fold(folded, label)
         aliases = dict(zip(labels, names))
     else:
         return body, None

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations, permutations
 
 import pytest
@@ -12,11 +13,13 @@ from causaltext.hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                                    evaluate_on_pdag, holds_in_dag,
                                    label_against_mec)
 from causaltext.matrix import AdjMatrix
+from causaltext.pipeline import solve_text
 from causaltext.relations import relations_from_dag
 from causaltext.variables import VariableTable
 
 from conftest import (FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8, pdag_encoding,
                       reference_encodings)
+from test_graphs import brute_force_extensions
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -27,6 +30,14 @@ KINDS = list(HypothesisKind)
 
 def H(kind, s, o):
     return Hypothesis(kind, s, o)
+
+
+def every_claim(table):
+    """Every claim over ``table``: each symmetric kind once per pair."""
+    n = len(table)
+    return [H(kind, table.label(i), table.label(j)) for kind in KINDS
+            for i, j in (combinations(range(n), 2) if kind in SYMMETRIC_KINDS
+                         else permutations(range(n), 2))]
 
 
 def reference_rule_based(h, matrix):
@@ -223,11 +234,7 @@ class TestEvaluateOnPdag:
         for n, states in reference_encodings():
             matrix = pdag_encoding(n, states)
             if n not in claims:
-                table = matrix.vars
-                claims[n] = [H(kind, table.label(i), table.label(j)) for kind in KINDS
-                             for i, j in (combinations(range(n), 2)
-                                          if kind in SYMMETRIC_KINDS
-                                          else permutations(range(n), 2))]
+                claims[n] = every_claim(matrix.vars)
             try:
                 expected = [reference_rule_based(h, matrix) for h in claims[n]]
             except PdagError:
@@ -236,6 +243,59 @@ class TestEvaluateOnPdag:
                 continue
             got = [evaluate_on_pdag(h, matrix, MODE_RULE_BASED) for h in claims[n]]
             assert got == expected, states
+
+    def test_quantified_matches_reference_on_every_encoding(self):
+        # every encoding on 1-4 nodes and a seeded 5-node sample, against
+        # holds_in_dag over the brute-force extensions; a path witness must
+        # be a simple directed path of the first extension
+        claims = {}
+        raised = {PdagError: 0, ConsistencyError: 0}
+        for n, states in reference_encodings():
+            matrix = pdag_encoding(n, states)
+            table = matrix.vars
+            if n not in claims:
+                claims[n] = every_claim(table)
+            try:
+                members = brute_force_extensions(matrix)
+                error = None if members else ConsistencyError
+            except PdagError:
+                error = PdagError
+            if error:
+                with pytest.raises(error):
+                    evaluate_on_pdag(claims[n][0], matrix)
+                raised[error] += 1
+                continue
+            for h in claims[n]:
+                got = evaluate_on_pdag(h, matrix).as_dict()
+                assert got == reference_quantified(h, members, table, got), (states, h)
+                if "path" in got["witness"]:
+                    path = [table.index(v) for v in got["witness"]["path"]]
+                    s, o = h.resolve(table)
+                    assert (path[0], path[-1]) == (s, o)
+                    assert len(path) - 1 >= (2 if h.kind is HypothesisKind.INDIRECT_CAUSE
+                                             else 1)
+                    assert len(set(path)) == len(path)
+                    assert all(e in members[0].edges for e in zip(path, path[1:]))
+        assert all(raised.values()), raised
+
+    def test_solve_leaves_no_reference_cycle(self):
+        # a verdict over several extensions leaves nothing for the cyclic
+        # collector: every object of the call is freed by reference counting
+        premise = ("Suppose there is a closed system of 3 variables, A, B and C."
+                   " All statistical relations among these 3 variables are as"
+                   " follows: A correlates with B. A correlates with C. B"
+                   " correlates with C. However, B and C are independent given A.")
+        claim = "A directly affects B."
+        warm = solve_text(premise, claim)
+        assert warm.trace.final.undirected_masks() == [6, 1, 1]
+        assert warm.verdict.witness == {"holds_in": 2, "extensions": 3}
+        gc.collect()
+        gc.disable()
+        try:
+            solve_text(premise, claim)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_verdict_serialization(self):
         v = Verdict(YES, {"edge": ["A", "B"]})

@@ -130,6 +130,25 @@ class TestParsePremise:
         scan, sentences = scan_premise(text)
         assert scan.parsed + len(scan.problems) == sentences
 
+    @pytest.mark.parametrize("count", [27, 33])
+    def test_factors_header_names_at_most_26(self, count):
+        # factor labels are the letters A to Z, so a longer list is a problem
+        # of its header, not labels past Z or labels differing only in case
+        header = (f"Let's consider {count} factors: "
+                  + _join_names([f"x{i}" for i in range(count)]) + ".")
+        with pytest.raises(PremiseParseError) as err:
+            parse_premise(header + " x0 correlates with x1.")
+        assert err.value.problems == [
+            (0, len(header), f"a factors header names at most 26 factors, got {count}")]
+
+    def test_factors_header_of_26_names_labels_a_to_z(self):
+        names = [f"x{i}" for i in range(26)]
+        doc = parse_premise(f"Let's consider 26 factors: {_join_names(names)}."
+                            " x0 correlates with x25.")
+        assert "".join(doc.variables.names) == "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        assert [doc.variables.aliases[label] for label in doc.variables.names] == names
+        assert doc.relations.as_dict()["dependencies"] == [["A", "Z"]]
+
     def test_problems_in_sentence_order(self):
         # a statement's problem and a header's problem come in the order of
         # their sentences, whichever kind each is
