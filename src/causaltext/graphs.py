@@ -528,7 +528,7 @@ def dag_extensions(matrix: AdjMatrix) -> list[int]:
     so no branch loses one. The cost grows with the partial orientations
     that survive pruning, not with the ``2**k`` orientations of ``k`` pairs.
     """
-    matrix.validate_pdag()
+    pa = matrix.validate_pdag()
     n = matrix.n
     _check_node_count(n)
     directed = undirected = 0
@@ -537,7 +537,7 @@ def dag_extensions(matrix: AdjMatrix) -> list[int]:
         undirected |= (und & -2 << i) << i * n  # the pairs (i, j) with j > i
     pairs = [divmod(bit, n) for bit in _bits(undirected)]
     masks: list[int] = []
-    _orient(pairs, 0, directed, matrix.parent_masks(), matrix.adjacency_masks(), n, masks)
+    _orient(pairs, 0, directed, pa, matrix.adjacency_masks(), n, masks)
     masks.sort()
     return masks
 

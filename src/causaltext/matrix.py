@@ -169,10 +169,13 @@ class AdjMatrix:
                          for x, y in combinations(_bits(pa), 2)
                          if not (adj[x] >> y) & 1)
 
-    def validate_pdag(self) -> None:
-        """Raise :class:`PdagError` if the directed edges contain a cycle."""
-        if not is_acyclic(self.parent_masks()):
+    def validate_pdag(self) -> list[int]:
+        """Raise :class:`PdagError` if the directed edges contain a cycle;
+        otherwise return the :meth:`parent_masks` it checked."""
+        pa = self.parent_masks()
+        if not is_acyclic(pa):
             raise PdagError("directed edges of the matrix contain a cycle")
+        return pa
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjMatrix):

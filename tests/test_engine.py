@@ -1,19 +1,24 @@
+import json
 import random
-from itertools import combinations
+import re
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltext import engine
 from causaltext.engine import (ColliderCandidates, apply_conditional,
                                apply_unconditional, candidate_pairs,
                                filter_collider_pairs, initial_matrix,
                                orient_colliders, propagate_orientations,
                                run_c2p)
-from causaltext.errors import PdagError
+from causaltext.errors import ConsistencyError, PdagError
+from causaltext.fixtures import FIVE_VAR_HYPOTHESIS, FIVE_VAR_PREMISE
 from causaltext.graphs import enumerate_dags, mec_index, skeleton, v_structures
 from causaltext.matrix import AdjMatrix
+from causaltext.pipeline import solve_text
 from causaltext.relations import (RelationSet, relation_set, relation_table,
                                   relations_from_dag)
 from causaltext.variables import VariableTable
@@ -311,7 +316,11 @@ def relation_sets(draw):
                 if rest:
                     size = draw(st.integers(min_value=1, max_value=len(rest)))
                     cond.add(((i, j), frozenset(draw(st.permutations(rest))[:size])))
-    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond))
+    rank = draw(st.permutations(range(n)))  # declared causes follow it, so stay acyclic
+    causes = {(i, j) if rank[i] < rank[j] else (j, i)
+              for i, j in combinations(range(n), 2) if draw(st.booleans())}
+    return RelationSet(table, frozenset(deps), frozenset(uncond), frozenset(cond),
+                       frozenset(causes))
 
 
 class TestProperties:
@@ -324,3 +333,76 @@ class TestProperties:
         assert counts == sorted(counts, reverse=True)
         assert apply_unconditional(trace.step_4, rels) == trace.step_4
         assert apply_conditional(trace.step_5, rels) == trace.step_5
+
+
+def composed_steps(rels, propagate):
+    """Steps 3 to 9 as the public step functions compute them one call at a time."""
+    m3 = initial_matrix(rels.vars, rels.declared_causes)
+    m4 = apply_unconditional(m3, rels)
+    m5 = apply_conditional(m4, rels)
+    cands = candidate_pairs(m5)
+    kept = filter_collider_pairs(cands, rels)
+    m8 = orient_colliders(m5, kept)
+    m9 = propagate_orientations(m8) if propagate else m8
+    return {"step_3": m3, "step_4": m4, "step_5": m5, "step_6": cands,
+            "step_7": kept, "step_8": m8, "step_9": m9}
+
+
+def assert_fused_pass_matches_steps(rels):
+    for propagate in (False, True):
+        try:
+            steps = composed_steps(rels, propagate)
+        except PdagError as err:
+            with pytest.raises(PdagError, match=f"^{re.escape(str(err))}$"):
+                run_c2p(rels, propagate)
+            continue
+        trace = run_c2p(rels, propagate)
+        for key, value in steps.items():
+            assert getattr(trace, key) == value, (key, propagate, rels)
+        expected = json.dumps({key: value.to_mapping() for key, value in steps.items()})
+        assert json.dumps(trace.as_dict()) == expected
+
+
+def n3_premises():
+    """Every n=3 relation set whose pairs are each dependent, independent,
+    independent given the third variable or unstated, crossed with every
+    orientation of declared causes; the sets ``RelationSet`` rejects as
+    cyclic are skipped."""
+    table = VariableTable.letters(3)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for kinds in product(("dep", "uncond", "cond", "none"), repeat=3):
+        stated = {kind: {p for p, k in zip(pairs, kinds) if k == kind}
+                  for kind in ("dep", "uncond", "cond")}
+        cond = {(p, frozenset({3 - sum(p)})) for p in stated["cond"]}
+        for ways in product((None, "forward", "backward"), repeat=3):
+            declared = {p if w == "forward" else p[::-1]
+                        for p, w in zip(pairs, ways) if w is not None}
+            try:
+                yield RelationSet(table, stated["dep"], stated["uncond"], cond, declared)
+            except ConsistencyError:
+                continue
+
+
+class TestFusedPass:
+    def test_every_n3_premise_with_declared_causes(self):
+        premises = list(n3_premises())
+        assert len(premises) == 1600  # 1,728 drawn, 128 with a cyclic declared relation
+        for rels in premises:
+            assert_fused_pass_matches_steps(rels)
+
+    @given(relation_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_relation_sets(self, rels):
+        assert_fused_pass_matches_steps(rels)
+
+    def test_steps_built_only_when_read(self, monkeypatch):
+        expected = solve_text(FIVE_VAR_PREMISE, FIVE_VAR_HYPOTHESIS).verdict
+
+        def refuse(matrix):
+            raise RuntimeError("step 6 was built")
+
+        monkeypatch.setattr(engine, "candidate_pairs", refuse)
+        result = solve_text(FIVE_VAR_PREMISE, FIVE_VAR_HYPOTHESIS)
+        assert result.verdict == expected
+        with pytest.raises(RuntimeError, match="step 6 was built"):
+            result.report()

@@ -521,6 +521,14 @@ class TestExtensions:
         with pytest.raises(PdagError):
             dag_extensions(m)
 
+    def test_cycle_rejected_before_node_count(self):
+        # a 7-node matrix fails both checks: the cycle is reported first
+        cells = [[0] * 7 for _ in range(7)]
+        cells[0][1] = cells[1][2] = cells[2][0] = 1
+        m = AdjMatrix(VariableTable("ABCDEFG"), cells)
+        with pytest.raises(PdagError, match="^directed edges of the matrix contain a cycle$"):
+            dag_extensions(m)
+
     def test_inconsistent_matrix_has_no_extension(self):
         # A -> B, B - C undirected, D -> C: either orientation of B - C
         # creates a collider the matrix does not declare

@@ -673,7 +673,9 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def http_stub():
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll lets shutdown() return at once instead of after 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
