@@ -12,6 +12,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 from itertools import islice
+from typing import Iterator
 
 from .dataset import (balanced_generate, dataset_digest, generate,
                       read_samples, write_samples)
@@ -315,21 +316,23 @@ def cmd_eval(args) -> int:
     def run(sample):
         return run_pipeline(sample, backend, args.mode)
 
-    records = []
-    with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-        # one worker thread would only contend with the record writes for
-        # the GIL, so --parallel 1 runs the samples on this thread
-        done = pool.map(run, samples) if args.parallel > 1 else map(run, samples)
-        for rec in done:
-            _write_record(records_dir, rec)
-            records.append(rec)
-    report = score(records)
+    def written():
+        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+            # one worker thread would only contend with the record writes for
+            # the GIL, so --parallel 1 runs the samples on this thread
+            done = pool.map(run, samples) if args.parallel > 1 else map(run, samples)
+            for rec in done:
+                _write_record(records_dir, rec)
+                yield rec
+
+    # each record is scored as it is written, and none is kept
+    report = score(written())
     manifest = {
         "version": _version(),
         "config_digest": config.digest() if config else None,
         "dataset_digest": dataset_digest(args.dataset),
         "mode": args.mode,
-        "n_records": len(records),
+        "n_records": report.n_records,
     }
     write_text_atomic(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2))
     write_text_atomic(os.path.join(args.out, "metrics.json"),
@@ -344,20 +347,22 @@ def _write_record(records_dir: str, rec: EvalRecord) -> None:
                       json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
 
 
-def _read_records(records_dir: str) -> list[EvalRecord]:
+def _read_records(records_dir: str) -> Iterator[EvalRecord]:
+    """The records of a directory in name order, each read as it is asked for."""
     if not os.path.isdir(records_dir):
         raise UsageError(f"records directory not found: {records_dir}")
     names = sorted(f for f in os.listdir(records_dir) if f.endswith(".json"))
-    records = []
-    for name in names:
-        try:
-            with open(os.path.join(records_dir, name), encoding="utf-8") as fh:
-                records.append(EvalRecord.from_dict(json.load(fh)))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise UsageError(f"malformed record {name}: {exc}") from None
-    if not records:
+    if not names:
         raise UsageError(f"no records in {records_dir}")
-    return records
+    return (_read_record(records_dir, name) for name in names)
+
+
+def _read_record(records_dir: str, name: str) -> EvalRecord:
+    try:
+        with open(os.path.join(records_dir, name), encoding="utf-8") as fh:
+            return EvalRecord.from_dict(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"malformed record {name}: {exc}") from None
 
 
 def _emit_report(report: ScoreReport, fmt: str, group_by) -> None:

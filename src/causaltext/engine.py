@@ -8,8 +8,9 @@ encode orientation. An optional propagation pass orients further edges.
 Every step is a pure function, and the harness grades replies against them
 one step at a time. ``run_c2p`` runs their row-mask kernels in one pass,
 reading the step-7 colliders straight off the step-5 rows without listing
-the step-6 candidates; its :class:`EngineTrace` builds each step's matrix
-or candidate list on its first read.
+the step-6 candidates; it builds the final matrix, and its
+:class:`EngineTrace` builds every other step's matrix or candidate list on
+its first read.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class ColliderCandidates:
     rows: dict[int, tuple[Pair, ...]]
 
     def to_mapping(self) -> dict[str, list[list[str]]]:
-        lab = self.vars.label
-        return {lab(r): [[lab(a), lab(b)] for a, b in pairs]
+        names = self.vars.names
+        return {names[r]: [[names[a], names[b]] for a, b in pairs]
                 for r, pairs in sorted(self.rows.items())}
 
     @classmethod
@@ -41,7 +42,7 @@ class ColliderCandidates:
                      vars: VariableTable) -> "ColliderCandidates":
         """Inverse of :meth:`to_mapping`."""
         idx = vars.index
-        return cls(vars, {idx(r): tuple((idx(a), idx(b)) for a, b in pairs)
+        return cls(vars, {idx(r): tuple([(idx(a), idx(b)) for a, b in pairs])
                           for r, pairs in mapping.items()})
 
 
@@ -168,8 +169,9 @@ class EngineTrace:
     and the collider pairs step 7 kept, keyed by row. Each ``step_*`` value
     is built on its first read and kept: the matrices through
     ``AdjMatrix._from_rows``, so their width and diagonal are checked, and
-    ``step_6`` as ``candidate_pairs(step_5)``. A caller that reads only
-    ``final`` builds one matrix.
+    ``step_6`` as ``candidate_pairs(step_5)``. ``run_c2p`` builds ``final``
+    before it returns, so a caller that reads only ``final`` builds nothing
+    more.
 
     ``step_9`` holds the matrix the reasoning question is answered from; it
     equals ``step_8`` unless propagation ran.
@@ -234,7 +236,9 @@ def run_c2p(rels: RelationSet, propagate: bool = False) -> EngineTrace:
     r8 = _oriented(r5, kept)
     r9 = (propagate_orientations(AdjMatrix._from_rows(rels.vars, r8)).rows
           if propagate else r8)
-    return EngineTrace(rels.vars, {3: r3, 4: r4, 5: r5, 8: r8, 9: r9}, kept)
+    trace = EngineTrace(rels.vars, {3: r3, 4: r4, 5: r5, 8: r8, 9: r9}, kept)
+    trace.final  # every caller reads it, so this pass builds it
+    return trace
 
 
 # ---------------------------------------------------------------------------

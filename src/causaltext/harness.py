@@ -20,7 +20,7 @@ import urllib.error
 import urllib.request
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 from urllib.parse import urlparse
 
 from .engine import (ColliderCandidates, apply_conditional,
@@ -274,8 +274,12 @@ class MockBackend:
 
     The reply is computed from the prompt text alone: ``read_prompt`` reads
     back the premise, matrices and lists its sections state, so the full
-    render/transport/parse path is exercised without any network. Steps 1,
-    2 and 9 of one sample share one parse of its premise.
+    render/transport/parse path is exercised without any network. Each
+    prompt is decoded once: its sections are cut after the step instruction
+    and each section's JSON is loaded once; a matrix goes row by row
+    straight into bitmasks (``AdjMatrix.from_mapping``) and a relation list
+    into checked index pairs (``RelationSet.from_dict``). Steps 1, 2 and 9
+    of one sample share one parse of its premise.
     """
 
     def __init__(self):
@@ -392,12 +396,22 @@ def _json_blocks(text: str):
                 yield text[start:i + 1]
 
 
+def _quote_keys(block: str) -> str:
+    return _QUOTE_KEYS_RE.sub(r'\1"\2"\3', block)
+
+
+# the readings of a block, in the order they are tried: as it stands, with
+# its bare keys quoted, then with single quotes made double as well; each is
+# built only once the one before it has failed to load
+_READINGS = (str, _quote_keys, lambda block: _quote_keys(block.replace("'", '"')))
+
+
 def _tolerant_loads(block: str):
-    for candidate in (block,
-                      _QUOTE_KEYS_RE.sub(r'\1"\2"\3', block),
-                      _QUOTE_KEYS_RE.sub(r'\1"\2"\3', block.replace("'", '"'))):
-        with suppress(ValueError):  # json.JSONDecodeError is a ValueError
-            return json.loads(candidate)
+    for reading in _READINGS:
+        try:
+            return json.loads(reading(block))
+        except ValueError:  # json.JSONDecodeError is a ValueError
+            pass
     return None
 
 
@@ -545,6 +559,12 @@ _STEP_READERS = {
 def parse_step_output(step: int, text: str) -> ParsedStep:
     """Pull the structured value for one step out of possibly chatty text.
 
+    The reply is read once: each balanced ``{...}`` block is loaded as JSON
+    as it stands, and only a block that fails to load is repaired, first by
+    quoting its bare keys, then by also making single quotes double. The
+    step's shape reader takes the first object that fits, before the
+    brace-less row forms and the prose readers are tried.
+
     Never raises; a missing or malformed object comes back as a parse
     failure on the result.
     """
@@ -624,9 +644,11 @@ def _match_step(step: int, parsed, ref) -> bool:
         return parsed["count"] == ref["count"] and set(parsed["names"]) == set(ref["names"])
     if step == 9:
         return binary_answer(parsed["answer"]) == binary_answer(ref["answer"])
+    if parsed == ref:  # equal values read alike, so only unequal ones are read
+        return True
     shape = _STEP_READERS[step][0]
-    if step != 2:  # equal values read alike, so only unequal ones are read
-        return parsed == ref or shape(parsed) == shape(ref)
+    if step != 2:
+        return shape(parsed) == shape(ref)
     got, want = shape(parsed), shape(ref)
     # causes are (cause, effect) pairs in any list order, and a conditional
     # independence read without its conditioning set matches any set
@@ -694,9 +716,10 @@ def run_pipeline(sample, backend, mode: str = MODE_STEP_BY_STEP) -> EvalRecord:
 
     if mode == MODE_STEP_BY_STEP:
         prior: dict[int, object] = {}
+        shown: dict = {}  # the JSON text of each prior output, written once
         for step in range(1, 10):
             try:
-                prompt = render_prompt(step, ctx, prior)
+                prompt = render_prompt(step, ctx, prior, shown)
             except Exception as exc:
                 error = f"step {step}: {exc}"
                 break
@@ -787,25 +810,22 @@ class Metrics:
         }
 
 
-def metrics_from_records(records: Sequence[EvalRecord]) -> Metrics:
-    tp = fp = tn = fn = 0
+def _confusion_cell(r: EvalRecord) -> int:
+    """Where a record falls in ``Metrics``' field order: tp, fp, tn, fn."""
+    predicted = binary_answer(r.verdict) if r.verdict is not None else None
+    if predicted is None:
+        # unanswered counts against the run, never for it
+        return 3 if r.label == YES else 1
+    if predicted == YES:
+        return 0 if r.label == YES else 1
+    return 2 if r.label == NO else 3
+
+
+def metrics_from_records(records: Iterable[EvalRecord]) -> Metrics:
+    counts = [0, 0, 0, 0]
     for r in records:
-        predicted = binary_answer(r.verdict) if r.verdict is not None else None
-        if predicted is None:
-            # unanswered counts against the run, never for it
-            if r.label == YES:
-                fn += 1
-            else:
-                fp += 1
-        elif predicted == YES and r.label == YES:
-            tp += 1
-        elif predicted == YES:
-            fp += 1
-        elif r.label == NO:
-            tn += 1
-        else:
-            fn += 1
-    return Metrics(tp, fp, tn, fn)
+        counts[_confusion_cell(r)] += 1
+    return Metrics(*counts)
 
 
 STEP_TO_SUBTASK = {1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4, 7: 4, 8: 4, 9: 5}
@@ -836,13 +856,31 @@ class ScoreReport:
         }
 
 
-def _step_table(records: Sequence[EvalRecord]) -> dict[str, float]:
-    keys = sorted({k for r in records for k in r.steps}, key=lambda s: int(s.split("_")[1]))
-    return {k: sum(1 for r in records if r.steps.get(k) and r.steps[k].match) / len(records)
-            for k in keys}
+# the step keys of each subtask, in subtask order
+_SUBTASK_STEPS = {t: tuple(f"step_{s}" for s, u in STEP_TO_SUBTASK.items() if u == t)
+                  for t in sorted(set(STEP_TO_SUBTASK.values()))}
 
 
-def score(records: Sequence[EvalRecord]) -> ScoreReport:
+class _Tally:
+    """Running counts over one group of graded records."""
+
+    def __init__(self):
+        self.records = 0
+        self.confusion = [0, 0, 0, 0]
+        self.matches: dict[str, int] = {}  # every step key a record holds
+
+    def add(self, r: EvalRecord) -> None:
+        self.records += 1
+        self.confusion[_confusion_cell(r)] += 1
+        for key, step in r.steps.items():
+            self.matches[key] = self.matches.get(key, 0) + (1 if step.match else 0)
+
+    def step_table(self) -> dict[str, float]:
+        keys = sorted(self.matches, key=lambda s: int(s.split("_")[1]))
+        return {k: self.matches[k] / self.records for k in keys}
+
+
+def score(records: Iterable[EvalRecord]) -> ScoreReport:
     """Aggregate binary metrics plus per-step and per-subtask accuracy.
 
     The parse-failure rate counts records with an unparseable step output;
@@ -850,35 +888,42 @@ def score(records: Sequence[EvalRecord]) -> ScoreReport:
     whose error starts with ``reference:`` holds a sample the engine could
     not solve, so nothing in it was graded: it is counted as a reference
     error and left out of every other figure.
+
+    ``records`` is read once, keeping running counts only, so a run can be
+    scored while it writes its records.
     """
-    everything = list(records)
-    if not everything:
-        raise UsageError("no evaluation records to score")
-    records = [r for r in everything if not (r.error or "").startswith(REFERENCE_ERROR)]
-    by_n: dict[int, Metrics] = {}
-    step_by_n: dict[int, dict[str, float]] = {}
-    for n in sorted({r.n_vars for r in records}):
-        subset = [r for r in records if r.n_vars == n]
-        by_n[n] = metrics_from_records(subset)
-        step_by_n[n] = _step_table(subset)
-    steps = _step_table(records)
-    subtasks: dict[int, float] = {}
-    for subtask in sorted(set(STEP_TO_SUBTASK.values())):
-        members = [f"step_{s}" for s, t in STEP_TO_SUBTASK.items() if t == subtask]
-        present = [k for k in members if k in steps]
-        if not present:
+    n_records = failures = 0
+    overall, by_n = _Tally(), {}
+    # per subtask, how many graded records matched each set of its steps
+    matched_sets: dict[int, dict[frozenset, int]] = {t: {} for t in _SUBTASK_STEPS}
+    for r in records:
+        n_records += 1
+        if (r.error or "").startswith(REFERENCE_ERROR):
             continue
-        hits = sum(1 for r in records
-                   if all(r.steps.get(k) and r.steps[k].match for k in present))
-        subtasks[subtask] = hits / len(records)
-    failures = sum(1 for r in records if r.parse_failures)
+        overall.add(r)
+        by_n.setdefault(r.n_vars, _Tally()).add(r)
+        failures += 1 if r.parse_failures else 0
+        for subtask, members in _SUBTASK_STEPS.items():
+            matched = frozenset(k for k in members if r.steps.get(k) and r.steps[k].match)
+            counts = matched_sets[subtask]
+            counts[matched] = counts.get(matched, 0) + 1
+    if not n_records:
+        raise UsageError("no evaluation records to score")
+    graded = overall.records
+    subtasks: dict[int, float] = {}
+    for subtask, members in _SUBTASK_STEPS.items():
+        present = [k for k in members if k in overall.matches]
+        if present:
+            hits = sum(count for matched, count in matched_sets[subtask].items()
+                       if matched.issuperset(present))
+            subtasks[subtask] = hits / graded
     return ScoreReport(
-        overall=metrics_from_records(records),
-        by_n_vars=by_n,
-        step_accuracy=steps,
+        overall=Metrics(*overall.confusion),
+        by_n_vars={n: Metrics(*by_n[n].confusion) for n in sorted(by_n)},
+        step_accuracy=overall.step_table(),
         subtask_accuracy=subtasks,
-        step_accuracy_by_n_vars=step_by_n,
-        parse_failure_rate=failures / len(records) if records else 0.0,
-        n_records=len(everything),
-        reference_errors=len(everything) - len(records),
+        step_accuracy_by_n_vars={n: by_n[n].step_table() for n in sorted(by_n)},
+        parse_failure_rate=failures / graded if graded else 0.0,
+        n_records=n_records,
+        reference_errors=n_records - graded,
     )

@@ -53,24 +53,39 @@ def is_acyclic(pa: Sequence[int]) -> bool:
     return True
 
 
+def _row_mask(i: int, row, keys: Sequence) -> int:
+    """Row ``i`` read into its bitmask in one pass: bit ``j`` is
+    ``int(row[keys[j]])``, which must be 0 or 1, and bit ``i`` must be 0."""
+    mask, bit = 0, 1
+    for key in keys:
+        v = int(row[key])
+        if v == 1:
+            mask |= bit
+        elif v:
+            raise PdagError(f"cell [{i}][{bit.bit_length() - 1}] must be 0 or 1, got {v}")
+        bit <<= 1
+    if mask >> i & 1:
+        raise PdagError(f"diagonal cell [{i}][{i}] must be 0")
+    return mask
+
+
 class AdjMatrix:
     """Immutable n-by-n 0/1 matrix bound to a variable table."""
 
     __slots__ = ("_vars", "_rows", "_cols")
 
     def __init__(self, vars: VariableTable, cells: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in cells)
         n = len(vars)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        rows = []
+        for i, row in enumerate(cells):
+            row = tuple(row)
+            if len(row) != n or i >= n:
+                raise PdagError(f"matrix must be {n}x{n} to match its variable table")
+            rows.append(_row_mask(i, row, range(n)))
+        if len(rows) != n:
             raise PdagError(f"matrix must be {n}x{n} to match its variable table")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise PdagError(f"cell [{i}][{j}] must be 0 or 1, got {v}")
-            if row[i] != 0:
-                raise PdagError(f"diagonal cell [{i}][{i}] must be 0")
         self._vars = vars
-        self._rows = tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+        self._rows = tuple(rows)
         self._cols = None
 
     @classmethod
@@ -82,19 +97,26 @@ class AdjMatrix:
         self._cols = None
         n = len(vars)
         full = (1 << n) - 1
-        if len(self._rows) != n or any(row & ~(full ^ 1 << i)
-                                       for i, row in enumerate(self._rows)):
+        bad = len(self._rows) != n
+        for i, row in enumerate(self._rows):
+            bad |= row & ~(full ^ 1 << i)
+        if bad:
             raise PdagError(f"matrix must be {n} rows of width {n} with a zero diagonal")
         return self
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Mapping[str, int]],
                      vars: VariableTable | None = None) -> "AdjMatrix":
-        """Build from a label-keyed dict of dicts, e.g. ``{"A": {"A": 0, "B": 1}, ...}``."""
+        """Build from a label-keyed dict of dicts, e.g. ``{"A": {"A": 0, "B": 1}, ...}``.
+
+        Each row is read straight into its bitmask, its cells and diagonal
+        checked as it is read; keys beyond the table's labels are ignored.
+        """
         if vars is None:
             vars = VariableTable(list(mapping))
-        cells = [[int(mapping[r][c]) for c in vars.names] for r in vars.names]
-        return cls(vars, cells)
+        names = vars.names
+        rows = [_row_mask(i, mapping[r], names) for i, r in enumerate(names)]
+        return cls._from_rows(vars, rows)
 
     @property
     def vars(self) -> VariableTable:
@@ -118,9 +140,17 @@ class AdjMatrix:
         return (self._rows[r] >> c) & 1
 
     def to_mapping(self) -> dict[str, dict[str, int]]:
+        # each row starts as a copy of the all-zero row; only its set bits are written
         names = self._vars.names
-        return {names[r]: {name: (row >> c) & 1 for c, name in enumerate(names)}
-                for r, row in enumerate(self._rows)}
+        zero = dict.fromkeys(names, 0)
+        out = {}
+        for name, row in zip(names, self._rows):
+            cells = out[name] = zero.copy()
+            while row:
+                low = row & -row
+                cells[names[low.bit_length() - 1]] = 1
+                row ^= low
+        return out
 
     def _columns(self) -> tuple[int, ...]:
         """Per node, the nodes whose row marks it 1; computed on first use."""

@@ -132,6 +132,14 @@ _STEP_SLOTS: dict[int, tuple[tuple[str, int | None, str | None], ...]] = {
         ("Hypothesis", None, "hypothesis")),
 }
 
+# every step instruction differs from the others within its first
+# _OPENING characters, so they name the only step a prompt can start with
+_OPENING = 60
+_STEP_BY_OPENING = {instruction[:_OPENING]: step
+                    for step, instruction in STEP_INSTRUCTIONS.items()}
+_FEW_SHOT_OPENING = FEW_SHOT_HEADER[:_OPENING]
+_COT_OPENING = COT_INSTRUCTION[:_OPENING]
+
 _SECTION_RE = re.compile(
     r"^(" + "|".join(re.escape(s) for s in _SECTION_ORDER) + r"):", re.M)
 
@@ -142,8 +150,14 @@ class PromptContext:
     hypothesis: str | None = None
 
 
-def render_prompt(step: int, ctx: PromptContext, prior: dict[int, object]) -> str:
-    """Deterministic prompt text for one step, slots filled from prior outputs."""
+def render_prompt(step: int, ctx: PromptContext, prior: dict[int, object],
+                  shown: dict | None = None) -> str:
+    """Deterministic prompt text for one step, slots filled from prior outputs.
+
+    ``shown``, when given, keeps the JSON text of each prior output a prompt
+    states, so the later prompts of one sample write each output once; it
+    must be dropped whenever ``prior`` changes an output it has shown.
+    """
     if step not in STEP_INSTRUCTIONS:
         raise TemplateError(f"unknown step {step}")
     parts = [STEP_INSTRUCTIONS[step]]
@@ -152,19 +166,24 @@ def render_prompt(step: int, ctx: PromptContext, prior: dict[int, object]) -> st
             value = getattr(ctx, key)
             if not value:
                 raise TemplateError(f"no {key} available")
+        elif shown is not None and (prior_step, key) in shown:
+            value = shown[prior_step, key]
         else:
             output = prior.get(prior_step)
             if output is None:
                 raise TemplateError(f"step {step} needs the step {prior_step} output")
             value = json.dumps(output if key is None else output.get(key, []))
+            if shown is not None:
+                shown[prior_step, key] = value
         parts.append(f"{section}:\n{value}")
     return "\n\n".join(parts)
 
 
-def split_sections(text: str, marker: re.Pattern = _SECTION_RE) -> Iterator[tuple[str, str]]:
-    """Cut ``text`` at each match of ``marker``: the match's first group, then
-    the stripped text up to the next match."""
-    hits = list(marker.finditer(text))
+def split_sections(text: str, marker: re.Pattern = _SECTION_RE,
+                   pos: int = 0) -> Iterator[tuple[str, str]]:
+    """Cut ``text`` at each match of ``marker`` from ``pos`` on: the match's
+    first group, then the stripped text up to the next match."""
+    hits = list(marker.finditer(text, pos))
     stops = [hit.start() for hit in hits[1:]] + [len(text)]
     for hit, stop in zip(hits, stops):
         yield hit.group(1), text[hit.end():stop].strip()
@@ -175,11 +194,11 @@ def read_prompt(text: str) -> tuple[int, PromptContext, dict[int, object]] | Non
     ``text``, its context and the prior outputs its sections state, or None
     for text that no step renders. A prior output the prompt shows only in
     part holds just the entries it shows."""
-    step = next((k for k, instruction in STEP_INSTRUCTIONS.items()
-                 if text.startswith(instruction)), None)
-    if step is None:
+    step = _STEP_BY_OPENING.get(text[:_OPENING])
+    if step is None or not text.startswith(STEP_INSTRUCTIONS[step]):
         return None
-    sections = dict(split_sections(text))
+    # the sections follow the instruction, which holds no section marker
+    sections = dict(split_sections(text, pos=len(STEP_INSTRUCTIONS[step])))
     fields: dict[str, str] = {}
     prior: dict[int, object] = {}
     try:
@@ -196,11 +215,11 @@ def read_prompt(text: str) -> tuple[int, PromptContext, dict[int, object]] | Non
 
 
 def is_few_shot_prompt(text: str) -> bool:
-    return text.startswith(FEW_SHOT_HEADER[:60])
+    return text.startswith(_FEW_SHOT_OPENING)
 
 
 def is_cot_prompt(text: str) -> bool:
-    return text.startswith(COT_INSTRUCTION[:60])
+    return text.startswith(_COT_OPENING)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,11 +18,16 @@ Pair = tuple[int, int]
 CondStatement = tuple[Pair, frozenset[int]]
 
 
-def _canon_pair(p: Iterable[int]) -> Pair:
-    a, b = p
+def _canon_pair(a: int, b: int, n: int) -> Pair:
+    """The pair ``(a, b)`` with the smaller index first, checked to join two
+    distinct variables among ``n``."""
     if a == b:
         raise ConsistencyError(f"a relation needs two distinct variables, got ({a}, {b})")
-    return (a, b) if a < b else (b, a)
+    if a > b:
+        a, b = b, a
+    if a < 0 or b >= n:
+        raise BoundsError(f"pair ({a}, {b}) out of range for {n} variables")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,52 +63,54 @@ class RelationSet:
         return hash(self._key())
 
     def __post_init__(self):
+        # one pass per field: each entry is canonicalised and checked as it is read
         n = len(self.vars)
-        object.__setattr__(self, "dependencies",
-                           frozenset(_canon_pair(p) for p in self.dependencies))
-        object.__setattr__(self, "uncond_indep",
-                           frozenset(_canon_pair(p) for p in self.uncond_indep))
-        object.__setattr__(self, "cond_indep",
-                           frozenset((_canon_pair(p), frozenset(c)) for p, c in self.cond_indep))
-        object.__setattr__(self, "declared_causes",
-                           frozenset((int(a), int(b)) for a, b in self.declared_causes))
-        for coll in (self.dependencies, self.uncond_indep, self.declared_causes):
-            for a, b in coll:
-                if not (0 <= a < n and 0 <= b < n):
-                    raise BoundsError(f"pair ({a}, {b}) out of range for {n} variables")
-        overlap = self.dependencies & self.uncond_indep
+        lab = self.vars.label
+        deps = frozenset([_canon_pair(a, b, n) for a, b in self.dependencies])
+        uncond = frozenset([_canon_pair(a, b, n) for a, b in self.uncond_indep])
+        overlap = deps & uncond
         if overlap:
-            names = ", ".join(f"{self.vars.label(a)}-{self.vars.label(b)}" for a, b in sorted(overlap))
+            names = ", ".join(f"{lab(a)}-{lab(b)}" for a, b in sorted(overlap))
             raise ConsistencyError(f"pair(s) listed both dependent and independent: {names}")
-        for (a, b), cond in self.cond_indep:
-            if not (0 <= a < n and 0 <= b < n):
-                raise BoundsError(f"pair ({a}, {b}) out of range for {n} variables")
-            if a in cond or b in cond:
-                raise ConsistencyError(
-                    f"conditioning set of {self.vars.label(a)}-{self.vars.label(b)} contains the pair")
-            for v in cond:
+        cond = []
+        for (a, b), given in self.cond_indep:
+            a, b = pair = _canon_pair(a, b, n)
+            given = frozenset(given)
+            if a in given or b in given:
+                raise ConsistencyError(f"conditioning set of {lab(a)}-{lab(b)} contains the pair")
+            for v in given:
                 if not 0 <= v < n:
                     raise BoundsError(f"conditioning index {v} out of range")
+            cond.append((pair, given))
+        causes = []
         pa = [0] * n
         for a, b in self.declared_causes:
+            a, b = int(a), int(b)
+            if not (0 <= a < n and 0 <= b < n):
+                raise BoundsError(f"pair ({a}, {b}) out of range for {n} variables")
             if a == b:
                 raise ConsistencyError("a variable cannot cause itself")
             pa[b] |= 1 << a
-        if not is_acyclic(pa):
+            causes.append((a, b))
+        if causes and not is_acyclic(pa):
             raise ConsistencyError("declared cause-effect relation is cyclic")
+        object.__setattr__(self, "dependencies", deps)
+        object.__setattr__(self, "uncond_indep", uncond)
+        object.__setattr__(self, "cond_indep", frozenset(cond))
+        object.__setattr__(self, "declared_causes", frozenset(causes))
 
     def as_dict(self) -> dict:
-        lab = self.vars.label
+        names = self.vars.names
+        cond = sorted((pair, tuple(sorted(given))) for pair, given in self.cond_indep)
         return {
-            "dependencies": [[lab(a), lab(b)] for a, b in sorted(self.dependencies)],
+            "dependencies": [[names[a], names[b]] for a, b in sorted(self.dependencies)],
             "unconditional_independencies":
-                [[lab(a), lab(b)] for a, b in sorted(self.uncond_indep)],
+                [[names[a], names[b]] for a, b in sorted(self.uncond_indep)],
             "conditional_independencies": [
-                {"pair": [lab(a), lab(b)], "given": [lab(v) for v in sorted(c)]}
-                for (a, b), c in sorted(self.cond_indep,
-                                        key=lambda e: (e[0], tuple(sorted(e[1]))))
+                {"pair": [names[a], names[b]], "given": [names[v] for v in given]}
+                for (a, b), given in cond
             ],
-            "declared_causes": [[lab(a), lab(b)] for a, b in sorted(self.declared_causes)],
+            "declared_causes": [[names[a], names[b]] for a, b in sorted(self.declared_causes)],
         }
 
     @classmethod
@@ -112,14 +119,12 @@ class RelationSet:
         idx = table.index
 
         def pairs(key):
-            return frozenset((idx(a), idx(b)) for a, b in data.get(key, ()))
+            return [(idx(a), idx(b)) for a, b in data.get(key, ())]
 
         return cls(table, pairs("dependencies"), pairs("unconditional_independencies"),
-                   frozenset(((idx(e["pair"][0]), idx(e["pair"][1])),
-                              frozenset(map(idx, e["given"])))
-                             for e in data.get("conditional_independencies", ())),
+                   [((idx(e["pair"][0]), idx(e["pair"][1])), frozenset(map(idx, e["given"])))
+                    for e in data.get("conditional_independencies", ())],
                    pairs("declared_causes"))
-
 
 TABLE_BLOCK = 256  # graphs tested together by relation_table
 

@@ -26,17 +26,18 @@ class VariableTable:
     __slots__ = ("_names", "_aliases", "_index", "_folded")
 
     def __init__(self, names: Iterable[str], aliases: Mapping[str, str] | None = None):
-        names = tuple(str(n) for n in names)
+        names = tuple(map(str, names))
         if not names:
             raise ConsistencyError("a variable table needs at least one label")
         for name in names:
             if not name or name != name.strip():
                 raise ConsistencyError(f"bad variable label: {name!r}")
-        if len(set(names)) != len(names):
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
             raise ConsistencyError(f"duplicate variable labels in {names}")
-        aliases = dict(aliases or {})
+        aliases = dict(aliases) if aliases else {}
         for label, long_name in aliases.items():
-            if label not in names:
+            if label not in index:
                 raise ConsistencyError(f"alias target {label!r} is not a declared label")
             if not long_name or not long_name.strip():
                 raise ConsistencyError(f"empty alias for {label!r}")
@@ -51,9 +52,17 @@ class VariableTable:
                         f"alias {long_name!r} for {label!r} collides with label {other!r}")
         self._names = names
         self._aliases = aliases
-        self._index = {n: i for i, n in enumerate(names)}
-        self._folded = {a.lower(): self._index[l] for l, a in aliases.items()}
-        self._folded.update((names[i].lower(), i) for i in reversed(range(len(names))))
+        self._index = index
+        self._folded = None  # built by the first mention that is not a label
+
+    def _fold(self) -> dict[str, int]:
+        """Every alias and label, case-folded, to its index: a label wins over
+        an alias, and the first of two labels that differ only in case wins."""
+        folded = {a.lower(): self._index[l] for l, a in self._aliases.items()}
+        names = self._names
+        folded.update((names[i].lower(), i) for i in reversed(range(len(names))))
+        self._folded = folded
+        return folded
 
     @classmethod
     def letters(cls, n: int) -> "VariableTable":
@@ -73,9 +82,11 @@ class VariableTable:
     def index(self, mention: str) -> int:
         """Resolve a label or alias to its index."""
         mention = mention.strip()
-        i = self._index.get(mention, self._folded.get(mention.lower()))
+        i = self._index.get(mention)
         if i is None:
-            raise UnknownVariableError(f"unknown variable mention: {mention!r}")
+            i = (self._folded or self._fold()).get(mention.lower())
+            if i is None:
+                raise UnknownVariableError(f"unknown variable mention: {mention!r}")
         return i
 
     def label(self, i: int) -> str:

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import threading
+import weakref
 from dataclasses import replace
 from functools import partial
 from itertools import islice
@@ -628,6 +629,31 @@ class TestEvalAndScore:
         code, scored, _ = run_cli(capsys, "score", "--records", str(out_dir),
                                   "--format", "json")
         assert code == 0 and json.loads(scored) == json.loads(out)
+
+    def test_eval_scores_records_as_written(self, tmp_path, dataset, capsys, monkeypatch):
+        # each record is scored once written and then dropped: none is kept
+        # until the run ends
+        alive, real = [], cli.run_pipeline
+
+        def tracked(*args):
+            record = real(*args)
+            alive.append(weakref.ref(record))
+            return record
+
+        peak = []
+        real_write = cli._write_record
+
+        def write(records_dir, rec):
+            peak.append(sum(ref() is not None for ref in alive))
+            real_write(records_dir, rec)
+
+        monkeypatch.setattr(cli, "run_pipeline", tracked)
+        monkeypatch.setattr(cli, "_write_record", write)
+        code, out, _ = run_cli(capsys, "eval", "--dataset", str(dataset), "--backend",
+                               "mock", "--out", str(tmp_path / "run"), "--format", "json")
+        assert code == 0 and json.loads(out)["n_records"] == len(alive) == 8
+        # the record being written and the one scored before it
+        assert max(peak) <= 2
 
     def test_score_from_records(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from causaltext.errors import (ConsistencyError, PdagError,
+from causaltext.errors import (BoundsError, ConsistencyError, PdagError,
                                UnknownVariableError)
 from causaltext.matrix import AdjMatrix
 from causaltext.relations import RelationSet
@@ -145,6 +145,138 @@ class TestAdjMatrix:
         ok = AdjMatrix(VariableTable.letters(3),
                        [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         ok.validate_pdag()
+
+
+# single-defect inputs and the exception each raises, pinned as the readers
+# raised them before they became one pass over each row or field
+T3 = VariableTable.letters(3)
+GOOD_CELLS = ((0, 1, 1), (1, 0, 1), (0, 0, 0))
+
+
+def with_cell(r, c, v):
+    return [[v if (i, j) == (r, c) else x for j, x in enumerate(row)]
+            for i, row in enumerate(GOOD_CELLS)]
+
+
+def as_mapping(cells, drop=None):
+    mapping = {T3.label(r): {T3.label(c): v for c, v in enumerate(row)}
+               for r, row in enumerate(cells)}
+    if drop:
+        del mapping[drop[0]][drop[1]]
+    return mapping
+
+
+NOT_SQUARE = "matrix must be 3x3 to match its variable table"
+MATRIX_DEFECTS = {
+    "value 2": (with_cell(1, 2, 2), None, PdagError, "cell [1][2] must be 0 or 1, got 2"),
+    "value x": (with_cell(1, 2, "x"), None, ValueError,
+                "invalid literal for int() with base 10: 'x'"),
+    "diagonal 1": (with_cell(2, 2, 1), None, PdagError, "diagonal cell [2][2] must be 0"),
+    "missing column": (GOOD_CELLS, ("B", "C"), KeyError, "'C'"),
+}
+CELL_DEFECTS = {
+    "short row": ([[0, 1, 1], [1, 0], [0, 0, 0]], PdagError, NOT_SQUARE),
+    "long row": ([[0, 1, 1], [1, 0, 1, 0], [0, 0, 0]], PdagError, NOT_SQUARE),
+    "missing row": (GOOD_CELLS[:2], PdagError, NOT_SQUARE),
+    "extra row": ([*GOOD_CELLS, (0, 0, 0)], PdagError, NOT_SQUARE),
+}
+RELATION_DEFECTS = {
+    "self pair": (dict(dependencies={(1, 1)}), ConsistencyError,
+                  "a relation needs two distinct variables, got (1, 1)"),
+    "self independence": (dict(uncond_indep={(2, 2)}), ConsistencyError,
+                          "a relation needs two distinct variables, got (2, 2)"),
+    "self conditional": (dict(cond_indep={((0, 0), frozenset({2}))}), ConsistencyError,
+                         "a relation needs two distinct variables, got (0, 0)"),
+    "self cause": (dict(declared_causes={(1, 1)}), ConsistencyError,
+                   "a variable cannot cause itself"),
+    "index out of range": (dict(dependencies={(0, 5)}), BoundsError,
+                           "pair (0, 5) out of range for 3 variables"),
+    "independence out of range": (dict(uncond_indep={(3, 1)}), BoundsError,
+                                  "pair (1, 3) out of range for 3 variables"),
+    "negative index": (dict(dependencies={(-1, 1)}), BoundsError,
+                       "pair (-1, 1) out of range for 3 variables"),
+    "conditional out of range": (dict(cond_indep={((0, 4), frozenset({1}))}), BoundsError,
+                                 "pair (0, 4) out of range for 3 variables"),
+    "conditioning index out of range": (dict(cond_indep={((0, 1), frozenset({7}))}),
+                                        BoundsError, "conditioning index 7 out of range"),
+    "cause out of range": (dict(declared_causes={(0, 3)}), BoundsError,
+                           "pair (0, 3) out of range for 3 variables"),
+    "dependent and independent": (dict(dependencies={(0, 1)}, uncond_indep={(1, 0)}),
+                                  ConsistencyError,
+                                  "pair(s) listed both dependent and independent: A-B"),
+    "conditioning set holds its pair": (dict(cond_indep={((0, 1), frozenset({1, 2}))}),
+                                        ConsistencyError,
+                                        "conditioning set of A-B contains the pair"),
+    "cyclic cause": (dict(declared_causes={(0, 1), (1, 2), (2, 0)}), ConsistencyError,
+                     "declared cause-effect relation is cyclic"),
+}
+DICT_DEFECTS = {
+    "self pair": (dict(dependencies=[["B", "B"]]), ConsistencyError,
+                  "a relation needs two distinct variables, got (1, 1)"),
+    "self conditional": (dict(conditional_independencies=[{"pair": ["A", "A"],
+                                                           "given": ["C"]}]),
+                         ConsistencyError, "a relation needs two distinct variables, got (0, 0)"),
+    "self cause": (dict(declared_causes=[["B", "B"]]), ConsistencyError,
+                   "a variable cannot cause itself"),
+    "unknown label": (dict(dependencies=[["A", "Q"]]), UnknownVariableError,
+                      "unknown variable mention: 'Q'"),
+    "unknown conditioning label": (dict(conditional_independencies=[{"pair": ["A", "B"],
+                                                                     "given": ["Z"]}]),
+                                   UnknownVariableError, "unknown variable mention: 'Z'"),
+    "dependent and independent": (dict(dependencies=[["A", "B"]],
+                                       unconditional_independencies=[["B", "A"]]),
+                                  ConsistencyError,
+                                  "pair(s) listed both dependent and independent: A-B"),
+    "conditioning set holds its pair": (dict(conditional_independencies=[
+        {"pair": ["A", "B"], "given": ["B", "C"]}]), ConsistencyError,
+        "conditioning set of A-B contains the pair"),
+    "cyclic cause": (dict(declared_causes=[["A", "B"], ["B", "C"], ["C", "A"]]),
+                     ConsistencyError, "declared cause-effect relation is cyclic"),
+    "three ends": (dict(dependencies=[["A", "B", "C"]]), ValueError,
+                   "too many values to unpack (expected 2)"),
+}
+
+
+def assert_raises_exactly(build, error, message):
+    with pytest.raises(Exception) as caught:
+        build()
+    assert (caught.type, str(caught.value)) == (error, message)
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize("defect", MATRIX_DEFECTS)
+    @pytest.mark.parametrize("vars", [None, T3], ids=["own-table", "given-table"])
+    def test_from_mapping(self, defect, vars):
+        cells, drop, error, message = MATRIX_DEFECTS[defect]
+        assert_raises_exactly(lambda: AdjMatrix.from_mapping(as_mapping(cells, drop), vars),
+                              error, message)
+
+    @pytest.mark.parametrize("defect", [d for d in MATRIX_DEFECTS if d != "missing column"])
+    def test_cells(self, defect):
+        cells, _, error, message = MATRIX_DEFECTS[defect]
+        assert_raises_exactly(lambda: AdjMatrix(T3, cells), error, message)
+
+    @pytest.mark.parametrize("defect", CELL_DEFECTS)
+    def test_cells_not_square(self, defect):
+        cells, error, message = CELL_DEFECTS[defect]
+        assert_raises_exactly(lambda: AdjMatrix(T3, cells), error, message)
+
+    def test_mapping_rows_missing_or_extra(self):
+        short = as_mapping(GOOD_CELLS)
+        del short["C"]
+        assert_raises_exactly(lambda: AdjMatrix.from_mapping(short, T3), KeyError, "'C'")
+        # a table read off the row keys ignores the columns beyond it
+        assert AdjMatrix.from_mapping(short).cells == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("defect", RELATION_DEFECTS)
+    def test_relation_set(self, defect):
+        fields, error, message = RELATION_DEFECTS[defect]
+        assert_raises_exactly(lambda: RelationSet(T3, **fields), error, message)
+
+    @pytest.mark.parametrize("defect", DICT_DEFECTS)
+    def test_relation_dict(self, defect):
+        data, error, message = DICT_DEFECTS[defect]
+        assert_raises_exactly(lambda: RelationSet.from_dict(T3, data), error, message)
 
 
 class TestRelationSet:

@@ -406,3 +406,17 @@ class TestFusedPass:
         assert result.verdict == expected
         with pytest.raises(RuntimeError, match="step 6 was built"):
             result.report()
+
+    @pytest.mark.parametrize("propagate", [False, True])
+    def test_final_built_by_the_pass(self, monkeypatch, propagate):
+        # the final matrix is built inside run_c2p, so a caller that reads
+        # only ``final`` builds no matrix of its own
+        trace = engine.run_c2p(solve_text(FIVE_VAR_PREMISE).doc.relations, propagate)
+
+        def refuse(*args):
+            raise RuntimeError("a matrix was built after run_c2p returned")
+
+        monkeypatch.setattr(AdjMatrix, "_from_rows", refuse)
+        assert trace.final.rows == trace.rows[9]
+        with pytest.raises(RuntimeError, match="after run_c2p returned"):
+            trace.step_3

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
@@ -117,6 +118,36 @@ class TestParseStepOutput:
     def test_prose_fails_gracefully(self):
         parsed = parse_step_output(4, "I am not sure how to do this.")
         assert parsed.value is None and parsed.error
+
+    MATRIX = {"A": {"A": 0, "B": 1}, "B": {"A": 1, "B": 0}}
+
+    @pytest.mark.parametrize("text, repairs", [
+        ('Here it is: {"A": {"A": 0, "B": 1}, "B": {"A": 1, "B": 0}}', 0),
+        ("Here it is: {A: {A: 0, B: 1}, B: {A: 1, B: 0}}", 1),
+        ("Here it is: {'A': {'A': 0, 'B': 1}, 'B': {'A': 1, 'B': 0}}", 2),
+    ], ids=["strict", "bare-keys", "single-quoted"])
+    def test_repairs_only_after_a_failed_load(self, monkeypatch, text, repairs):
+        # a block is repaired only once the reading before it fails, so a
+        # strict-JSON reply never reaches the key-quoting pattern
+        calls, pattern = [], harness._QUOTE_KEYS_RE
+
+        class Counting:
+            def sub(self, repl, block):
+                calls.append(block)
+                return pattern.sub(repl, block)
+
+        monkeypatch.setattr(harness, "_QUOTE_KEYS_RE", Counting())
+        parsed = parse_step_output(3, text)
+        assert parsed.value == self.MATRIX and parsed.error is None
+        assert len(calls) == repairs
+
+    def test_single_quoted_and_bare_key_replies_parse(self):
+        for text in ("{'number of random variables': 3, "
+                     "'names of random variables': ['A', 'B', 'C']}",
+                     '{number of random variables: 3, '
+                     'names of random variables: ["A", "B", "C"]}'):
+            assert parse_step_output(1, text).value == {"count": 3, "names": ["A", "B", "C"]}
+        assert parse_step_output(7, "{C: [['A', 'B']]}").value == {"C": [["A", "B"]]}
 
     @given(st.text(max_size=400))
     @settings(max_examples=150, deadline=None)
@@ -356,6 +387,16 @@ class TestPromptReader:
                     want_prior.setdefault(k, {})[key] = prior[k][key]
                 got = read_prompt(render_prompt(step, ctx, prior))
                 assert got == (step, want_ctx, want_prior)
+
+    def test_shown_outputs_render_the_same_text(self, class_samples, class_reports):
+        for sample, report in zip(class_samples, class_reports):
+            ctx = PromptContext(sample.premise, sample.hypothesis_text)
+            prior = {k: report[f"step_{k}"] for k in range(1, 9)}
+            shown = {}
+            for step in range(1, 10):
+                assert (render_prompt(step, ctx, prior, shown)
+                        == render_prompt(step, ctx, prior))
+            assert shown[5, None] == json.dumps(prior[5])
 
     def test_text_no_step_renders_reads_as_none(self, class_reports):
         prior = {k: class_reports[-1][f"step_{k}"] for k in range(1, 9)}
@@ -864,8 +905,26 @@ class TestMetrics:
         assert report.by_n_vars[4].recall == 0.0 and not report.by_n_vars[4].degenerate_recall
 
     def test_score_requires_records(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="no evaluation records to score"):
             score([])
+        with pytest.raises(UsageError, match="no evaluation records to score"):
+            score(iter(()))
+
+    def test_score_reads_records_once_and_keeps_none(self, balanced_n3):
+        # each record is dropped once the next is read, so a run can be
+        # scored as it writes its records
+        backend, alive = MockBackend(), []
+
+        def records():
+            for sample in balanced_n3:
+                assert sum(ref() is not None for ref in alive) <= 1
+                record = run_pipeline(sample, backend)
+                alive.append(weakref.ref(record))
+                yield record
+
+        streamed = score(records()).as_dict()
+        assert streamed == score([run_pipeline(s, backend) for s in balanced_n3]).as_dict()
+        assert streamed["n_records"] == len(balanced_n3) == len(alive)
 
     def test_only_reference_errors_score_without_dividing_by_zero(self):
         records = [EvalRecord(f"s{k}", 4, "Yes", "cause", MODE_STEP_BY_STEP, {},
