@@ -9,8 +9,8 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from importlib import metadata
 from itertools import islice
 from typing import Iterator
 
@@ -37,10 +37,21 @@ log = logging.getLogger("causaltext")
 
 
 def _version() -> str:
+    # importlib.metadata scans sys.path and imports email: only paid when asked
+    from importlib import metadata
+
     try:
         return metadata.version("causaltext")
     except metadata.PackageNotFoundError:
         return "0.0.0+local"
+
+
+class _Version(argparse._VersionAction):
+    """``--version``, with the version looked up only when the flag is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.version = _version()
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _load_config_defaults(argv):
@@ -80,7 +91,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         description="Symbolic causal reasoning over verbalized premises: "
                     "benchmark generation, solving, and backend evaluation.")
     parser.add_argument("--config", help="JSON config file with flag defaults")
-    parser.add_argument("--version", action="version", version=_version())
+    parser.add_argument("--version", action=_Version)
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,13 +328,12 @@ def cmd_eval(args) -> int:
         return run_pipeline(sample, backend, args.mode)
 
     def written():
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            # one worker thread would only contend with the record writes for
-            # the GIL, so --parallel 1 runs the samples on this thread
-            done = pool.map(run, samples) if args.parallel > 1 else map(run, samples)
-            for rec in done:
-                _write_record(records_dir, rec)
-                yield rec
+        # one worker thread would only contend with the record writes for
+        # the GIL, so --parallel 1 runs the samples on this thread
+        done = map(run, samples) if args.parallel == 1 else _in_order(run, samples, args.parallel)
+        for rec in done:
+            _write_record(records_dir, rec)
+            yield rec
 
     # each record is scored as it is written, and none is kept
     report = score(written())
@@ -339,6 +349,27 @@ def cmd_eval(args) -> int:
                       json.dumps(report.as_dict(), indent=2))
     _emit_report(report, args.format, ("n_vars", "subtask"))
     return 0
+
+
+def _in_order(fn, items, workers: int) -> Iterator:
+    """``fn`` of each item on ``workers`` threads, yielded in item order.
+
+    At most ``2 * workers`` items are submitted and not yet yielded, so
+    finished results wait for the reader in a bounded window; ``pool.map``
+    would submit every item at once and keep each result until it is read.
+    """
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:  # an abandoned read runs no more items
+                future.cancel()
 
 
 def _write_record(records_dir: str, rec: EvalRecord) -> None:

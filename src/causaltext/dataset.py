@@ -6,6 +6,10 @@ generator emits one record whose label is Yes exactly when the claim holds in
 every member of the class. Premises verbalize the marginal dependencies plus
 the minimal separating statements of a representative member, which the
 class shares.
+
+numpy is imported only inside ``generate`` (and so ``balanced_generate``)
+and ``label_table``, so it loads on their first call; reading and writing
+records runs without it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import (BoundsError, CapacityError, CausaltextError, ConfigError,
                      PremiseParseError, UsageError)
@@ -104,6 +106,7 @@ def label_table(n: int, masks: np.ndarray, starts: np.ndarray) -> np.ndarray:
     (``indirect_cause``), their union (``cause``) and the common-child and
     common-parent masks, then ANDs them over each class's members.
     """
+    import numpy as np
     table = _union_table(n, masks)
     flat = table.ravel()
     rows = np.arange(len(masks))[:, None] << n
@@ -139,6 +142,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     ``RelationSet``, its premise and its id prefix: about 35–40 µs at n=5 on
     a 2-vCPU Xeon, about three quarters of it building the ``RelationSet``.
     """
+    import numpy as np
     if not 2 <= n <= MAX_NODES:
         raise BoundsError(f"variable count must be between 2 and {MAX_NODES}, got {n}")
     kinds = tuple(dict.fromkeys(kinds or HypothesisKind))

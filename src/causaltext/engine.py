@@ -215,14 +215,18 @@ class EngineTrace:
         return self.step_9
 
     def as_dict(self) -> dict:
+        """The steps' mappings. When no propagation ran, ``step_9`` is the
+        ``step_8`` matrix and shares its mapping, so it is encoded once;
+        no reader of a report changes its matrices."""
+        step_8 = self.step_8.to_mapping()
         return {
             "step_3": self.step_3.to_mapping(),
             "step_4": self.step_4.to_mapping(),
             "step_5": self.step_5.to_mapping(),
             "step_6": self.step_6.to_mapping(),
             "step_7": self.step_7.to_mapping(),
-            "step_8": self.step_8.to_mapping(),
-            "step_9": self.step_9.to_mapping(),
+            "step_8": step_8,
+            "step_9": step_8 if self.step_9 is self.step_8 else self.step_9.to_mapping(),
         }
 
 

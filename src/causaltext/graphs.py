@@ -5,6 +5,11 @@ exhaustive enumeration tractable (the labeled-DAG count explodes past six
 nodes). Iteration order is everywhere lexicographic on edge bitmasks, where
 edge ``i -> j`` occupies bit ``i*n + j``, so every stream in this module is
 reproducible byte for byte.
+
+numpy is imported only inside the table code that runs on it, so it loads
+on the first call of ``d_separated``, ``enumerate_dags`` or
+``MecIndex``/``mec_index``. ``Dag``, ``Mec``, ``dag_extensions`` and the rest
+run without it.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import BoundsError, CycleError
 from .matrix import AdjMatrix, _bits, is_acyclic
@@ -135,6 +138,7 @@ def _union_table(n: int, masks: np.ndarray) -> np.ndarray:
     ``s`` in its low byte, and the union of their child masks in the byte
     above, for the graph with edge bitmask ``masks[r]``.
     """
+    import numpy as np
     # edge[r, i, j] is 1 iff i -> j in graph r
     edge = (masks[:, None] >> np.arange(n * n) & 1).reshape(-1, n, n)
     bits = np.int64(1) << np.arange(n)
@@ -152,6 +156,7 @@ def _closure(n: int, step: np.ndarray) -> np.ndarray:
     graph ``r``. A step distributes over union, so squaring the table
     ``k`` times reaches ``2**k`` steps; ``n - 1`` steps reach every node.
     """
+    import numpy as np
     rows = np.arange(len(step))[:, None] << n
     for _ in range((n - 2).bit_length()):
         step = step.ravel()[rows + step]
@@ -170,6 +175,7 @@ def _separated(n: int, masks: np.ndarray, ends: np.ndarray, z) -> np.ndarray:
     together, each for ``n // 2`` steps, which covers a path through all
     ``n`` nodes.
     """
+    import numpy as np
     table = _union_table(n, masks)
     flat = table.ravel()
     query = ends[0] | ends[1] | z
@@ -199,6 +205,7 @@ def d_separated(dag: Dag, x: int, y: int, cond: Iterable[int] = ()) -> bool:
     :func:`relations.relation_table`, which tests every pair and candidate
     set of up to ``TABLE_BLOCK`` graphs in one call.
     """
+    import numpy as np
     n = dag.n
     cond = frozenset(cond)
     for idx in (x, y, *cond):
@@ -330,6 +337,7 @@ def _enumerate_masks(n: int) -> np.ndarray:
     must receive at least one edge from S. Every memo bucket is one int64
     array, extended by outer ORs with the edge choices from S.
     """
+    import numpy as np
     full = (1 << n) - 1
     # memo[subset] maps source-set -> masks of the DAGs on that subset
     memo: dict[int, dict[int, np.ndarray]] = {0: {0: np.zeros(1, dtype=np.int64)}}
@@ -404,6 +412,7 @@ def _pack_bytes(bits: Sequence[np.ndarray], size: int, dtype: str) -> np.ndarray
     Bit ``k`` of integer ``i`` is set iff ``bits[k][i]`` is 0xFF. ``dtype``
     is little-endian, so the result is the same on any host.
     """
+    import numpy as np
     packed = np.zeros((np.dtype(dtype).itemsize, size), dtype=np.uint8)
     for k, row in enumerate(bits):
         packed[k >> 3] |= row & (1 << (k & 7))
@@ -419,6 +428,7 @@ def _class_keys(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_KEY_BLOCK`` masks, one byte row per edge, so no temporary spans the
     whole universe.
     """
+    import numpy as np
     pairs = _pair_table(n)
     pair_index = {pair: p for p, pair in enumerate(pairs)}
     triples = [(i * n + c, j * n + c, pair_index[i, j]) for i, c, j in _triple_table(n)]
@@ -449,6 +459,7 @@ class MecIndex:
     """
 
     def __init__(self, n: int):
+        import numpy as np
         _check_node_count(n)
         self.n = n
         masks = _dag_masks(n)
@@ -482,6 +493,7 @@ class MecIndex:
     def members(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The member masks of ``groups``, one group after another, and
         where each group's members start, with their count appended."""
+        import numpy as np
         first = self._starts[groups]
         sizes = self._starts[groups + 1] - first
         starts = np.zeros(len(groups) + 1, dtype=np.int64)

@@ -4,20 +4,21 @@ Three backends implement one interface: a live HTTP endpoint (chat-style
 JSON in, assistant text out), an in-process oracle that answers every prompt
 with the symbolic engine's own output, and a transcript replayer for
 reproducible audits of recorded runs.
+
+The HTTP stack (``http.client``, ``urllib.request``) is imported only by
+``HttpBackend``, when it sends a request, so a mock or replay run and
+scoring never load it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -107,6 +108,10 @@ class HttpBackend:
         return usage
 
     def complete(self, messages: Sequence[dict], *, sample_id=None, step=None) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.config.model,
             "messages": list(messages),

@@ -1,4 +1,9 @@
-"""Relation sets: the verbalized statistical facts extracted from a premise."""
+"""Relation sets: the verbalized statistical facts extracted from a premise.
+
+numpy is imported only inside the table code, so it loads on the first
+call of ``relation_table`` or ``relations_from_dag``; ``RelationSet`` and
+``relation_set`` run without it.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BoundsError, ConsistencyError
 from .graphs import Dag, _separated
@@ -141,6 +144,7 @@ def _candidates(n: int, max_cond: int):
     pair picks the same positions among its other nodes, so one ``inside``
     serves all pairs.
     """
+    import numpy as np
     picks = [s for s in range(1 << n - 2) if s.bit_count() <= max_cond]
     pairs = list(combinations(range(n), 2))
     ends = np.array([[[1 << a] for a, _ in pairs], [[1 << b] for _, b in pairs]])
@@ -169,6 +173,7 @@ def relation_table(n: int, masks: np.ndarray, max_cond: int | None = None,
     once (``_separated``), so the cost per graph falls with the number of
     graphs in a call while the temporaries stay a few MB.
     """
+    import numpy as np
     if n < 2:
         return np.zeros((len(masks), 0), dtype=np.int64)
     if max_cond is None:
@@ -219,6 +224,7 @@ def relations_from_dag(dag: Dag, table: VariableTable | None = None,
     ``minimal=False`` given every separating set. This is the one-row case
     of :func:`relation_table`.
     """
+    import numpy as np
     table = table or VariableTable.letters(dag.n)
     n = dag.n
     if len(table) != n:

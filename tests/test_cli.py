@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import threading
+import time
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -30,6 +31,14 @@ PROPAGATION_PREMISE = (
     "A correlates with C. B correlates with C. C correlates with D. "
     "A correlates with D. B correlates with D. However, A is independent of B. "
     "A and D are independent given C. B and D are independent given C.")
+
+
+def test_version_flag_prints_the_version(capsys):
+    # the version is looked up when the flag is given, not on every run
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == cli._version() + "\n"
 
 
 class TestSolve:
@@ -630,9 +639,9 @@ class TestEvalAndScore:
                                   "--format", "json")
         assert code == 0 and json.loads(scored) == json.loads(out)
 
-    def test_eval_scores_records_as_written(self, tmp_path, dataset, capsys, monkeypatch):
-        # each record is scored once written and then dropped: none is kept
-        # until the run ends
+    def _peak_alive(self, monkeypatch, capsys, dataset, out, *flags, pause=0.0):
+        """The most records alive at a write, over an 8-sample mock eval;
+        ``pause`` holds each write, so the workers can run ahead."""
         alive, real = [], cli.run_pipeline
 
         def tracked(*args):
@@ -644,16 +653,26 @@ class TestEvalAndScore:
         real_write = cli._write_record
 
         def write(records_dir, rec):
+            time.sleep(pause)
             peak.append(sum(ref() is not None for ref in alive))
             real_write(records_dir, rec)
 
-        monkeypatch.setattr(cli, "run_pipeline", tracked)
-        monkeypatch.setattr(cli, "_write_record", write)
-        code, out, _ = run_cli(capsys, "eval", "--dataset", str(dataset), "--backend",
-                               "mock", "--out", str(tmp_path / "run"), "--format", "json")
-        assert code == 0 and json.loads(out)["n_records"] == len(alive) == 8
-        # the record being written and the one scored before it
-        assert max(peak) <= 2
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_pipeline", tracked)
+            patch.setattr(cli, "_write_record", write)
+            code, stdout, _ = run_cli(capsys, "eval", "--dataset", str(dataset), "--backend",
+                                      "mock", "--out", str(out), "--format", "json", *flags)
+        assert code == 0 and json.loads(stdout)["n_records"] == len(alive) == 8
+        return max(peak)
+
+    def test_eval_scores_records_as_written(self, tmp_path, dataset, capsys, monkeypatch):
+        # each record is scored once written and then dropped: none is kept
+        # until the run ends. The record being written and the one scored
+        # before it are alive; with --parallel N, at most 2N records are
+        # submitted and not yet written (the one being written among them)
+        assert self._peak_alive(monkeypatch, capsys, dataset, tmp_path / "run") <= 2
+        assert self._peak_alive(monkeypatch, capsys, dataset, tmp_path / "run2",
+                                "--parallel", "2", pause=0.02) <= 2 * 2 + 1
 
     def test_score_from_records(self, tmp_path, dataset, capsys):
         out_dir = tmp_path / "run"

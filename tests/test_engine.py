@@ -420,3 +420,11 @@ class TestFusedPass:
         assert trace.final.rows == trace.rows[9]
         with pytest.raises(RuntimeError, match="after run_c2p returned"):
             trace.step_3
+
+    def test_final_mapping_encoded_once_without_propagation(self, monkeypatch):
+        # step_9 is the step_8 matrix unless propagation ran: as_dict encodes
+        # steps 3, 4, 5 and 8 and gives step_9 the step-8 mapping
+        calls, real = [], AdjMatrix.to_mapping
+        monkeypatch.setattr(AdjMatrix, "to_mapping", lambda m: calls.append(m) or real(m))
+        d = engine.run_c2p(solve_text(FIVE_VAR_PREMISE).doc.relations).as_dict()
+        assert d["step_9"] is d["step_8"] and len(calls) == 4
