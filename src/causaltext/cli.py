@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from typing import Iterator
 
+from . import __version__
 from .dataset import (balanced_generate, dataset_digest, generate,
                       read_samples, write_samples)
 from .errors import (BoundsError, CausaltextError, ConfigError,
@@ -34,24 +35,6 @@ USAGE_ERRORS = (PremiseParseError, ConfigError, UsageError, BoundsError,
                 CycleError)
 
 log = logging.getLogger("causaltext")
-
-
-def _version() -> str:
-    # importlib.metadata scans sys.path and imports email: only paid when asked
-    from importlib import metadata
-
-    try:
-        return metadata.version("causaltext")
-    except metadata.PackageNotFoundError:
-        return "0.0.0+local"
-
-
-class _Version(argparse._VersionAction):
-    """``--version``, with the version looked up only when the flag is given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.version = _version()
-        super().__call__(parser, namespace, values, option_string)
 
 
 def _load_config_defaults(argv):
@@ -91,7 +74,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         description="Symbolic causal reasoning over verbalized premises: "
                     "benchmark generation, solving, and backend evaluation.")
     parser.add_argument("--config", help="JSON config file with flag defaults")
-    parser.add_argument("--version", action=_Version)
+    parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -338,7 +321,7 @@ def cmd_eval(args) -> int:
     # each record is scored as it is written, and none is kept
     report = score(written())
     manifest = {
-        "version": _version(),
+        "version": __version__,
         "config_digest": config.digest() if config else None,
         "dataset_digest": dataset_digest(args.dataset),
         "mode": args.mode,

@@ -533,42 +533,64 @@ def dag_extensions(matrix: AdjMatrix) -> list[int]:
     otherwise the extensions' edge bitmasks (bit ``a * n + b`` for
     ``a -> b``, as ``Dag.mask``) in ascending order.
 
-    The undirected pairs, read off ``undirected_masks`` in sorted order, are
-    oriented depth first by ``_orient``, cutting a branch as soon as ``a ->
-    b`` closes a directed cycle or gives ``b`` a parent not adjacent to
-    ``a``. Every collider the matrix declares is made of directed entries,
-    so no branch loses one. The cost grows with the partial orientations
-    that survive pruning, not with the ``2**k`` orientations of ``k`` pairs.
+    The undirected pairs are visited in colex order, by their larger
+    endpoint, so a cycle is cut at the first pair that can close it. Each
+    pair's two moves are built once per call: the edge bit, the nodes not
+    adjacent to the tail and the tail's bit. ``_orient`` searches depth
+    first and cuts a branch as soon as ``a -> b`` gives ``b`` a parent not
+    adjacent to ``a`` (one AND) or ``b`` is an ancestor of ``a`` (a reach
+    over the parent masks that stops when it meets ``b``). Every collider
+    the matrix declares is made of directed entries, so no branch loses one.
+    The last pair appends its masks without another call. The cost grows
+    with the partial orientations that survive pruning, a few bit operations
+    each, not with the ``2**k`` orientations of ``k`` pairs.
     """
     pa = matrix.validate_pdag()
     n = matrix.n
     _check_node_count(n)
-    directed = undirected = 0
-    for i, (row, und) in enumerate(zip(matrix.rows, matrix.undirected_masks())):
-        directed |= (row ^ und) << i * n
-        undirected |= (und & -2 << i) << i * n  # the pairs (i, j) with j > i
-    pairs = [divmod(bit, n) for bit in _bits(undirected)]
+    adj = matrix.adjacency_masks()
+    directed = 0
+    moves = []
+    for j, (row, und) in enumerate(zip(matrix.rows, matrix.undirected_masks())):
+        directed |= (row ^ und) << j * n
+        for i in _bits(und & ((1 << j) - 1)):  # the pairs (i, j) with i < j
+            moves.append(((1 << i * n + j, i, j, ~adj[i], 1 << i),
+                          (1 << j * n + i, j, i, ~adj[j], 1 << j)))
+    if not moves:
+        return [directed]
     masks: list[int] = []
-    _orient(pairs, 0, directed, pa, matrix.adjacency_masks(), n, masks)
+    _orient(moves, 0, directed, pa, masks)
     masks.sort()
     return masks
 
 
-def _orient(pairs: list[tuple[int, int]], k: int, mask: int, pa: list[int],
-            adj: list[int], n: int, out: list[int]) -> None:
-    """Append to ``out`` each orientation of ``pairs[k:]`` added to ``mask``
-    that closes no cycle and adds no collider; ``pa`` is restored on return."""
-    if k == len(pairs):
-        out.append(mask)
-        return
-    i, j = pairs[k]
-    for a, b in ((i, j), (j, i)):
-        # b would get a parent not adjacent to a, or b is an ancestor of a
-        if pa[b] & ~adj[a] or pa[a] and _ancestor_mask(pa, pa[a]) >> b & 1:
+def _orient(moves: list[tuple[tuple[int, int, int, int, int], ...]], k: int,
+            mask: int, pa: list[int], out: list[int]) -> None:
+    """Append to ``out`` each orientation of the pairs ``moves[k:]`` added to
+    ``mask`` that closes no cycle and adds no collider. A move is ``(edge
+    bit, a, b, nodes not adjacent to a, 1 << a)`` for ``a -> b``; ``pa`` is
+    restored on return."""
+    leaf = k + 1 == len(moves)
+    for bit, a, b, far, tail in moves[k]:
+        if pa[b] & far:  # b would get a parent not adjacent to a
             continue
-        pa[b] |= 1 << a
-        _orient(pairs, k + 1, mask | 1 << a * n + b, pa, adj, n, out)
-        pa[b] ^= 1 << a
+        seen = up = pa[a]
+        while up and not seen >> b & 1:  # the ancestors of a, until b
+            step = 0
+            while up:
+                low = up & -up
+                step |= pa[low.bit_length() - 1]
+                up ^= low
+            up = step & ~seen
+            seen |= up
+        if seen >> b & 1:
+            continue
+        if leaf:
+            out.append(mask | bit)
+            continue
+        pa[b] |= tail
+        _orient(moves, k + 1, mask | bit, pa, out)
+        pa[b] ^= tail
 
 
 def mec_of_dag(dag: Dag) -> Mec:

@@ -106,13 +106,16 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
                      mode: str = MODE_EXTENSION_QUANTIFIED) -> Verdict:
     """Answer a claim from a PDAG-encoded matrix.
 
-    Both modes read one criterion, ``_holds``, on packed edge masks.
+    Both modes read one criterion per claim kind on packed edge masks: the
+    kind's reader in ``_READERS``, which ``_holds`` dispatches to.
     ``rule-based`` reads it on the directed edges (Yes), then on the directed
     and undirected edges (Undetermined), and otherwise answers No; it never
-    contradicts quantification. ``extension-quantified`` reads it on each
-    extension mask from ``dag_extensions``: all hold -> Yes, none -> No, mixed
-    -> Undetermined. A Yes path witness is searched once, in the directed
-    edges or the first extension.
+    contradicts quantification. ``extension-quantified`` picks the reader
+    once and calls it on each extension mask from ``dag_extensions``: all
+    hold -> Yes, none -> No, mixed -> Undetermined. An extension then costs
+    one reader call: a few shifts and ANDs, or a breadth-first reach for a
+    cause or indirect-cause claim. A Yes path witness is searched once, in
+    the directed edges or the first extension.
     """
     if mode == MODE_RULE_BASED:
         return _rule_based(h, matrix)
@@ -121,31 +124,66 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
     raise ConfigError(f"unknown evaluation mode {mode!r}")
 
 
-def _holds(kind: HypothesisKind, mask: int, n: int, s: int, o: int) -> int:
-    """Evidence for the claim on a packed edge mask (bit ``a * n + b`` for
-    ``a -> b``): the edge bit, the node mask of shared children, the shared
-    parents as bits ``p * n``, or 1 for a directed path, which is reached
-    breadth first without re-entering ``s``, so also on the cyclic
-    ``AdjMatrix.rows``. Zero when the claim fails."""
-    full = (1 << n) - 1
-    if kind is HypothesisKind.DIRECT_CAUSE:
-        return mask >> s * n + o & 1
-    if kind is HypothesisKind.COMMON_EFFECT:
-        return mask >> s * n & mask >> o * n & full
-    if kind is HypothesisKind.COMMON_CAUSE:
-        # bit p * n of columns s and o, for each node p
-        return mask >> s & mask >> o & ((1 << n * n) - 1) // full
-    reach = mask >> s * n & full
-    if kind is HypothesisKind.INDIRECT_CAUSE:
-        reach &= ~(1 << o)  # a path of >= 2 edges; a parallel edge is allowed
+def _direct_cause(mask: int, n: int, s: int, o: int) -> int:
+    """The edge bit of ``s -> o``."""
+    return mask >> s * n + o & 1
+
+
+def _common_effect(mask: int, n: int, s: int, o: int) -> int:
+    """The node mask of the children of both ``s`` and ``o``."""
+    return mask >> s * n & mask >> o * n & (1 << n) - 1
+
+
+def _common_cause(mask: int, n: int, s: int, o: int) -> int:
+    """The parents of both ``s`` and ``o``, as bits ``p * n``: bit ``p * n``
+    of columns ``s`` and ``o``, for each node ``p``."""
+    return mask >> s & mask >> o & ((1 << n * n) - 1) // ((1 << n) - 1)
+
+
+def _cause(mask: int, n: int, s: int, o: int) -> int:
+    """1 if a directed path leads from ``s`` to ``o``."""
+    return _reaches(mask, n, s, o, mask >> s * n & (1 << n) - 1)
+
+
+def _indirect_cause(mask: int, n: int, s: int, o: int) -> int:
+    """1 if a directed path of two or more edges leads from ``s`` to ``o``;
+    a parallel edge ``s -> o`` is allowed."""
+    return _reaches(mask, n, s, o, mask >> s * n & (1 << n) - 1 & ~(1 << o))
+
+
+def _reaches(mask: int, n: int, s: int, o: int, reach: int) -> int:
+    """1 if ``o`` is reached breadth first from the node set ``reach`` without
+    re-entering ``s``, so also on the cyclic ``AdjMatrix.rows``."""
     frontier = reach
+    keep = (1 << n) - 1 ^ 1 << s
     while frontier and not reach >> o & 1:
         step = 0
-        for v in _bits(frontier):
-            step |= mask >> v * n
-        frontier = step & full & ~reach & ~(1 << s)
+        while frontier:
+            low = frontier & -frontier
+            step |= mask >> (low.bit_length() - 1) * n
+            frontier ^= low
+        frontier = step & keep & ~reach
         reach |= frontier
     return reach >> o & 1
+
+
+# one reader per kind: evidence for the claim on a packed edge mask (bit
+# ``a * n + b`` for ``a -> b``), zero when it fails
+_READERS = {
+    HypothesisKind.DIRECT_CAUSE: _direct_cause,
+    HypothesisKind.INDIRECT_CAUSE: _indirect_cause,
+    HypothesisKind.CAUSE: _cause,
+    HypothesisKind.COMMON_EFFECT: _common_effect,
+    HypothesisKind.COMMON_CAUSE: _common_cause,
+}
+
+
+def _holds(kind: HypothesisKind, mask: int, n: int, s: int, o: int) -> int:
+    """Evidence for the claim on a packed edge mask, read by its kind's
+    reader: the edge bit, the node mask of shared children, the shared
+    parents as bits ``p * n``, or 1 for a directed path. Zero when the claim
+    fails."""
+    return _READERS[kind](mask, n, s, o)
 
 
 def _witness(kind: HypothesisKind, evidence: int, table: VariableTable,
@@ -170,7 +208,8 @@ def _extension_quantified(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
     extensions = dag_extensions(matrix)
     if not extensions:
         raise ConsistencyError("matrix admits no consistent extension")
-    found = [e for m in extensions if (e := _holds(h.kind, m, n, s, o))]
+    read = _READERS[h.kind]
+    found = [e for m in extensions if (e := read(m, n, s, o))]
     total, holds = len(extensions), len(found)
     if holds == total:
         # colliders and confounders shared by every extension; the first

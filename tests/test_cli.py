@@ -7,15 +7,19 @@ import weakref
 from dataclasses import replace
 from functools import partial
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import causaltext
 from causaltext import cli, dataset, harness
 from causaltext.cli import main
 from causaltext.dataset import dataset_digest, generate, read_samples, write_samples
 
 from conftest import (FIVE_VAR_PREMISE, FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8,
                       THREE_VAR_PREMISE, FullDisk)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -34,11 +38,22 @@ PROPAGATION_PREMISE = (
 
 
 def test_version_flag_prints_the_version(capsys):
-    # the version is looked up when the flag is given, not on every run
     with pytest.raises(SystemExit) as exit_:
         main(["--version"])
     assert exit_.value.code == 0
-    assert capsys.readouterr().out == cli._version() + "\n"
+    assert capsys.readouterr().out == causaltext.__version__ + "\n"
+
+
+def test_version_is_the_pyproject_version(capsys):
+    # --version, __version__ and the project metadata name one version, also
+    # when the package runs from a source tree and is not installed
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out == project["version"] + "\n"
+    assert causaltext.__version__ == project["version"]
 
 
 class TestSolve:
@@ -390,6 +405,7 @@ class TestEvalAndScore:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert set(manifest) == {"version", "config_digest", "dataset_digest",
                                  "mode", "n_records"}
+        assert manifest["version"] == causaltext.__version__
         assert str(tmp_path) not in json.dumps(manifest)
 
     def test_report_that_fails_to_serialise_keeps_the_old_one(self, tmp_path, dataset,

@@ -39,9 +39,9 @@ def test_import_loads_no_http_client_package():
     assert not loaded & {"requests", "urllib3"}
 
 
-# numpy is imported by the generation and table code, the HTTP stack by
-# HttpBackend, and importlib.metadata by the CLI's version lookup: each
-# only where it runs
+# numpy is imported by the generation and table code and the HTTP stack by
+# HttpBackend, each only where it runs; the CLI's version is the package's
+# own, so importlib.metadata is never loaded
 @pytest.mark.parametrize("module", ["causaltext", "causaltext.cli"])
 def test_import_loads_neither_numpy_nor_http(module):
     loaded = _loaded_after(f"import {module}")
@@ -57,6 +57,7 @@ def test_solve_loads_neither_numpy_nor_http_nor_metadata():
 
 
 def test_mock_eval_and_score_load_neither_numpy_nor_http(tmp_path):
+    # the manifest's version is read without importlib.metadata
     dataset = tmp_path / "ds.jsonl"
     write_samples(dataset, balanced_generate([3], 2, seed=5))
     run = tmp_path / "run"
@@ -66,7 +67,7 @@ def test_mock_eval_and_score_load_neither_numpy_nor_http(tmp_path):
         f" '--out', {str(run)!r}]) == 0\n"
         f"assert cli.main(['score', '--records', {str(run)!r}]) == 0")
     assert (run / "metrics.json").exists()
-    assert not loaded & {"numpy", "http.client"}
+    assert not loaded & {"numpy", "http.client", "importlib.metadata"}
 
 
 def test_generate_loads_numpy(tmp_path):

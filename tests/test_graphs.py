@@ -506,6 +506,23 @@ class TestExtensions:
             states = [rng.randrange(4) for _ in range(10)]
             assert_extensions_match_reference(pdag_encoding(5, states))
 
+    def test_class_pattern_extends_to_its_index_members(self):
+        # the pattern of a class extends to exactly its members, in mask
+        # order: every class up to five nodes, and at six nodes every class
+        # of 100 or more members (the search's slowest inputs) plus a
+        # seeded sample of the rest
+        for n in range(1, 7):
+            idx = mec_index(n)
+            groups = range(idx.group_count)
+            if n == 6:
+                big = np.flatnonzero(np.diff(idx._starts) >= 100).tolist()
+                groups = sorted(set(big) | set(random.Random(6).sample(groups, 3000)))
+            for g in groups:
+                members = idx.member_masks(g).tolist()
+                mec = Mec(n, idx.skeleton_set(g), idx.vstruct_set(g),
+                          (Dag.from_mask(n, members[0]),))
+                assert dag_extensions(mec.cpdag()) == members, (n, g)
+
     def test_five_var_final_matrix(self):
         matrix = AdjMatrix.from_mapping(FIVE_VAR_STEP_8)
         exts = [Dag.from_mask(5, m) for m in dag_extensions(matrix)]

@@ -289,10 +289,22 @@ class TestEvaluateOnPdag:
         warm = solve_text(premise, claim)
         assert warm.trace.final.undirected_masks() == [6, 1, 1]
         assert warm.verdict.witness == {"holds_in": 2, "extensions": 3}
+        # five variables that all correlate: the 120 extensions of the
+        # complete undirected graph, through the deep search and its leaves
+        labels = "ABCDE"
+        full = ("Suppose there is a closed system of 5 variables, A, B, C, D and E."
+                " All statistical relations among these 5 variables are as follows: "
+                + " ".join(f"{x} correlates with {y}." for x, y in combinations(labels, 2)))
+        full_claim = "A directly affects E."
+        warm = solve_text(full, full_claim)
+        assert warm.trace.final.undirected_masks() == [31 ^ 1 << i for i in range(5)]
+        assert warm.verdict.witness == {"holds_in": 60, "extensions": 120}
         gc.collect()
         gc.disable()
         try:
             solve_text(premise, claim)
+            assert gc.collect() == 0
+            solve_text(full, full_claim)
             assert gc.collect() == 0
         finally:
             gc.enable()
