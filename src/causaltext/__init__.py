@@ -17,9 +17,7 @@ from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
                      ConfigError, ConsistencyError, CycleError, PdagError,
                      PremiseParseError, ResourceError, TemplateError,
                      TransportError, UnknownVariableError, UsageError)
-from .graphs import (Dag, Mec, d_separated, dag_count, dag_extensions,
-                     enumerate_dags, group_mecs, mec_of_dag, skeleton,
-                     v_structures)
+from .graphs import Dag, Mec, dag_count, dag_extensions
 from .harness import (BackendConfig, EvalRecord, Metrics, MockBackend,
                       ScoreReport, metrics_from_records, parse_step_output,
                       run_pipeline, score)
@@ -46,13 +44,13 @@ __all__ = [
     "TransportError", "UnknownVariableError", "UsageError", "VariableTable",
     "Verdict", "apply_conditional",
     "apply_unconditional", "balanced_generate", "binary_answer",
-    "candidate_pairs", "d_separated", "dag_count", "dag_extensions",
-    "enumerate_dags", "evaluate_on_pdag", "filter_collider_pairs", "generate",
-    "group_mecs", "holds_in_dag", "initial_matrix", "label_against_mec",
-    "mec_of_dag", "metrics_from_records", "orient_colliders",
+    "candidate_pairs", "dag_count", "dag_extensions",
+    "evaluate_on_pdag", "filter_collider_pairs", "generate",
+    "holds_in_dag", "initial_matrix", "label_against_mec",
+    "metrics_from_records", "orient_colliders",
     "parse_hypothesis", "parse_premise", "parse_step_output",
     "propagate_orientations", "read_samples", "relations_from_dag",
     "render_hypothesis", "render_premise", "render_prompt",
-    "run_c2p", "run_pipeline", "score", "skeleton", "solve_doc", "solve_text",
-    "v_structures", "write_samples",
+    "run_c2p", "run_pipeline", "score", "solve_doc", "solve_text",
+    "write_samples",
 ]

@@ -83,7 +83,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     gen.add_argument("--kinds", help="comma list of hypothesis kinds")
     gen.add_argument("--style", choices=("symbolic", "story"), default="symbolic")
     gen.add_argument("--theme", choices=sorted(THEMES), default=None)
-    gen.add_argument("--max-cond", type=int, default=None)
     gen.add_argument("--closure", action="store_true",
                      help="verbalize the full separation closure, not minimal sets")
     gen.add_argument("--balanced", type=int, metavar="PER_CELL", default=None,
@@ -173,12 +172,10 @@ def cmd_generate(args) -> int:
     if args.balanced is not None:
         samples = balanced_generate([args.n], args.balanced, args.seed,
                                     kinds=kinds, style=args.style,
-                                    theme=args.theme, minimal=not args.closure,
-                                    max_cond=args.max_cond)
+                                    theme=args.theme, minimal=not args.closure)
     else:
         samples = generate(args.n, kinds=kinds, style=args.style, theme=args.theme,
-                           max_cond=args.max_cond, minimal=not args.closure,
-                           seed=args.seed)
+                           minimal=not args.closure, seed=args.seed)
     # write beside the target and move the file into place on success, so a
     # failed run leaves no partial dataset
     tmp_dir = tempfile.mkdtemp(prefix=".generate-", dir=out_dir)

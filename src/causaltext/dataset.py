@@ -122,8 +122,7 @@ def label_table(n: int, masks: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
              style: str = "symbolic", theme: str | None = None,
-             max_cond: int | None = None, minimal: bool = True,
-             seed: int | None = None) -> Iterator[Sample]:
+             minimal: bool = True, seed: int | None = None) -> Iterator[Sample]:
     """Stream one sample per (equivalence class, hypothesis instance).
 
     With no ``seed`` it walks classes and claims in canonical order; with
@@ -172,7 +171,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
     for lo in range(0, len(group_order), TABLE_BLOCK):
         groups = group_order[lo:lo + TABLE_BLOCK]
         masks, starts = idx.members(groups)
-        seps = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
+        seps = relation_table(n, masks[starts[:-1]], minimal).tolist()
         bits = (label_table(n, masks, starts)[:, k_at, i_at] >> j_at & 1).tolist()
         for row, held, digest in zip(seps, bits, idx.digests(groups)):
             rels = relation_set(row, table)
@@ -190,8 +189,7 @@ def generate(n: int, kinds: Sequence[HypothesisKind] | None = None,
 def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
                       kinds: Sequence[HypothesisKind] | None = None,
                       style: str = "symbolic", theme: str | None = None,
-                      minimal: bool = True,
-                      max_cond: int | None = None) -> list[Sample]:
+                      minimal: bool = True) -> list[Sample]:
     """Balanced draw without enumerating the whole sample universe.
 
     Walks each variable count's shuffled stream until both label quotas are
@@ -207,7 +205,7 @@ def balanced_generate(ns: Sequence[int], per_cell: int, seed: int,
         needed = {YES: per_cell, NO: per_cell}
         picked: list[Sample] = []
         stream = generate(n, kinds=kinds, style=style, theme=theme,
-                          max_cond=max_cond, minimal=minimal, seed=seed * 1009 + n)
+                          minimal=minimal, seed=seed * 1009 + n)
         for s in stream:
             if needed[s.label] > 0:
                 needed[s.label] -= 1

@@ -1,15 +1,17 @@
-"""Directed-graph machinery: DAG enumeration, d-separation, Markov equivalence.
+"""Directed-graph machinery: DAG enumeration, batched d-separation, Markov
+equivalence classes and PDAG extensions.
 
 Graphs live on integer nodes ``0..n-1`` with ``n <= MAX_NODES``; the cap keeps
 exhaustive enumeration tractable (the labeled-DAG count explodes past six
 nodes). Iteration order is everywhere lexicographic on edge bitmasks, where
-edge ``i -> j`` occupies bit ``i*n + j``, so every stream in this module is
+edge ``i -> j`` occupies bit ``i*n + j``, so every ordering in this module is
 reproducible byte for byte.
 
 numpy is imported only inside the table code that runs on it, so it loads
-on the first call of ``d_separated``, ``enumerate_dags`` or
-``MecIndex``/``mec_index``. ``Dag``, ``Mec``, ``dag_extensions`` and the rest
-run without it.
+on the first call of ``_separated`` (behind ``relations.relation_table``),
+``_dag_masks`` or ``MecIndex``/``mec_index``. ``Dag``, ``Mec``,
+``dag_extensions`` and the rest run without it. The per-DAG reference code
+the tests check this module against is test code (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BoundsError, CycleError
 from .matrix import AdjMatrix, _bits, is_acyclic
-from .variables import VariableTable
 
 MAX_NODES = 6
 
@@ -95,9 +96,6 @@ class Dag:
     def descendants(self, i: int) -> frozenset[int]:
         """All nodes reachable from ``i`` by one or more directed edges."""
         return frozenset(_bits(_ancestor_mask(self._ch, self._ch[i])))
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool((self._pa[i] >> j) & 1 or (self._ch[i] >> j) & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dag):
@@ -192,53 +190,8 @@ def _separated(n: int, masks: np.ndarray, ends: np.ndarray, z) -> np.ndarray:
     return (reach[0] & reach[1]) == 0
 
 
-def d_separated(dag: Dag, x: int, y: int, cond: Iterable[int] = ()) -> bool:
-    """True iff every path between ``x`` and ``y`` is blocked given ``cond``.
-
-    A path is blocked when it contains a conditioned non-collider, or a
-    collider such that neither the collider nor any of its descendants is
-    conditioned on.
-
-    This is the one-query case of the block routine ``_separated`` and
-    costs about 70–80 µs a call on a 5-node DAG (2-vCPU Xeon, Python 3.11),
-    mostly numpy set-up. A caller with many queries should use
-    :func:`relations.relation_table`, which tests every pair and candidate
-    set of up to ``TABLE_BLOCK`` graphs in one call.
-    """
-    import numpy as np
-    n = dag.n
-    cond = frozenset(cond)
-    for idx in (x, y, *cond):
-        if not 0 <= idx < n:
-            raise BoundsError(f"variable index {idx} is out of range for n={n}")
-    if x == y:
-        raise BoundsError("x and y must be distinct")
-    if x in cond or y in cond:
-        raise BoundsError("x and y may not appear in the conditioning set")
-    zmask = sum(1 << i for i in cond)
-    return bool(_separated(n, np.array([dag.mask]), np.array([1 << x, 1 << y]), zmask)[0])
-
-
 # ---------------------------------------------------------------------------
-# skeletons, v-structures, Markov equivalence
-
-
-def skeleton(dag: Dag) -> frozenset[tuple[int, int]]:
-    """The undirected edge set: orientation dropped, pairs stored (small, large)."""
-    return frozenset((min(p, c), max(p, c)) for p, c in dag.edges)
-
-
-def v_structures(dag: Dag) -> frozenset[tuple[int, int, int]]:
-    """All triples ``(x, c, y)`` with x -> c <- y and x, y non-adjacent (x < y)."""
-    out = set()
-    for c in range(dag.n):
-        parents = sorted(_bits(dag.parent_mask(c)))
-        for a in range(len(parents)):
-            for b in range(a + 1, len(parents)):
-                x, y = parents[a], parents[b]
-                if not dag.adjacent(x, y):
-                    out.add((x, c, y))
-    return frozenset(out)
+# Markov equivalence classes
 
 
 def mec_digest(n: int, skel: Iterable[tuple[int, int]],
@@ -261,47 +214,9 @@ class Mec:
         if not self.members:
             raise BoundsError("an equivalence class needs at least one member")
 
-    def sort_key(self):
-        return (tuple(sorted(self.skeleton)), tuple(sorted(self.vstructs)))
-
     def digest(self) -> str:
         """Stable short hash of the class key, used as a dataset field."""
         return mec_digest(self.n, self.skeleton, self.vstructs)
-
-    def cpdag(self, vars: VariableTable | None = None) -> AdjMatrix:
-        """The class's pattern: v-structure edges oriented, all others
-        undirected. Not the CPDAG, which differs in 48 of 185 classes at n=4."""
-        vars = vars or VariableTable.letters(self.n)
-        rows = [0] * self.n
-        for i, j in self.skeleton:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        for x, c, y in self.vstructs:
-            rows[c] &= ~(1 << x | 1 << y)
-        return AdjMatrix._from_rows(vars, rows)
-
-
-def group_mecs(dags: Sequence[Dag]) -> list[Mec]:
-    """Partition DAGs into Markov equivalence classes.
-
-    Member order within a class and class order in the result are both
-    deterministic (edge-bitmask order, then class key order).
-    """
-    dags = list(dags)
-    if not dags:
-        return []
-    n = dags[0].n
-    groups: dict[tuple, list[Dag]] = {}
-    for d in dags:
-        if d.n != n:
-            raise BoundsError("all DAGs must share the same node count")
-        groups.setdefault((skeleton(d), v_structures(d)), []).append(d)
-    mecs = [
-        Mec(n, skel, vst, tuple(sorted(members, key=lambda d: d.mask)))
-        for (skel, vst), members in groups.items()
-    ]
-    mecs.sort(key=Mec.sort_key)
-    return mecs
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +291,6 @@ def _dag_masks(n: int) -> np.ndarray:
     masks = _enumerate_masks(n)
     masks.sort()
     return masks
-
-
-def enumerate_dags(n: int) -> Iterator[Dag]:
-    """Yield every labeled DAG on ``n`` nodes once, in edge-bitmask order."""
-    _check_node_count(n)
-    for m in _dag_masks(n):
-        yield Dag.from_mask(n, int(m))
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +500,3 @@ def _orient(moves: list[tuple[tuple[int, int, int, int, int], ...]], k: int,
         _orient(moves, k + 1, mask | bit, pa, out)
         pa[b] ^= tail
 
-
-def mec_of_dag(dag: Dag) -> Mec:
-    """The full equivalence class containing ``dag``."""
-    skel = skeleton(dag)
-    vst = v_structures(dag)
-    members = dag_extensions(Mec(dag.n, skel, vst, (dag,)).cpdag())
-    return Mec(dag.n, skel, vst, tuple(Dag.from_mask(dag.n, m) for m in members))

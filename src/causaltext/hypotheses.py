@@ -107,15 +107,15 @@ def evaluate_on_pdag(h: Hypothesis, matrix: AdjMatrix,
     """Answer a claim from a PDAG-encoded matrix.
 
     Both modes read one criterion per claim kind on packed edge masks: the
-    kind's reader in ``_READERS``, which ``_holds`` dispatches to.
-    ``rule-based`` reads it on the directed edges (Yes), then on the directed
-    and undirected edges (Undetermined), and otherwise answers No; it never
-    contradicts quantification. ``extension-quantified`` picks the reader
-    once and calls it on each extension mask from ``dag_extensions``: all
-    hold -> Yes, none -> No, mixed -> Undetermined. An extension then costs
-    one reader call: a few shifts and ANDs, or a breadth-first reach for a
-    cause or indirect-cause claim. A Yes path witness is searched once, in
-    the directed edges or the first extension.
+    kind's reader in ``_READERS``. ``rule-based`` reads it on the directed
+    edges (Yes), then on the directed and undirected edges (Undetermined),
+    and otherwise answers No; it never contradicts quantification.
+    ``extension-quantified`` picks the reader once and calls it on each
+    extension mask from ``dag_extensions``: all hold -> Yes, none -> No,
+    mixed -> Undetermined. An extension then costs one reader call: a few
+    shifts and ANDs, or a breadth-first reach for a cause or indirect-cause
+    claim. A Yes path witness is searched once, in the directed edges or the
+    first extension.
     """
     if mode == MODE_RULE_BASED:
         return _rule_based(h, matrix)
@@ -178,18 +178,11 @@ _READERS = {
 }
 
 
-def _holds(kind: HypothesisKind, mask: int, n: int, s: int, o: int) -> int:
-    """Evidence for the claim on a packed edge mask, read by its kind's
-    reader: the edge bit, the node mask of shared children, the shared
-    parents as bits ``p * n``, or 1 for a directed path. Zero when the claim
-    fails."""
-    return _READERS[kind](mask, n, s, o)
-
-
 def _witness(kind: HypothesisKind, evidence: int, table: VariableTable,
              s: int, o: int, mask: int) -> dict:
-    """The evidence of ``_holds`` in variable labels; a path is searched in
-    the packed edge mask ``mask``."""
+    """A reader's evidence in variable labels: the edge, the shared children,
+    the shared parents (bits ``p * n``), or for a path kind a path searched
+    in the packed edge mask ``mask``."""
     n = len(table)
     if kind is HypothesisKind.DIRECT_CAUSE:
         return {"edge": [table.label(s), table.label(o)]}
@@ -227,11 +220,12 @@ def _rule_based(h: Hypothesis, matrix: AdjMatrix) -> Verdict:
     table = matrix.vars
     s, o = h.resolve(table)
     n = matrix.n
+    read = _READERS[h.kind]
     directed = sum(ch << i * n for i, ch in enumerate(matrix.child_masks()))
-    if sure := _holds(h.kind, directed, n, s, o):
+    if sure := read(directed, n, s, o):
         return Verdict(YES, _witness(h.kind, sure, table, s, o, directed))
     rows = sum(row << i * n for i, row in enumerate(matrix.rows))
-    if _holds(h.kind, rows, n, s, o):  # some orientation of the rest
+    if read(rows, n, s, o):  # some orientation of the rest
         return Verdict(UNDETERMINED)
     return Verdict(NO, {"counterexamples": 1})
 

@@ -19,7 +19,6 @@ one per node, as :class:`~causaltext.graphs.Dag` does: ``rows``,
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PdagError
@@ -177,27 +176,6 @@ class AdjMatrix:
     def adjacency_masks(self) -> list[int]:
         """One bitmask per node of the nodes joined to it by any edge."""
         return [row | col for row, col in zip(self._rows, self._columns())]
-
-    def skeleton_pairs(self) -> frozenset[tuple[int, int]]:
-        """Unordered pairs connected by any edge."""
-        return frozenset((i, j) for i, adj in enumerate(self.adjacency_masks())
-                         for j in _bits(adj) if i < j)
-
-    def directed_edges(self) -> frozenset[tuple[int, int]]:
-        """Ordered pairs ``(r, c)`` with an oriented edge r -> c."""
-        return frozenset((r, c) for r, ch in enumerate(self.child_masks())
-                         for c in _bits(ch))
-
-    def undirected_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, und in enumerate(self.undirected_masks())
-                         for j in _bits(und) if i < j)
-
-    def oriented_colliders(self) -> frozenset[tuple[int, int, int]]:
-        """Triples ``(x, c, y)`` with directed x -> c <- y and x, y non-adjacent."""
-        adj = self.adjacency_masks()
-        return frozenset((x, c, y) for c, pa in enumerate(self.parent_masks())
-                         for x, y in combinations(_bits(pa), 2)
-                         if not (adj[x] >> y) & 1)
 
     def validate_pdag(self) -> list[int]:
         """Raise :class:`PdagError` if the directed edges contain a cycle;

@@ -133,19 +133,19 @@ TABLE_BLOCK = 256  # graphs tested together by relation_table
 
 
 @lru_cache(maxsize=None)
-def _candidates(n: int, max_cond: int):
-    """Queries of the relation table on ``n`` nodes, up to ``max_cond``.
+def _candidates(n: int):
+    """Queries of the relation table on ``n`` nodes.
 
     Returns the pair ends as ``(2, P, 1)`` node masks, one row per pair of
     ``combinations(range(n), 2)``; the candidate conditioning sets ``z``,
-    ``(P, C)`` node masks drawn from each pair's other nodes; the table bits
-    ``1 << z``; and ``inside``, where ``inside[c, d]`` says that candidate
-    ``d`` is a proper subset of candidate ``c``. Candidate ``c`` of every
-    pair picks the same positions among its other nodes, so one ``inside``
-    serves all pairs.
+    ``(P, C)`` node masks, every subset of each pair's other nodes; the
+    table bits ``1 << z``; and ``inside``, where ``inside[c, d]`` says that
+    candidate ``d`` is a proper subset of candidate ``c``. Candidate ``c``
+    of every pair picks the same positions among its other nodes, so one
+    ``inside`` serves all pairs.
     """
     import numpy as np
-    picks = [s for s in range(1 << n - 2) if s.bit_count() <= max_cond]
+    picks = range(1 << n - 2)
     pairs = list(combinations(range(n), 2))
     ends = np.array([[[1 << a] for a, _ in pairs], [[1 << b] for _, b in pairs]])
     z = np.array([[sum(1 << others[k] for k in _bits(s)) for s in picks]
@@ -154,20 +154,19 @@ def _candidates(n: int, max_cond: int):
     return ends, z, np.int64(1) << z, inside
 
 
-def relation_table(n: int, masks: np.ndarray, max_cond: int | None = None,
-                   minimal: bool = True) -> np.ndarray:
+def relation_table(n: int, masks: np.ndarray, minimal: bool = True) -> np.ndarray:
     """Separating sets of every pair, for every graph in ``masks``.
 
     ``masks`` is an int64 array of edge bitmasks on ``n`` nodes. Entry
     ``[r, p]`` of the returned ``(len(masks), P)`` int64 table has bit ``z``
     set iff node set ``z`` is a kept separating set of pair
-    ``combinations(range(n), 2)[p]`` in graph ``r``: a set of at most
-    ``max_cond`` (default ``n - 2``) nodes that d-separates the pair. An
-    entry of 0 makes the pair a dependency, as it does every adjacent
-    pair. With ``minimal`` a set is kept only when no proper subset of it
-    separates the pair, so the table holds the minimal separators, which
-    all lie in ``An({x, y})`` (Tian, Paz & Pearl, "Finding minimal
-    d-separators", 1998); otherwise it holds every separating set.
+    ``combinations(range(n), 2)[p]`` in graph ``r``: a set of the pair's
+    other nodes that d-separates the pair. An entry of 0 makes the pair a
+    dependency, which holds exactly for the adjacent pairs. With
+    ``minimal`` a set is kept only when no proper subset of it separates
+    the pair, so the table holds the minimal separators, which all lie in
+    ``An({x, y})`` (Tian, Paz & Pearl, "Finding minimal d-separators",
+    1998); otherwise it holds every separating set.
 
     Every pair and candidate of up to ``TABLE_BLOCK`` graphs is tested at
     once (``_separated``), so the cost per graph falls with the number of
@@ -176,11 +175,7 @@ def relation_table(n: int, masks: np.ndarray, max_cond: int | None = None,
     import numpy as np
     if n < 2:
         return np.zeros((len(masks), 0), dtype=np.int64)
-    if max_cond is None:
-        max_cond = n - 2
-    if not 0 <= max_cond <= n - 2:
-        raise BoundsError(f"max_cond must be between 0 and n-2={n - 2}, got {max_cond}")
-    ends, z, bit, inside = _candidates(n, max_cond)
+    ends, z, bit, inside = _candidates(n)
     blocks = []
     for lo in range(0, max(len(masks), 1), TABLE_BLOCK):
         seps = _separated(n, masks[lo:lo + TABLE_BLOCK], ends, z)
@@ -212,22 +207,18 @@ def relation_set(row: Sequence[int], table: VariableTable) -> RelationSet:
 
 
 def relations_from_dag(dag: Dag, table: VariableTable | None = None,
-                       max_cond: int | None = None,
                        minimal: bool = True) -> RelationSet:
     """Relation set a faithful observer would report for ``dag``.
 
-    ``max_cond`` defaults to ``n - 2``, which is always enough to separate
-    every non-adjacent pair, so the dependencies are exactly the adjacent
-    pairs. A pair no set of at most ``max_cond`` nodes separates is a
-    dependency; every other pair is stated independent given each of its
-    minimal separating sets (the terse premise style), or with
-    ``minimal=False`` given every separating set. This is the one-row case
-    of :func:`relation_table`.
+    The dependencies are exactly the adjacent pairs; every other pair is
+    stated independent given each of its minimal separating sets (the terse
+    premise style), or with ``minimal=False`` given every separating set.
+    This is the one-row case of :func:`relation_table`.
     """
     import numpy as np
     table = table or VariableTable.letters(dag.n)
     n = dag.n
     if len(table) != n:
         raise BoundsError("variable table size must match the graph")
-    seps = relation_table(n, np.array([dag.mask]), max_cond, minimal)
+    seps = relation_table(n, np.array([dag.mask]), minimal)
     return relation_set(seps[0].tolist(), table)

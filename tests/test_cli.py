@@ -232,22 +232,13 @@ class TestGenerate:
         assert list(tmp_path.iterdir()) == []
         assert threading.enumerate() == before
 
-    def test_balanced_keeps_max_cond(self, tmp_path, capsys):
-        out_path = tmp_path / "ds.jsonl"
-        code, _, _ = run_cli(capsys, "generate", "--n", "4", "--balanced", "3",
-                             "--seed", "1", "--max-cond", "0", "-o", str(out_path))
-        assert code == 0
-        samples = read_samples(out_path)
-        assert len(samples) == 6
-        assert not any(s.relations.cond_indep for s in samples)
-        assert not any("given" in s.premise for s in samples)
-
-    def test_max_cond_out_of_range_exits_2(self, tmp_path, capsys):
-        out_path = tmp_path / "x.jsonl"
-        code, _, err = run_cli(capsys, "generate", "--n", "4", "--max-cond", "3",
-                               "-o", str(out_path))
-        assert code == 2
-        assert "max_cond must be between 0 and n-2=2, got 3" in err
+    def test_max_cond_flag_is_gone(self, tmp_path, capsys):
+        # a premise cut to small separating sets gave classes with different
+        # labels one premise text
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--n", "4", "--max-cond", "1", "-o", str(tmp_path / "x.jsonl")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --max-cond 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
@@ -327,12 +318,11 @@ class TestGenerate:
 
 
 DATASET_FORMS = {"canonical": (), "balanced": ("--balanced", "10", "--seed", "3"),
-                 "story": ("--style", "story"), "closure": ("--closure",),
-                 "max_cond_1": ("--max-cond", "1")}
+                 "story": ("--style", "story"), "closure": ("--closure",)}
 # sha256 of the dataset bytes, pinned from the output of the row-by-row
 # labelling (every claim checked in every member DAG) that class labels
-# replaced; the closure and max_cond_1 entries from the search over every
-# subset of the other nodes that ancestor-only candidates replaced
+# replaced; the closure entry from the search over every subset of the
+# other nodes that ancestor-only candidates replaced
 GOLDEN_DATASETS = {
     ("3", "canonical"): "6a8ab95bc4f84cde17b5e3ab5332efa8743effcf903dce4cb0a8aa57946fdb6f",
     ("3", "balanced"): "e3277727ad0db838e82121814c38f63fb69cb5ad7341f1e72aa30b3f9853bb5d",
@@ -341,7 +331,6 @@ GOLDEN_DATASETS = {
     ("4", "balanced"): "5a704a665d427dd8aa080b18624a294d3d496d662b6d8deb6add2fea6edaf11b",
     ("4", "story"): "1315c764736779280577db76c6a5b6c9d364140b0f04cc4964f7efc50a9b2b57",
     ("4", "closure"): "b03f5b9f2662ef61d701fa3074776a06bf4218dc533d129e6afd1dfd85a0e308",
-    ("4", "max_cond_1"): "5f19f9a13a087841f5bfd19c0364f06b5c3782e7a53dd4c9c486290bf51fc1d9",
 }
 
 
@@ -393,15 +382,20 @@ class TestEvalAndScore:
         return path
 
     def test_mock_eval_perfect(self, tmp_path, dataset, capsys):
-        out_dir = tmp_path / "run"
-        code, out, _ = run_cli(capsys, "eval", "--dataset", str(dataset),
-                               "--backend", "mock", "--out", str(out_dir),
-                               "--format", "json")
+        # the fixture's draw, and a balanced closure draw at n=4
+        closure = tmp_path / "closure.jsonl"
+        code, _, _ = run_cli(capsys, "generate", "--n", "4", "--closure", "--balanced",
+                             "20", "--seed", "3", "-o", str(closure))
         assert code == 0
-        report = json.loads(out)
-        overall = report["overall"]
-        assert all(overall[k] == 1.0 for k in ("accuracy", "f1", "precision", "recall"))
-        assert all(v == 1.0 for v in report["step_accuracy"].values())
+        for path, out_dir in ((closure, tmp_path / "closure-run"), (dataset, tmp_path / "run")):
+            code, out, _ = run_cli(capsys, "eval", "--dataset", str(path),
+                                   "--backend", "mock", "--out", str(out_dir),
+                                   "--format", "json")
+            assert code == 0
+            report = json.loads(out)
+            overall = report["overall"]
+            assert all(overall[k] == 1.0 for k in ("accuracy", "f1", "precision", "recall"))
+            assert all(v == 1.0 for v in report["step_accuracy"].values())
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert set(manifest) == {"version", "config_digest", "dataset_digest",
                                  "mode", "n_records"}
@@ -954,9 +948,11 @@ class TestConfigFile:
         assert f"config file {cfg}" in err
 
     def test_unknown_default_key_exits_2(self, tmp_path, capsys):
-        # a misspelt key, and the key of the deleted --collider-filter flag
+        # a misspelt key, and the keys of the deleted --collider-filter and
+        # --max-cond flags
         cfg = tmp_path / "cfg.json"
-        for key, value in (("fromat", "json"), ("collider-filter", "pc-correct")):
+        for key, value in (("fromat", "json"), ("collider-filter", "pc-correct"),
+                           ("max_cond", 1)):
             cfg.write_text(json.dumps({"version": 1, "defaults": {key: value}}))
             code, out, err = run_cli(capsys, "--config", str(cfg), "solve",
                                      "--fixture", "junk-food")

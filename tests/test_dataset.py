@@ -18,7 +18,7 @@ from causaltext.dataset import (Sample, balanced_generate, dataset_digest, gener
                                 label_table, read_samples, write_samples)
 from causaltext.errors import BoundsError, CapacityError, ResourceError, UsageError
 from causaltext.fixtures import THREE_VAR_PREMISE
-from causaltext.graphs import Dag, Mec, enumerate_dags, group_mecs, mec_index
+from causaltext.graphs import Dag, Mec, mec_index
 from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
                                    holds_in_dag, label_against_mec)
 from causaltext.parsing import (THEMES, PremiseDoc, parse_hypothesis,
@@ -27,6 +27,7 @@ from causaltext.relations import relation_set, relation_table
 from causaltext.variables import VariableTable
 
 from conftest import FullDisk
+from oracles import all_dags, group_mecs
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ class TestGenerate:
         # every member of a class verbalizes to the same premise
         from causaltext.relations import relations_from_dag
         table = VariableTable.letters(3)
-        for mec in group_mecs(list(enumerate_dags(3))):
+        for mec in group_mecs(all_dags(3)):
             rels = {relations_from_dag(d, table) for d in mec.members}
             assert len(rels) == 1
 
@@ -119,7 +120,7 @@ class TestLabelSoundness:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exhaustive_small(self, n):
         # labels re-derived from an independently grouped universe
-        mecs = {m.digest(): m for m in group_mecs(list(enumerate_dags(n)))}
+        mecs = {m.digest(): m for m in group_mecs(all_dags(n))}
         table = VariableTable.letters(n)
         for sample in generate(n):
             mec = mecs[sample.mec_digest]
@@ -135,7 +136,7 @@ class TestLabelSoundness:
         for sample in itertools.islice(stream, 200):
             if mecs is None:
                 mecs = {m.digest(): m
-                        for m in group_mecs(list(enumerate_dags(5)))}
+                        for m in group_mecs(all_dags(5))}
             mec = mecs[sample.mec_digest]
             expected = YES if all(holds_in_dag(sample.hypothesis, d, table)
                                   for d in mec.members) else NO
@@ -154,21 +155,42 @@ class TestLabelSoundness:
             assert parse_hypothesis(sample.hypothesis_text, doc.variables) \
                 == sample.hypothesis
 
+    # a premise states every separating set, so classes that share a premise
+    # text are one class, and its claims have one answer
+    @pytest.mark.parametrize("form", [{}, {"minimal": False}, {"style": "story"}],
+                             ids=["default", "closure", "story"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_label_per_premise_and_claim(self, n, form):
+        assert _relabelled(generate(n, **form)) == []
 
-def _class_premises(n, style="symbolic", theme=None, max_cond=None, minimal=True):
+    def test_one_label_per_premise_and_claim_balanced_n5(self):
+        assert _relabelled(balanced_generate([5], 300, seed=4)) == []
+
+
+def _relabelled(samples):
+    """The (premise, claim) pairs that ``samples`` write under both labels."""
+    labels = {}
+    for s in samples:
+        labels.setdefault((s.premise, s.hypothesis_text), set()).add(s.label)
+    return [pair for pair, seen in labels.items() if len(seen) > 1]
+
+
+def _class_premises(n, style="symbolic", theme=None, minimal=True):
     """(relation_table row, premise) of every class, in canonical order."""
     idx = mec_index(n)
     masks, starts = idx.members(np.arange(idx.group_count))
-    rows = relation_table(n, masks[starts[:-1]], max_cond, minimal).tolist()
+    rows = relation_table(n, masks[starts[:-1]], minimal).tolist()
     # one symmetric kind: a class's n(n-1)/2 rows follow each other
-    stream = generate(n, [HypothesisKind.COMMON_CAUSE], style, theme, max_cond, minimal)
+    stream = generate(n, [HypothesisKind.COMMON_CAUSE], style, theme, minimal)
     samples = itertools.islice(stream, None, None, n * (n - 1) // 2)
     return list(zip(rows, (s.premise for s in samples), strict=True))
 
 
-# (n, max_cond, minimal): every variant at n <= 4, the default ones at n = 5
-_TABLE_VARIANTS = [(n, c, m) for n in (2, 3, 4) for c in range(n - 1)
-                   for m in (True, False)] + [(5, None, True)]
+# (n, minimal): both premise variants at n <= 4, the minimal one at n = 5;
+# each id also names n - 2, the size of the largest separating set (None at
+# n = 5)
+_TABLE_VARIANTS = [pytest.param(n, m, id=f"{n}-{n - 2}-{m}") for n in (2, 3, 4)
+                   for m in (True, False)] + [pytest.param(5, True, id="5-None-True")]
 
 
 class TestPremiseFromRow:
@@ -176,12 +198,12 @@ class TestPremiseFromRow:
     relation_table row; the text must be what ``render_premise`` makes of
     that relation set, and parse back to it."""
 
-    @pytest.mark.parametrize("n,max_cond,minimal", _TABLE_VARIANTS)
+    @pytest.mark.parametrize("n,minimal", _TABLE_VARIANTS)
     @pytest.mark.parametrize("theme", [None, *sorted(THEMES)])
-    def test_premise_is_the_rows_rendering(self, n, max_cond, minimal, theme):
+    def test_premise_is_the_rows_rendering(self, n, minimal, theme):
         table = VariableTable.letters(n)
         style = "symbolic" if theme is None else "story"
-        for row, premise in _class_premises(n, style, theme, max_cond, minimal):
+        for row, premise in _class_premises(n, style, theme, minimal):
             rels = relation_set(row, table)
             assert premise == render_premise(PremiseDoc("", table, rels), style, theme)
             assert parse_premise(premise).relations == rels

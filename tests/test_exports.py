@@ -1,6 +1,8 @@
 """The package's public names: what ``__all__`` lists must exist, so that
 ``from causaltext import *`` works; and what importing the package loads."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +20,26 @@ def test_all_names_resolve_once():
     names = causaltext.__all__
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(causaltext, name)]
+    assert missing == []
+
+
+def test_benchmark_imports_resolve():
+    # perfbench/child.py builds the benchmark's inputs and gates from these
+    # names, so a deletion that breaks it fails here and not in a benchmark
+    # run; the file is read, not imported
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "causaltext"
+                for alias in node.names]
+    assert imported
+    missing = []
+    for module, name in imported:
+        if not hasattr(importlib.import_module(module), name):
+            try:  # a submodule, as in ``from causaltext import cli``
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
     assert missing == []
 
 

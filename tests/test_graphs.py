@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
                                PdagError)
-from causaltext.graphs import (Dag, Mec, MecIndex, _dag_masks, d_separated,
-                               dag_count, dag_extensions, enumerate_dags,
-                               group_mecs, mec_index, mec_of_dag, skeleton,
-                               v_structures)
+from causaltext.graphs import (Dag, Mec, MecIndex, _dag_masks, dag_count,
+                               dag_extensions, mec_index)
 from causaltext.matrix import AdjMatrix, _bits, is_acyclic
 from causaltext.relations import RelationSet, relation_table, relations_from_dag
 from causaltext.variables import VariableTable
 
 from conftest import FIVE_VAR_STEP_8, pdag_encoding
+from oracles import (all_dags, class_pattern, directed_edges, group_mecs,
+                     oriented_colliders, skeleton, undirected_pairs,
+                     v_structures)
 
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
@@ -74,9 +75,9 @@ def brute_force_extensions(matrix):
     """Extensions by trying all 2^k orientations of the k undirected pairs."""
     matrix.validate_pdag()
     n = matrix.n
-    directed = sorted(matrix.directed_edges())
-    undirected = sorted(matrix.undirected_pairs())
-    colliders = matrix.oriented_colliders()
+    directed = sorted(directed_edges(matrix))
+    undirected = sorted(undirected_pairs(matrix))
+    colliders = oriented_colliders(matrix)
     out = []
     for choice in range(1 << len(undirected)):
         edges = list(directed)
@@ -105,7 +106,7 @@ def assert_extensions_match_reference(matrix):
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 25), (4, 543)])
     def test_counts_match_brute_force(self, n, count):
-        enumerated = list(enumerate_dags(n))
+        enumerated = all_dags(n)
         assert len(enumerated) == count
         assert {d.mask for d in enumerated} == {d.mask for d in brute_force_dags(n)}
 
@@ -119,21 +120,21 @@ class TestEnumeration:
         assert (masks[1:] > masks[:-1]).all()
 
     def test_no_duplicates_and_sorted(self):
-        masks = [d.mask for d in enumerate_dags(4)]
+        masks = [d.mask for d in all_dags(4)]
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
 
     @pytest.mark.parametrize("n", [0, 7, -1])
     def test_bounds(self, n):
         with pytest.raises(BoundsError):
-            list(enumerate_dags(n))
+            MecIndex(n)
 
     def test_is_acyclic_matches_enumeration(self):
         # all 4,096 loopless directed graphs on 4 nodes: exactly the 543 DAGs
         # pass
         n = 4
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        dag_masks = {d.mask for d in enumerate_dags(n)}
+        dag_masks = {d.mask for d in all_dags(n)}
         acyclic = set()
         for choice in range(1 << len(cells)):
             pa = [0] * n
@@ -172,70 +173,70 @@ class TestEnumeration:
             Dag(2, [(0, 5)])
 
 
+def stated_separations(dag):
+    """Every ``(pair, conditioning set)`` the closure premise of ``dag``
+    states independent, with the empty set for an unconditional one."""
+    rels = relations_from_dag(dag, minimal=False)
+    return {(pair, frozenset()) for pair in rels.uncond_indep} | rels.cond_indep
+
+
 class TestDSeparation:
     def test_chain(self):
-        chain = Dag(3, [(0, 1), (1, 2)])
-        assert d_separated(chain, 0, 2, {1})
-        assert not d_separated(chain, 0, 2)
+        seps = stated_separations(Dag(3, [(0, 1), (1, 2)]))
+        assert ((0, 2), frozenset({1})) in seps
+        assert ((0, 2), frozenset()) not in seps
 
     def test_collider(self):
-        coll = Dag(3, [(0, 2), (1, 2)])
-        assert d_separated(coll, 0, 1)
-        assert not d_separated(coll, 0, 1, {2})
+        seps = stated_separations(Dag(3, [(0, 2), (1, 2)]))
+        assert ((0, 1), frozenset()) in seps
+        assert ((0, 1), frozenset({2})) not in seps
 
     def test_collider_descendant_opens_path(self):
-        g = Dag(4, [(0, 2), (1, 2), (2, 3)])
-        assert d_separated(g, 0, 1)
-        assert not d_separated(g, 0, 1, {3})
+        seps = stated_separations(Dag(4, [(0, 2), (1, 2), (2, 3)]))
+        assert ((0, 1), frozenset()) in seps
+        assert ((0, 1), frozenset({3})) not in seps
 
     def test_five_var_mec_members(self, five_var):
         # every extension of the worked example's oriented matrix satisfies
         # the premise's largest conditional independence
         matrix = AdjMatrix.from_mapping(FIVE_VAR_STEP_8)
         for mask in dag_extensions(matrix):
-            assert d_separated(Dag.from_mask(5, mask), 2, 4, {0, 1, 3})  # C and E given A, B, D
-
-    def test_bounds(self):
-        g = Dag(3, [(0, 1)])
-        with pytest.raises(BoundsError):
-            d_separated(g, 0, 5)
-        with pytest.raises(BoundsError):
-            d_separated(g, 0, 0)
-        with pytest.raises(BoundsError):
-            d_separated(g, 0, 1, {1})
+            # C and E given A, B, D
+            assert ((2, 4), frozenset({0, 1, 3})) in stated_separations(Dag.from_mask(5, mask))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_path_oracle_exhaustively(self, n):
-        for dag in enumerate_dags(n):
+        for dag in all_dags(n):
+            seps = stated_separations(dag)
             for x, y in combinations(range(n), 2):
                 rest = [v for v in range(n) if v not in (x, y)]
                 for size in range(len(rest) + 1):
                     for sub in combinations(rest, size):
-                        assert d_separated(dag, x, y, sub) == \
+                        assert (((x, y), frozenset(sub)) in seps) == \
                             dsep_path_oracle(dag, x, y, sub)
 
     def test_agrees_with_path_oracle_sampled_n5(self):
         rng = random.Random(7)
-        dags = list(enumerate_dags(5))
+        dags = all_dags(5)
         for dag in rng.sample(dags, 250):
+            seps = stated_separations(dag)
             for x, y in combinations(range(5), 2):
                 rest = [v for v in range(5) if v not in (x, y)]
                 for size in range(4):
                     for sub in combinations(rest, size):
-                        assert d_separated(dag, x, y, sub) == \
+                        assert (((x, y), frozenset(sub)) in seps) == \
                             dsep_path_oracle(dag, x, y, sub)
 
 
 @lru_cache(maxsize=None)
 def _set_families(n):
     """Bitsets over the node sets on ``n`` nodes (bit ``z`` for node set
-    ``z``): per node, the sets that hold it; per size k, the sets of at most
-    k nodes; per node set, its proper supersets."""
+    ``z``): per node, the sets that hold it; per node set, its proper
+    supersets."""
     sets = range(1 << n)
     holding = [sum(1 << z for z in sets if z >> v & 1) for v in range(n)]
-    small = [sum(1 << z for z in sets if z.bit_count() <= k) for k in range(n + 1)]
     above = [sum(1 << w for w in sets if w != z and w & z == z) for z in sets]
-    return holding, small, above
+    return holding, above
 
 
 def separating_sets(dag):
@@ -280,17 +281,17 @@ def separating_sets(dag):
             for x, y in combinations(range(n), 2)]
 
 
-def kept_sets(n, seps, max_cond, minimal):
+def kept_sets(n, seps, minimal):
     """The relation-table row that ``seps`` (from ``separating_sets``)
-    implies: the sets of at most ``max_cond`` nodes, and with ``minimal``
-    only those without a separating proper subset."""
-    _, small, above = _set_families(n)
+    implies: every separating set, or with ``minimal`` only those without a
+    separating proper subset."""
+    above = _set_families(n)[1]
     row = []
     for family in seps:
         if minimal:
             for z in _bits(family):
                 family &= ~above[z]
-        row.append(family & small[max_cond])
+        row.append(family)
     return row
 
 
@@ -310,36 +311,30 @@ def relations_oracle(n, row):
 
 class TestStatements:
     def test_collider_statements(self):
-        rels = relations_from_dag(Dag(3, [(0, 2), (1, 2)]), max_cond=1)
+        rels = relations_from_dag(Dag(3, [(0, 2), (1, 2)]))
         assert rels.dependencies == {(0, 2), (1, 2)}
         assert rels.uncond_indep == {(0, 1)}
         assert rels.cond_indep == frozenset()
 
     def test_chain_statements(self):
-        rels = relations_from_dag(Dag(3, [(0, 1), (1, 2)]), max_cond=1)
+        rels = relations_from_dag(Dag(3, [(0, 1), (1, 2)]))
         assert rels.dependencies == {(0, 1), (1, 2)}
         assert rels.uncond_indep == frozenset()
         assert rels.cond_indep == {((0, 2), frozenset({1}))}
 
     def test_empty_graph_statements(self):
-        rels = relations_from_dag(Dag(3), max_cond=1, minimal=False)
+        rels = relations_from_dag(Dag(3), minimal=False)
         # 3 pairs, each separated by the empty set and by the one third node
         assert rels.dependencies == frozenset()
         assert rels.uncond_indep == {(0, 1), (0, 2), (1, 2)}
         assert rels.cond_indep == {((0, 1), frozenset({2})), ((0, 2), frozenset({1})),
                                    ((1, 2), frozenset({0}))}
         # the minimal style keeps only the empty sets
-        assert not relations_from_dag(Dag(3), max_cond=1).cond_indep
+        assert not relations_from_dag(Dag(3)).cond_indep
 
-    def test_max_cond_bounds(self):
-        with pytest.raises(BoundsError, match=r"^max_cond must be between 0 and "
-                                              r"n-2=1, got 2$"):
-            relations_from_dag(Dag(3), max_cond=2)
-        with pytest.raises(BoundsError, match=r"^max_cond must be between 0 and "
-                                              r"n-2=1, got -1$"):
-            relations_from_dag(Dag(3), max_cond=-1)
-        # a single node has no pair to separate, whatever the bound
-        assert relations_from_dag(Dag(1), max_cond=5) == RelationSet(VariableTable.letters(1))
+    def test_single_node_statements(self):
+        # a single node has no pair to separate
+        assert relations_from_dag(Dag(1)) == RelationSet(VariableTable.letters(1))
 
     def test_matches_subset_oracle(self):
         # the table of every class on up to five nodes, one call per setting
@@ -347,35 +342,28 @@ class TestStatements:
             idx = mec_index(n)
             reps = idx._masks[idx._starts[:-1]]
             seps = [separating_sets(Dag.from_mask(n, m)) for m in reps.tolist()]
-            for max_cond in range(n - 1):
-                for minimal in (True, False):
-                    got = relation_table(n, reps, max_cond, minimal).tolist()
-                    for g, (row, dag_seps) in enumerate(zip(got, seps)):
-                        assert row == kept_sets(n, dag_seps, max_cond, minimal), \
-                            (n, g, max_cond, minimal)
+            for minimal in (True, False):
+                got = relation_table(n, reps, minimal).tolist()
+                for g, (row, dag_seps) in enumerate(zip(got, seps)):
+                    assert row == kept_sets(n, dag_seps, minimal), (n, g, minimal)
 
     def test_matches_subset_oracle_sampled_n6(self):
+        # every 100th class
         idx = mec_index(6)
         reps = idx._masks[idx._starts[:-1:100]]
         seps = [separating_sets(Dag.from_mask(6, m)) for m in reps.tolist()]
-        for max_cond in range(5):
-            # every 100th class at the default bound, every 1000th below it
-            step = 1 if max_cond == 4 else 10
-            for minimal in (True, False):
-                got = relation_table(6, reps[::step], max_cond, minimal).tolist()
-                for k, row in enumerate(got):
-                    assert row == kept_sets(6, seps[k * step], max_cond, minimal), \
-                        (100 * step * k, max_cond, minimal)
+        for minimal in (True, False):
+            got = relation_table(6, reps, minimal).tolist()
+            for k, row in enumerate(got):
+                assert row == kept_sets(6, seps[k], minimal), (100 * k, minimal)
 
     def test_one_row_matches_oracle_on_every_dag(self):
         for n in range(2, 5):
-            for dag in enumerate_dags(n):
+            for dag in all_dags(n):
                 seps = separating_sets(dag)
-                for max_cond in range(n - 1):
-                    for minimal in (True, False):
-                        assert relations_from_dag(dag, max_cond=max_cond, minimal=minimal) \
-                            == relations_oracle(n, kept_sets(n, seps, max_cond, minimal)), \
-                            (dag, max_cond, minimal)
+                for minimal in (True, False):
+                    assert relations_from_dag(dag, minimal=minimal) \
+                        == relations_oracle(n, kept_sets(n, seps, minimal)), (dag, minimal)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_blocks_concatenate(self, block):
@@ -401,7 +389,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 11), (4, 185)])
     def test_mec_counts(self, n, count):
-        assert len(group_mecs(list(enumerate_dags(n)))) == count
+        assert len(group_mecs(all_dags(n))) == count
 
     def test_single_dag_group(self):
         chain = Dag(3, [(0, 1), (1, 2)])
@@ -410,7 +398,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_index_matches_grouping_oracle(self, n):
-        oracle = group_mecs(list(enumerate_dags(n)))
+        oracle = group_mecs(all_dags(n))
         idx = mec_index(n)
         assert idx.group_count == len(oracle)
         oracle_keys = {(m.skeleton, m.vstructs) for m in oracle}
@@ -518,10 +506,8 @@ class TestExtensions:
                 big = np.flatnonzero(np.diff(idx._starts) >= 100).tolist()
                 groups = sorted(set(big) | set(random.Random(6).sample(groups, 3000)))
             for g in groups:
-                members = idx.member_masks(g).tolist()
-                mec = Mec(n, idx.skeleton_set(g), idx.vstruct_set(g),
-                          (Dag.from_mask(n, members[0]),))
-                assert dag_extensions(mec.cpdag()) == members, (n, g)
+                pattern = class_pattern(n, idx.skeleton_set(g), idx.vstruct_set(g))
+                assert dag_extensions(pattern) == idx.member_masks(g).tolist(), (n, g)
 
     def test_five_var_final_matrix(self):
         matrix = AdjMatrix.from_mapping(FIVE_VAR_STEP_8)
@@ -556,27 +542,27 @@ class TestExtensions:
             [0, 0, 1, 0],
         ]
         m = AdjMatrix(VariableTable.letters(4), cells)
-        assert m.oriented_colliders() == frozenset()
+        assert oriented_colliders(m) == frozenset()
         assert dag_extensions(m) == []
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_extensions_recover_equivalence_class(self, data):
-        dags = list(enumerate_dags(4))
+        dags = all_dags(4)
         dag = data.draw(st.sampled_from(dags))
-        mec = mec_of_dag(dag)
-        assert dag in mec.members
-        for member in mec.members:
-            assert skeleton(member) == skeleton(dag)
-            assert v_structures(member) == v_structures(dag)
+        skel, vst = skeleton(dag), v_structures(dag)
+        members = tuple(Dag.from_mask(4, m)
+                        for m in dag_extensions(class_pattern(4, skel, vst)))
+        assert dag in members
+        for member in members:
+            assert skeleton(member) == skel
+            assert v_structures(member) == vst
         # the class regenerated from its own key equals the grouped class
-        grouped = [m for m in group_mecs(dags)
-                   if m.skeleton == mec.skeleton and m.vstructs == mec.vstructs]
-        assert grouped[0].members == mec.members
+        grouped = [m for m in group_mecs(dags) if m.skeleton == skel and m.vstructs == vst]
+        assert grouped[0].members == members
 
     def test_cpdag_roundtrip(self):
         coll = Dag(3, [(0, 2), (1, 2)])
-        mec = mec_of_dag(coll)
-        assert len(mec.members) == 1
-        cpdag = mec.cpdag()
-        assert cpdag.directed_edges() == {(0, 2), (1, 2)}
+        pattern = class_pattern(3, skeleton(coll), v_structures(coll))
+        assert dag_extensions(pattern) == [coll.mask]
+        assert directed_edges(pattern) == {(0, 2), (1, 2)}

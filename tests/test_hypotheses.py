@@ -5,7 +5,7 @@ import pytest
 
 from causaltext.engine import run_c2p
 from causaltext.errors import ConfigError, ConsistencyError, PdagError
-from causaltext.graphs import Dag, dag_extensions, enumerate_dags, group_mecs
+from causaltext.graphs import Dag, dag_extensions
 from causaltext.hypotheses import (MODE_EXTENSION_QUANTIFIED, MODE_RULE_BASED,
                                    NO, UNDETERMINED, YES, Hypothesis,
                                    SYMMETRIC_KINDS, HypothesisKind, Verdict,
@@ -19,6 +19,7 @@ from causaltext.variables import VariableTable
 
 from conftest import (FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8, pdag_encoding,
                       reference_encodings)
+from oracles import all_dags, group_mecs
 from test_graphs import brute_force_extensions
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -181,7 +182,7 @@ class TestLabelAgainstMec:
         assert label_against_mec(H(HypothesisKind.DIRECT_CAUSE, "A", "B"), mec) == NO
 
     def test_monotone_direct_implies_cause(self):
-        for dag in enumerate_dags(4):
+        for dag in all_dags(4):
             table = VariableTable.letters(4)
             for i, j in permutations(range(4), 2):
                 direct = holds_in_dag(
@@ -318,7 +319,7 @@ class TestEvaluateOnPdag:
     def test_rule_based_never_contradicts_quantified(self):
         # exhaustive over every three-node class and every claim
         table = VariableTable.letters(3)
-        for mec in group_mecs(list(enumerate_dags(3))):
+        for mec in group_mecs(all_dags(3)):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
             for kind in KINDS:
                 for i, j in permutations(range(3), 2):
@@ -333,7 +334,7 @@ class TestEvaluateOnPdag:
         # reconstructing the matrix and quantifying over its extensions must
         # reproduce the every-member label for every class and claim
         table = VariableTable.letters(n)
-        for mec in group_mecs(list(enumerate_dags(n))):
+        for mec in group_mecs(all_dags(n)):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
             assert sorted(dag_extensions(matrix)) == sorted(d.mask for d in mec.members)
             for kind in KINDS:
@@ -352,7 +353,7 @@ class TestEvaluateOnPdag:
         # first extension of the final matrix
         table = VariableTable.letters(n)
         checked = {HypothesisKind.CAUSE: 0, HypothesisKind.INDIRECT_CAUSE: 0}
-        for mec in group_mecs(list(enumerate_dags(n))):
+        for mec in group_mecs(all_dags(n)):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
             first = Dag.from_mask(n, dag_extensions(matrix)[0])
             for kind, min_len in ((HypothesisKind.CAUSE, 1),
@@ -375,7 +376,7 @@ class TestEvaluateOnPdag:
     def test_quantified_agrees_with_mec_labels_sampled_n5(self):
         import random
         table = VariableTable.letters(5)
-        mecs = group_mecs(list(enumerate_dags(5)))
+        mecs = group_mecs(all_dags(5))
         for mec in random.Random(13).sample(mecs, 120):
             matrix = run_c2p(relations_from_dag(mec.members[0], table)).final
             assert sorted(dag_extensions(matrix)) == sorted(d.mask for d in mec.members)
