@@ -19,8 +19,7 @@ from .errors import (BackendError, BoundsError, CapacityError, CausaltextError,
                      TransportError, UnknownVariableError, UsageError)
 from .graphs import Dag, Mec, dag_count, dag_extensions
 from .harness import (BackendConfig, EvalRecord, Metrics, MockBackend,
-                      ScoreReport, metrics_from_records, parse_step_output,
-                      run_pipeline, score)
+                      ScoreReport, parse_step_output, run_pipeline, score)
 from .hypotheses import (Hypothesis, HypothesisKind, Verdict, binary_answer,
                          evaluate_on_pdag, holds_in_dag, label_against_mec)
 from .matrix import AdjMatrix
@@ -47,7 +46,7 @@ __all__ = [
     "candidate_pairs", "dag_count", "dag_extensions",
     "evaluate_on_pdag", "filter_collider_pairs", "generate",
     "holds_in_dag", "initial_matrix", "label_against_mec",
-    "metrics_from_records", "orient_colliders",
+    "orient_colliders",
     "parse_hypothesis", "parse_premise", "parse_step_output",
     "propagate_orientations", "read_samples", "relations_from_dag",
     "render_hypothesis", "render_premise", "render_prompt",

@@ -37,43 +37,11 @@ USAGE_ERRORS = (PremiseParseError, ConfigError, UsageError, BoundsError,
 log = logging.getLogger("causaltext")
 
 
-def _load_config_defaults(argv):
-    pre = argparse.ArgumentParser(prog="causaltext", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"config file {path} is not JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    if data.get("version") != 1:
-        raise ConfigError(f"unsupported config file version: {data.get('version')!r}")
-    defaults = data.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ConfigError("config 'defaults' must be an object")
-    return {k.replace("-", "_"): v for k, v in defaults.items()}
-
-
-class _HttpOption(argparse.Action):
-    """Stores an option only an http(s) backend reads, and notes it as given
-    on the command line: a config-file default sets the value without
-    passing through here, so a mock or replay run can refuse just the flag."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.http_options = (*namespace.http_options, self.option_strings[0])
-
-
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causaltext",
         description="Symbolic causal reasoning over verbalized premises: "
                     "benchmark generation, solving, and backend evaluation.")
-    parser.add_argument("--config", help="JSON config file with flag defaults")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,29 +83,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ev.add_argument("--record", action="store_true",
                     help="store transcripts under OUT/transcripts")
     ev.add_argument("--parallel", type=int, default=1)
-    ev.add_argument("--model", default="oracle", action=_HttpOption)
-    ev.add_argument("--auth-env", default=None, action=_HttpOption)
-    ev.add_argument("--attempts", type=int, default=3, action=_HttpOption)
-    ev.set_defaults(http_options=())
+    ev.add_argument("--model")
+    ev.add_argument("--auth-env")
+    ev.add_argument("--attempts", type=int)
     ev.add_argument("--limit", type=int, default=None)
     ev.add_argument("--format", choices=("text", "json"), default="text")
 
     sc = sub.add_parser("score", help="recompute metrics from stored records")
     sc.add_argument("--records", required=True, help="records directory")
-    sc.add_argument("--group-by", default="n_vars",
-                    help="comma list from: n_vars, subtask")
     sc.add_argument("--format", choices=("text", "json"), default="text")
 
-    if defaults:
-        # config-file defaults; explicit flags still win at parse time
-        parsers = (parser, gen, sol, ev, sc)
-        known = {a.dest for p in parsers for a in p._actions}
-        unknown = sorted(set(defaults) - known)
-        if unknown:
-            raise ConfigError("config 'defaults' names no option of any command: "
-                              + ", ".join(map(repr, unknown)))
-        for p in parsers:
-            p.set_defaults(**defaults)
     return parser
 
 
@@ -276,16 +231,17 @@ def cmd_solve(args) -> int:
 def _eval_backend(args):
     """The backend the eval flags name, with its config: None for the mock
     and for replay, which have none and refuse the http options."""
-    if args.http_options and (args.replay is not None or args.backend == "mock"):
+    given = {key: getattr(args, key) for key in ("model", "auth_env", "attempts")
+             if getattr(args, key) is not None}
+    if given and (args.replay is not None or args.backend == "mock"):
         source = "--backend mock" if args.replay is None else "--replay"
-        raise UsageError(f"{args.http_options[0]} applies to an http(s) --backend"
-                         f" only, not to {source}")
+        flag = "--" + next(iter(given)).replace("_", "-")
+        raise UsageError(f"{flag} applies to an http(s) --backend only, not to {source}")
     if args.replay is not None:
         return ReplayBackend(args.replay), None
     if args.backend == "mock":
         return MockBackend(), None
-    config = BackendConfig(args.backend, model=args.model,
-                           auth_env=args.auth_env, attempts=args.attempts)
+    config = BackendConfig(args.backend, **given)
     return HttpBackend(config), config
 
 
@@ -327,7 +283,7 @@ def cmd_eval(args) -> int:
     write_text_atomic(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2))
     write_text_atomic(os.path.join(args.out, "metrics.json"),
                       json.dumps(report.as_dict(), indent=2))
-    _emit_report(report, args.format, ("n_vars", "subtask"))
+    _emit_report(report, args.format)
     return 0
 
 
@@ -376,7 +332,7 @@ def _read_record(records_dir: str, name: str) -> EvalRecord:
         raise UsageError(f"malformed record {name}: {exc}") from None
 
 
-def _emit_report(report: ScoreReport, fmt: str, group_by) -> None:
+def _emit_report(report: ScoreReport, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report.as_dict(), indent=2))
         return
@@ -385,38 +341,29 @@ def _emit_report(report: ScoreReport, fmt: str, group_by) -> None:
           f"   parse-failure rate: {report.parse_failure_rate:.4f}")
     print(f"overall  acc {m.accuracy:.4f}  f1 {m.f1:.4f}  precision {m.precision:.4f}"
           f"  recall {m.recall:.4f}  (tp {m.tp} fp {m.fp} tn {m.tn} fn {m.fn})")
-    if "n_vars" in group_by:
-        for n, gm in sorted(report.by_n_vars.items()):
-            print(f"n={n}      acc {gm.accuracy:.4f}  f1 {gm.f1:.4f}  "
-                  f"precision {gm.precision:.4f}  recall {gm.recall:.4f}")
+    for n, gm in sorted(report.by_n_vars.items()):
+        print(f"n={n}      acc {gm.accuracy:.4f}  f1 {gm.f1:.4f}  "
+              f"precision {gm.precision:.4f}  recall {gm.recall:.4f}")
     if report.step_accuracy:
         steps = "  ".join(f"{k.split('_')[1]}:{v:.2f}"
                           for k, v in report.step_accuracy.items())
         print(f"step accuracy   {steps}")
-    if "subtask" in group_by and report.subtask_accuracy:
+    if report.subtask_accuracy:
         subs = "  ".join(f"{k}:{v:.2f}" for k, v in sorted(report.subtask_accuracy.items()))
         print(f"subtask accuracy   {subs}")
 
 
 def cmd_score(args) -> int:
-    group_by = tuple(k.strip() for k in args.group_by.split(",") if k.strip())
-    for key in group_by:
-        if key not in ("n_vars", "subtask"):
-            raise UsageError(f"unsupported group-by key {key!r}")
     records = _read_records(os.path.join(args.records, "records")
                             if os.path.isdir(os.path.join(args.records, "records"))
                             else args.records)
-    report = score(records)
-    _emit_report(report, args.format, group_by)
+    _emit_report(score(records), args.format)
     return 0
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        defaults = _load_config_defaults(argv)
-        parser = build_parser(defaults)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         logging.basicConfig(level=logging.WARNING - 10 * min(args.verbose, 2))
         handler = {"generate": cmd_generate, "solve": cmd_solve,
                    "eval": cmd_eval, "score": cmd_score}[args.command]

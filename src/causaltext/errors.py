@@ -39,7 +39,7 @@ class PremiseParseError(CausaltextError, ValueError):
 
 
 class ConfigError(CausaltextError, ValueError):
-    """A configuration value (mode flag, backend setting, option file) is invalid."""
+    """A configuration value (mode flag or backend setting) is invalid."""
 
 
 class CapacityError(CausaltextError, RuntimeError):

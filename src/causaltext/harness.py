@@ -826,13 +826,6 @@ def _confusion_cell(r: EvalRecord) -> int:
     return 2 if r.label == NO else 3
 
 
-def metrics_from_records(records: Iterable[EvalRecord]) -> Metrics:
-    counts = [0, 0, 0, 0]
-    for r in records:
-        counts[_confusion_cell(r)] += 1
-    return Metrics(*counts)
-
-
 STEP_TO_SUBTASK = {1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4, 7: 4, 8: 4, 9: 5}
 
 

@@ -16,8 +16,8 @@ from causaltext import cli, dataset, harness
 from causaltext.cli import main
 from causaltext.dataset import dataset_digest, generate, read_samples, write_samples
 
-from conftest import (FIVE_VAR_PREMISE, FIVE_VAR_STEP_8, JUNK_FOOD_STEP_8,
-                      THREE_VAR_PREMISE, FullDisk)
+from conftest import (FIVE_VAR_PREMISE, FIVE_VAR_STEP_8, THREE_VAR_PREMISE,
+                      FullDisk)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,7 +102,7 @@ class TestSolve:
                        " mention: 'C D'\n")
 
     @pytest.mark.parametrize("how, answer, d_to_c", [
-        ("off", "Undetermined", 1), ("flag", "Yes", 0), ("config", "Yes", 0)])
+        ("off", "Undetermined", 1), ("flag", "Yes", 0)])
     def test_propagate_orients_the_chain(self, tmp_path, capsys, how, answer,
                                          d_to_c):
         path = tmp_path / "chain.txt"
@@ -112,11 +112,6 @@ class TestSolve:
                 "--format", "json"]
         if how == "flag":
             argv.append("--propagate")
-        if how == "config":
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"version": 1,
-                                       "defaults": {"propagate": True}}))
-            argv = ["--config", str(cfg), *argv]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         final = json.loads(out)["step_9"]
@@ -129,6 +124,18 @@ class TestSolve:
                   "--collider-filter", "pc-correct"])
         assert err.value.code == 2
         assert "--collider-filter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defaults", [{"command": "score"}, {"verbose": "loud"},
+                                          {"format": "xml"}],
+                             ids=["command", "verbose", "format"])
+    def test_config_flag_is_gone(self, tmp_path, capsys, defaults):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "defaults": defaults}))
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "solve", "--fixture", "junk-food"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert not out and "causaltext: error:" in err_text
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--premise", "/no/such/file")
@@ -689,17 +696,20 @@ class TestEvalAndScore:
         run_cli(capsys, "eval", "--dataset", str(dataset), "--backend", "mock",
                 "--out", str(out_dir))
         code, out, _ = run_cli(capsys, "score", "--records", str(out_dir),
-                               "--group-by", "n_vars,subtask", "--format", "json")
+                               "--format", "json")
         assert code == 0
         report = json.loads(out)
         assert report["overall"]["accuracy"] == 1.0
         assert all(v == 1.0 for v in report["subtask_accuracy"].values())
 
-    def test_score_rejects_unknown_group(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "score", "--records", str(tmp_path),
-                               "--group-by", "colour")
-        assert code == 2
-        assert "unsupported group-by key 'colour'" in err
+    def test_score_prints_the_report_eval_printed(self, tmp_path, dataset, capsys):
+        out_dir = tmp_path / "run"
+        code, eval_out, _ = run_cli(capsys, "eval", "--dataset", str(dataset),
+                                    "--backend", "mock", "--out", str(out_dir))
+        assert code == 0 and "subtask accuracy" in eval_out
+        code, score_out, _ = run_cli(capsys, "score", "--records", str(out_dir))
+        assert code == 0
+        assert score_out == eval_out
 
     def test_score_empty_dir_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "score", "--records", str(tmp_path))
@@ -888,89 +898,3 @@ class TestEvalAndScore:
         named = "--backend mock" if source == "mock" else "--replay"
         assert f"{flag} applies to an http(s) --backend only, not to {named}" in err
         assert not out_dir.exists()
-
-    def test_http_options_from_a_config_file_stay_silent(self, tmp_path, dataset,
-                                                         capsys, monkeypatch):
-        monkeypatch.delenv("NOPE_UNSET", raising=False)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, "defaults": {
-            "model": "x", "auth-env": "NOPE_UNSET", "attempts": 0}}))
-        for run, source in (("mock", ("--backend", "mock", "--record")),
-                            ("replay", ("--replay", str(tmp_path / "mock" / "transcripts")))):
-            code, out, err = run_cli(capsys, "--config", str(cfg), "eval",
-                                     "--dataset", str(dataset), *source,
-                                     "--out", str(tmp_path / run), "--format", "json")
-            assert code == 0, err
-            assert json.loads(out)["overall"]["accuracy"] == 1.0
-
-
-class TestConfigFile:
-    def test_defaults_from_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1,
-                                   "defaults": {"format": "json"}}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "solve",
-                               "--fixture", "junk-food")
-        assert code == 0
-        assert json.loads(out)["step_8"] == JUNK_FOOD_STEP_8
-
-    def test_flag_beats_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1,
-                                   "defaults": {"format": "json"}}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "solve",
-                               "--fixture", "junk-food", "--format", "text")
-        assert code == 0
-        assert "Step 9  answer: Yes" in out
-
-    def test_equals_form_applies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1,
-                                   "defaults": {"format": "json"}}))
-        code, out, _ = run_cli(capsys, f"--config={cfg}", "solve",
-                               "--fixture", "junk-food")
-        assert code == 0
-        assert json.loads(out)["step_8"] == JUNK_FOOD_STEP_8
-
-    def test_config_without_path_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--fixture", "junk-food", "--config"])
-        assert err.value.code == 2
-        assert "--config: expected one argument" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("body", ["{not json", "[1, 2]"])
-    def test_malformed_config_exits_2(self, tmp_path, capsys, body):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(body)
-        code, _, err = run_cli(capsys, "--config", str(cfg), "solve",
-                               "--fixture", "junk-food")
-        assert code == 2
-        assert f"config file {cfg}" in err
-
-    def test_unknown_default_key_exits_2(self, tmp_path, capsys):
-        # a misspelt key, and the keys of the deleted --collider-filter and
-        # --max-cond flags
-        cfg = tmp_path / "cfg.json"
-        for key, value in (("fromat", "json"), ("collider-filter", "pc-correct"),
-                           ("max_cond", 1)):
-            cfg.write_text(json.dumps({"version": 1, "defaults": {key: value}}))
-            code, out, err = run_cli(capsys, "--config", str(cfg), "solve",
-                                     "--fixture", "junk-food")
-            assert code == 2
-            assert repr(key.replace("-", "_")) in err and not out
-
-    def test_key_of_another_command_is_accepted(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1,
-                                   "defaults": {"format": "json", "gzip": True}}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "solve",
-                               "--fixture", "junk-food")
-        assert code == 0
-        assert json.loads(out)["step_8"] == JUNK_FOOD_STEP_8
-
-    def test_bad_version_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 99, "defaults": {}}))
-        code, _, err = run_cli(capsys, "--config", str(cfg), "solve",
-                               "--fixture", "junk-food")
-        assert code == 2

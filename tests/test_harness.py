@@ -24,8 +24,7 @@ from causaltext.harness import (BackendConfig, EvalRecord, HttpBackend,
                                 Metrics, MockBackend, MODE_BASELINE_COT,
                                 MODE_FEW_SHOT, MODE_STEP_BY_STEP,
                                 RecordingBackend, ReplayBackend, StepResult,
-                                metrics_from_records, parse_step_output,
-                                run_pipeline, score)
+                                parse_step_output, run_pipeline, score)
 from causaltext.hypotheses import binary_answer
 from causaltext.matrix import AdjMatrix
 from causaltext.parsing import parse_premise
@@ -893,10 +892,10 @@ class TestMetrics:
                               1.0, 0)
                    for k, (n, verdict, label, _) in enumerate(table)]
         for record, (_, _, _, count) in zip(records, table):
-            assert metrics_from_records([record]) == Metrics(
+            assert score([record]).overall == Metrics(
                 **{c: int(c == count) for c in ("tp", "fp", "tn", "fn")})
         report = score(records)
-        assert metrics_from_records(records) == report.overall == Metrics(tp=1, fp=2, tn=2, fn=3)
+        assert report.overall == Metrics(tp=1, fp=2, tn=2, fn=3)
         assert report.by_n_vars == {3: Metrics(tp=1, fp=1, tn=0, fn=1),
                                     4: Metrics(tp=0, fp=1, tn=2, fn=2)}
         m = report.overall

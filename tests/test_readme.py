@@ -1,6 +1,8 @@
 """Every ``causaltext`` command line in the README's shell blocks is one the
-CLI takes: it parses, and an ``eval`` line names a backend ``eval`` builds."""
+CLI takes: it parses, and an ``eval`` line names a backend ``eval`` builds.
+Every long option the CLI takes is named in the README."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -42,3 +44,21 @@ def test_readme_command_is_taken(argv, tmp_path, monkeypatch):
             (tmp_path / args.replay).mkdir(parents=True)
         backend, _ = cli._eval_backend(args)
         assert backend is not None
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options of ``parser`` and of its subcommands' parsers."""
+    options = set()
+    for action in parser._actions:
+        options.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= long_options(sub)
+    return options
+
+
+def test_readme_names_every_long_option():
+    text = README.read_text(encoding="utf-8")
+    missing = sorted(o for o in long_options(cli.build_parser()) - {"--help"}
+                     if not re.search(re.escape(o) + r"(?![\w-])", text))
+    assert not missing
