@@ -364,7 +364,8 @@ def cmd_score(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(level=logging.WARNING - 10 * min(args.verbose, 2))
+        # the package logs only at DEBUG, so one -v shows all of it
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
         handler = {"generate": cmd_generate, "solve": cmd_solve,
                    "eval": cmd_eval, "score": cmd_score}[args.command]
         return handler(args)

@@ -197,7 +197,14 @@ def _separated(n: int, masks: np.ndarray, ends: np.ndarray, z) -> np.ndarray:
 def mec_digest(n: int, skel: Iterable[tuple[int, int]],
                vstructs: Iterable[tuple[int, int, int]]) -> str:
     """Stable short hash of an equivalence-class key (``Mec.digest``)."""
-    payload = f"{n}|{sorted(skel)}|{sorted(vstructs)}"
+    return _key_digest(n, map(repr, sorted(skel)), map(repr, sorted(vstructs)))
+
+
+def _key_digest(n: int, skel: Iterable[str], vstructs: Iterable[str]) -> str:
+    """The digest of a class key given the ``repr`` of each skeleton pair and
+    of each v-structure, each in sorted order: the payload is
+    ``f"{n}|{sorted(skel)}|{sorted(vstructs)}"`` of the tuples."""
+    payload = f"{n}|[{', '.join(skel)}]|[{', '.join(vstructs)}]"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -386,6 +393,16 @@ class MecIndex:
         self._vst = vst[first]
         self._pairs = _pair_table(n)
         self._triples = _triple_table(n)
+        # the digest payload's texts: pairs in bit order, which is sorted
+        # order, and triples in sorted order; _ranked[b][x] re-packs byte b
+        # of a v-structure key so that bit r stands for the r-th of them
+        self._pair_text = [repr(p) for p in self._pairs]
+        rank = sorted(range(len(self._triples)), key=self._triples.__getitem__)
+        self._triple_text = [repr(self._triples[t]) for t in rank]
+        at = {t: r for r, t in enumerate(rank)}
+        self._ranked = np.array([[sum(1 << at[b + k] for k in _bits(x) if b + k in at)
+                                  for x in range(256)]
+                                 for b in range(0, max(len(rank), 1), 8)], dtype=np.int64)
 
     @property
     def group_count(self) -> int:
@@ -416,11 +433,19 @@ class MecIndex:
         return frozenset(self._triples[i] for i in _bits(int(self._vst[g])))
 
     def digests(self, groups: np.ndarray) -> list[str]:
-        """``mec_digest`` of each of ``groups``, made from the packed keys."""
-        pairs, triples = self._pairs, self._triples
-        return [mec_digest(self.n, [pairs[i] for i in _bits(s)],
-                           [triples[i] for i in _bits(v)])
-                for s, v in zip(self._skel[groups].tolist(), self._vst[groups].tolist())]
+        """``mec_digest`` of each of ``groups``, made from the packed keys.
+
+        Each class joins the precomputed ``repr`` texts of its key's bits,
+        its v-structure key re-packed into sorted order a byte at a time,
+        so no class builds, sorts or ``repr``s a tuple list."""
+        vst = self._vst[groups]
+        ranked = 0
+        for b, table in enumerate(self._ranked):
+            ranked = ranked | table[vst >> 8 * b & 255]
+        n, pair_text, triple_text = self.n, self._pair_text, self._triple_text
+        return [_key_digest(n, [pair_text[i] for i in _bits(s)],
+                            [triple_text[r] for r in _bits(v)])
+                for s, v in zip(self._skel[groups].tolist(), ranked.tolist())]
 
 
 @lru_cache(maxsize=None)

@@ -36,11 +36,12 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
+from typing import Sequence
 
 from .errors import (ConsistencyError, PremiseParseError, ResourceError,
                      UnknownVariableError)
 from .hypotheses import Hypothesis, HypothesisKind
-from .relations import CondStatement, Pair, RelationSet
+from .relations import CondStatement, Pair, RelationSet, _cond_statements
 from .variables import VariableTable
 
 PROVENANCE_SYMBOLIC = "symbolic"
@@ -472,8 +473,12 @@ class PremiseFragments:
 
     ``corr[pair]`` and ``uncond[pair]`` are a pair's correlation and
     unconditional independence sentences. ``render`` writes the premise of
-    a relation set; each conditional statement's sentence is made on its
-    first use and kept with its sort key.
+    any relation set and ``render_row`` that of a ``relation_table`` row,
+    from the same sentences and through the same joiner, so both give the
+    same text for a row and its ``relation_set``. Each conditional
+    statement's sentence is made on its first use and kept with its sort
+    key, and ``render_row`` keeps each (pair, table entry)'s conditional
+    sentences in sorted order.
     """
 
     def __init__(self, table: VariableTable, style: str = "symbolic",
@@ -507,9 +512,12 @@ class PremiseFragments:
         pairs = list(combinations(range(n), 2))
         self.corr = {(a, b): corr.format(display[a], display[b]) for a, b in pairs}
         self.uncond = {(a, b): uncond.format(display[a], display[b]) for a, b in pairs}
+        self._pairs = pairs
         self._position = {pair: p for p, pair in enumerate(pairs)}
         # conditional statement -> (pair position, sorted members, sentence)
         self._given: dict[CondStatement, tuple[int, tuple[int, ...], str]] = {}
+        # (pair, table entry) -> its conditional sentences, by sorted members
+        self._entries: dict[tuple[Pair, int], list[str]] = {}
 
     def render(self, rels: RelationSet) -> str:
         """The premise of ``rels``: dependencies, declared causes and
@@ -523,11 +531,41 @@ class PremiseFragments:
                       for a, b in sorted(rels.declared_causes)]
         indep = [self.uncond[pair] for pair in sorted(rels.uncond_indep)]
         conds = sorted([given.get(s) or self._statement(s) for s in rels.cond_indep])
-        indep += [text for _, _, text in conds]
+        return self._join(parts, indep + [text for _, _, text in conds])
+
+    def render_row(self, row: Sequence[int]) -> str:
+        """``render(relation_set(row, table))`` of a ``relation_table`` row,
+        read in row order: its entries follow the sorted pairs, so the
+        dependencies and unconditional independencies come out sorted, and
+        each entry's conditional sentences are kept sorted by members (its
+        statements come in bitmask order, where ``{2}`` precedes ``{0, 2}``)."""
+        parts, indep, conds = [], [], []
+        corr, uncond, entries = self.corr, self.uncond, self._entries
+        for pair, seps in zip(self._pairs, row):
+            if not seps:
+                parts.append(corr[pair])
+                continue
+            if seps & 1:
+                indep.append(uncond[pair])
+            if seps > 1:
+                conds += entries.get((pair, seps)) or self._entry(pair, seps)
+        return self._join(parts, indep + conds)
+
+    def _join(self, parts: list[str], indep: list[str]) -> str:
+        """The premise of the dependency and cause sentences ``parts`` and the
+        independence sentences ``indep``; "However," leads the first
+        independence."""
         if indep:
             indep[0] = "However, " + indep[0]
             parts += indep
         return self.opening + " ".join(parts) if parts else self.header
+
+    def _entry(self, pair: Pair, seps: int) -> list[str]:
+        given = self._given
+        statements = sorted([given.get(s) or self._statement(s)
+                             for s in _cond_statements(pair, seps)])
+        entry = self._entries[pair, seps] = [text for _, _, text in statements]
+        return entry
 
     def _statement(self, statement: CondStatement) -> tuple[int, tuple[int, ...], str]:
         (a, b), cond = statement

@@ -193,7 +193,16 @@ def _cond_statements(pair: Pair, seps: int) -> tuple[CondStatement, ...]:
 
 
 def relation_set(row: Sequence[int], table: VariableTable) -> RelationSet:
-    """The relation set of one row of :func:`relation_table`."""
+    """The relation set of one row of :func:`relation_table`.
+
+    Entry ``p`` of the row belongs to pair
+    ``combinations(range(len(table)), 2)[p]``:
+    0 makes it a dependency, bit 0 an unconditional independence and every
+    other bit ``z`` a conditional one given node set ``z`` of the pair's
+    other nodes. Such entries are canonical and in range by construction,
+    so the set is built without ``RelationSet``'s checks; it equals, and
+    hashes as, the checked ``RelationSet(table, deps, uncond, cond)``.
+    """
     deps, uncond, cond = [], [], []
     for pair, seps in zip(combinations(range(len(table)), 2), row):
         if not seps:
@@ -203,7 +212,11 @@ def relation_set(row: Sequence[int], table: VariableTable) -> RelationSet:
             uncond.append(pair)
         if seps > 1:
             cond += _cond_statements(pair, seps)
-    return RelationSet(table, deps, uncond, cond)
+    rels = object.__new__(RelationSet)
+    rels.__dict__.update(vars=table, dependencies=frozenset(deps),
+                         uncond_indep=frozenset(uncond), cond_indep=frozenset(cond),
+                         declared_causes=frozenset())
+    return rels
 
 
 def relations_from_dag(dag: Dag, table: VariableTable | None = None,

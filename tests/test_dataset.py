@@ -21,9 +21,10 @@ from causaltext.fixtures import THREE_VAR_PREMISE
 from causaltext.graphs import Dag, Mec, mec_index
 from causaltext.hypotheses import (NO, YES, Hypothesis, HypothesisKind,
                                    holds_in_dag, label_against_mec)
-from causaltext.parsing import (THEMES, PremiseDoc, parse_hypothesis,
+from causaltext.matrix import _bits
+from causaltext.parsing import (THEMES, PremiseDoc, PremiseFragments, parse_hypothesis,
                                 parse_premise, render_premise)
-from causaltext.relations import relation_set, relation_table
+from causaltext.relations import RelationSet, relation_set, relation_table
 from causaltext.variables import VariableTable
 
 from conftest import FullDisk
@@ -207,6 +208,49 @@ class TestPremiseFromRow:
             rels = relation_set(row, table)
             assert premise == render_premise(PremiseDoc("", table, rels), style, theme)
             assert parse_premise(premise).relations == rels
+
+
+def _class_rows(n, minimal):
+    """The relation_table row of every class at n <= 5; of 2,000 seeded
+    classes at n = 6."""
+    idx = mec_index(n)
+    groups = np.arange(idx.group_count)
+    if n == 6:
+        groups = np.random.default_rng(38).choice(groups, 2_000, replace=False)
+    masks, starts = idx.members(groups)
+    return relation_table(n, masks[starts[:-1]], minimal).tolist()
+
+
+_ROW_VARIANTS = [(n, m) for n in (2, 3, 4, 5) for m in (True, False)] + [(6, True)]
+
+
+class TestClassRows:
+    """The row paths of generate against the checked constructor and the
+    general writer."""
+
+    @pytest.mark.parametrize("n,minimal", _ROW_VARIANTS)
+    def test_relation_set_equals_the_checked_one(self, n, minimal):
+        table = VariableTable.letters(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for row in _class_rows(n, minimal):
+            fast = relation_set(row, table)
+            deps = [p for p, seps in zip(pairs, row) if not seps]
+            uncond = [p for p, seps in zip(pairs, row) if seps & 1]
+            cond = [(p, frozenset(_bits(z))) for p, seps in zip(pairs, row)
+                    for z in _bits(seps & ~1)]
+            checked = RelationSet(table, deps, uncond, cond)
+            for field in ("vars", "dependencies", "uncond_indep", "cond_indep",
+                          "declared_causes"):
+                assert getattr(fast, field) == getattr(checked, field), (row, field)
+            assert fast == checked and hash(fast) == hash(checked)
+
+    @pytest.mark.parametrize("n,minimal", _ROW_VARIANTS)
+    @pytest.mark.parametrize("style,theme", [("symbolic", None), ("story", "economics")])
+    def test_row_render_equals_render(self, n, minimal, style, theme):
+        table = VariableTable.letters(n)
+        frag = PremiseFragments(table, style, theme)
+        for row in _class_rows(n, minimal):
+            assert frag.render_row(row) == frag.render(relation_set(row, table)), row
 
 
 class TestClassLabels:

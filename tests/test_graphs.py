@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
                                PdagError)
 from causaltext.graphs import (Dag, Mec, MecIndex, _dag_masks, dag_count,
-                               dag_extensions, mec_index)
+                               dag_extensions, mec_digest, mec_index)
 from causaltext.matrix import AdjMatrix, _bits, is_acyclic
 from causaltext.relations import RelationSet, relation_table, relations_from_dag
 from causaltext.variables import VariableTable
@@ -461,6 +461,17 @@ class TestKeyDigests:
         for g, digest in zip(groups.tolist(), idx.digests(groups), strict=True):
             dag = Dag.from_mask(n, int(idx.member_masks(g)[0]))
             assert digest == Mec(n, skeleton(dag), v_structures(dag), (dag,)).digest(), g
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equal_mec_digest_of_the_key_sets(self, n):
+        # every class at n <= 5 and 10,000 seeded six-node classes
+        idx = mec_index(n)
+        groups = np.arange(idx.group_count)
+        if n == 6:
+            groups = np.random.default_rng(6).choice(groups, 10_000, replace=False)
+        for g, digest in zip(groups.tolist(), idx.digests(groups), strict=True):
+            assert digest == mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g)), g
 
 
 class TestExtensions:

@@ -1,20 +1,23 @@
 import hashlib
 import http.server
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causaltext import harness, pipeline
-from causaltext.dataset import balanced_generate, generate
+from causaltext.dataset import balanced_generate, generate, write_samples
 from causaltext.engine import (ColliderCandidates, apply_conditional,
                                apply_unconditional, candidate_pairs,
                                orient_colliders)
@@ -861,6 +864,30 @@ class TestTransport:
             assert inner.pop_usage() is None
         exchanges = json.loads((tmp_path / f"{sample.id}.json").read_text())["exchanges"]
         assert [e["step"] for e in exchanges] == list(range(1, 10))
+
+
+class TestVerboseFlag:
+    @pytest.mark.parametrize("flags", [["-v"], ["-vv"], []])
+    def test_one_v_logs_the_request_digest(self, http_stub, tmp_path, flags):
+        # in a child process: under pytest the root logger already has
+        # handlers, so the CLI's logging set-up would not take effect here
+        data = tmp_path / "set.jsonl"
+        write_samples(data, balanced_generate([3], 1, seed=1))
+        src = str(Path(harness.__file__).resolve().parents[1])
+        argv = [*flags, "eval", "--dataset", str(data), "--backend", http_stub,
+                "--mode", "baseline-cot", "--attempts", "1", "--limit", "1",
+                "--out", str(tmp_path / "run")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from causaltext.cli import main;"
+             " sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src, os.environ.get("PYTHONPATH", "")])})
+        assert proc.returncode == 0, proc.stderr
+        logged = re.findall(rf"DEBUG:causaltext\.harness:request {re.escape(http_stub)} digest=\w{{12}}",
+                            proc.stderr)
+        assert len(logged) == (1 if flags else 0), proc.stderr
+        assert ("DEBUG" in proc.stderr) == bool(flags)
 
 
 class TestMetrics:
