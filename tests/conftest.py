@@ -75,6 +75,16 @@ JUNK_FOOD_STEP_8 = {
 }
 
 
+@pytest.fixture(scope="session", autouse=True)
+def index_cache(tmp_path_factory):
+    """Cache equivalence-class indexes in a directory of this session, not
+    the user's cache: ``XDG_CACHE_HOME`` is set before any test builds an
+    index, and the CLI and demo tests' child processes inherit it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def five_var():
     return five_var_doc()

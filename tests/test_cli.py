@@ -1,6 +1,9 @@
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import causaltext
-from causaltext import cli, dataset, harness
+from causaltext import cli, dataset, graphs, harness
 from causaltext.cli import main
 from causaltext.dataset import dataset_digest, generate, read_samples, write_samples
 
@@ -42,6 +45,14 @@ def test_version_flag_prints_the_version(capsys):
         main(["--version"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out == causaltext.__version__ + "\n"
+
+
+def test_module_runs_the_cli():
+    # python -m causaltext, from a source tree that is not installed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "causaltext", "--version"], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, causaltext.__version__ + "\n")
 
 
 def test_version_is_the_pyproject_version(capsys):
@@ -377,6 +388,34 @@ class TestGoldenDatasets:
             code, _, _ = run_cli(capsys, "generate", "--n", "3", "--gzip", "-o", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# sha256 of ``generate --n 6 --balanced 10 --seed 3``, pinned from the
+# output of an index built in process
+GOLDEN_N6_BALANCED = "ff6f0d229bacfa27abf557fa1111b7e3ea6ff6288e04a879319a536bf66edcf6"
+
+
+class TestIndexCacheBytes:
+    @pytest.mark.parametrize("n,form", [*GOLDEN_DATASETS, ("6", "balanced")])
+    def test_cold_and_warm_index_write_the_same_bytes(self, tmp_path, capsys,
+                                                      monkeypatch, n, form):
+        # cold: no cache file, so the index is built and written; warm: the
+        # index is loaded from that file, and building it would fail
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        want = GOLDEN_DATASETS.get((n, form), GOLDEN_N6_BALANCED)
+        try:
+            for state in ("cold", "warm"):
+                graphs.mec_index.cache_clear()
+                if state == "warm":
+                    assert (tmp_path / "xdg" / "causaltext" / f"mec_index_{n}").exists()
+                    monkeypatch.setattr(graphs, "_index_arrays", None)
+                out_path = tmp_path / f"{state}.jsonl"
+                code, _, _ = run_cli(capsys, "generate", "--n", n, *DATASET_FORMS[form],
+                                     "-o", str(out_path))
+                assert code == 0
+                assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want, state
+        finally:
+            graphs.mec_index.cache_clear()
 
 
 class TestEvalAndScore:

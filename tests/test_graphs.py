@@ -1,4 +1,6 @@
 import hashlib
+import logging
+import os
 import random
 from functools import lru_cache
 from itertools import combinations, product
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltext import graphs
 from causaltext.errors import (BoundsError, ConsistencyError, CycleError,
                                PdagError)
 from causaltext.graphs import (Dag, Mec, MecIndex, _dag_masks, dag_count,
@@ -472,6 +475,121 @@ class TestKeyDigests:
             groups = np.random.default_rng(6).choice(groups, 10_000, replace=False)
         for g, digest in zip(groups.tolist(), idx.digests(groups), strict=True):
             assert digest == mec_digest(n, idx.skeleton_set(g), idx.vstruct_set(g)), g
+
+
+def assert_same_index(got, want):
+    assert got.n == want.n
+    for a, b in zip(got.arrays, want.arrays, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    groups = np.arange(want.group_count)
+    if want.n == 6:
+        groups = np.random.default_rng(40).choice(groups, 10_000, replace=False)
+    assert got.digests(groups) == want.digests(groups)
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty cache base for one test; the index files go in its
+    ``causaltext`` folder."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "causaltext"
+
+
+def built_only(monkeypatch):
+    """Make every later index build fail, so an index that comes back was
+    loaded from its file."""
+    def fail(n):
+        raise AssertionError(f"index on {n} nodes built, not loaded")
+    monkeypatch.setattr(graphs, "_index_arrays", fail)
+
+
+class TestIndexCache:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_loaded_index_equals_the_built_one(self, n, cache_dir, monkeypatch):
+        # the first call builds and writes the file, the second loads it
+        cold = graphs._cached_index(n)
+        assert os.listdir(cache_dir) == [f"mec_index_{n}"]
+        want = MecIndex(n)
+        assert_same_index(cold, want)
+        built_only(monkeypatch)
+        assert_same_index(graphs._cached_index(n), want)
+
+    @pytest.mark.parametrize("flip", [0x01, 0xFF])
+    def test_every_changed_byte_is_rebuilt_and_replaced(self, flip, cache_dir):
+        graphs._cached_index(2)
+        path = cache_dir / "mec_index_2"
+        good = path.read_bytes()
+        want = MecIndex(2)
+        for at in range(len(good)):
+            bad = bytearray(good)
+            bad[at] ^= flip
+            path.write_bytes(bad)
+            assert_same_index(graphs._cached_index(2), want)
+            assert path.read_bytes() == good, at
+        assert os.listdir(cache_dir) == ["mec_index_2"]
+
+    @pytest.mark.parametrize("cut", [
+        lambda b: b[:0], lambda b: b[:1], lambda b: b[:200], lambda b: b[:-1],
+        lambda b: b + b"\0"], ids=["empty", "1", "200", "all-but-1", "one-more"])
+    def test_a_short_or_long_file_is_rebuilt_and_replaced(self, cut, cache_dir):
+        graphs._cached_index(4)
+        path = cache_dir / "mec_index_4"
+        good = path.read_bytes()
+        path.write_bytes(cut(good))
+        assert_same_index(graphs._cached_index(4), MecIndex(4))
+        assert path.read_bytes() == good
+        assert os.listdir(cache_dir) == ["mec_index_4"]
+
+    def test_a_file_under_another_key_is_rebuilt(self, cache_dir):
+        want = MecIndex(3)
+        path, key = graphs._cache_place(3)
+        graphs._write_index(path, key.replace("numpy", "numpy 0.0 and"), want.arrays)
+        stale = (cache_dir / "mec_index_3").read_bytes()
+        assert_same_index(graphs._cached_index(3), want)
+        fresh = (cache_dir / "mec_index_3").read_bytes()
+        assert fresh != stale and key.encode() in fresh
+        assert os.listdir(cache_dir) == ["mec_index_3"]
+
+    def test_a_regular_file_as_cache_home_fails_nothing(self, tmp_path, monkeypatch,
+                                                        caplog):
+        home = tmp_path / "not-a-directory"
+        home.write_text("x")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        with caplog.at_level(logging.DEBUG, logger="causaltext.graphs"):
+            assert_same_index(graphs._cached_index(3), MecIndex(3))
+        assert "not written" in caplog.text
+        assert home.read_text() == "x"
+
+    def test_a_failed_write_leaves_no_file(self, cache_dir, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+        monkeypatch.setattr(graphs.os, "replace", full_disk)
+        assert_same_index(graphs._cached_index(3), MecIndex(3))
+        assert os.listdir(cache_dir) == []
+
+    def test_one_file_per_node_count(self, cache_dir):
+        for n in [3, 4, 3, 2, 4]:
+            graphs._cached_index(n)
+        (cache_dir / "mec_index_3").write_bytes(b"{}")
+        graphs._cached_index(3)
+        assert sorted(os.listdir(cache_dir)) == ["mec_index_2", "mec_index_3",
+                                                 "mec_index_4"]
+
+    def test_relative_cache_home_falls_back_to_home(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        graphs._cached_index(2)
+        assert os.listdir(tmp_path / "home" / ".cache" / "causaltext") == ["mec_index_2"]
+        assert not (tmp_path / "relative").exists()
+
+    def test_no_absolute_directory_caches_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", "relative-home")
+        assert graphs._cache_place(2) == (None, "")
+        assert_same_index(graphs._cached_index(2), MecIndex(2))
+        assert os.listdir(tmp_path) == []
 
 
 class TestExtensions:
